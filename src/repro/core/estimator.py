@@ -10,7 +10,7 @@ false positives -- the A3 ablation).
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Optional, Tuple
+from typing import Deque, Optional
 
 __all__ = [
     "RateEstimator",
@@ -55,26 +55,31 @@ class WindowedRateEstimator(RateEstimator):
         if window < 1:
             raise ValueError(f"window must be >= 1, got {window}")
         self.window = window
-        self._samples: Deque[Tuple[float, float]] = deque(maxlen=window)
+        # Two parallel windows summed with sum() in arrival order: the
+        # same float additions as a fresh re-sum (running totals would
+        # drift), without a generator per call.
+        self._works: Deque[float] = deque(maxlen=window)
+        self._durations: Deque[float] = deque(maxlen=window)
 
     def observe(self, work: float, duration: float) -> None:
         self._validate(work, duration)
-        self._samples.append((work, duration))
+        self._works.append(work)
+        self._durations.append(duration)
 
     def rate(self) -> Optional[float]:
-        if not self._samples:
+        if not self._works:
             return None
-        total_work = sum(w for w, __ in self._samples)
-        total_time = sum(d for __, d in self._samples)
+        total_time = sum(self._durations)
         if total_time <= 0:
             return float("inf")
-        return total_work / total_time
+        return sum(self._works) / total_time
 
     def reset(self) -> None:
-        self._samples.clear()
+        self._works.clear()
+        self._durations.clear()
 
     def __len__(self) -> int:
-        return len(self._samples)
+        return len(self._works)
 
 
 class EwmaRateEstimator(RateEstimator):

@@ -866,19 +866,14 @@ class HybridRunner:
         w = self.workload
         engine = self.engine
         slo = w.slo
-        latencies: List[float] = []
-        slo_violations = 0
+        parts: List[np.ndarray] = []
         for kind, data in self._chunks:
             if kind == "fluid":
-                for ramp in data:
-                    values = ramp.values()
-                    latencies.extend(values.tolist())
-                    slo_violations += int(np.count_nonzero(values > slo))
+                parts.extend(ramp.values() for ramp in data)
             else:
-                latencies.extend(data)
-                for sample in data:
-                    if sample > slo:
-                        slo_violations += 1
+                parts.append(np.asarray(data, dtype=np.float64))
+        latencies = (np.concatenate(parts) if parts
+                     else np.empty(0, dtype=np.float64))
         # Fluid work totals come from integer job counts times the unit
         # work -- one multiplication, not a million-term float sum -- so
         # the oracle's conservation splits hold to the same slack as a
@@ -900,7 +895,7 @@ class HybridRunner:
             n_requests=len(engine.requests) + self.fluid_jobs + self.fluid_failed,
             slo=slo,
             latencies=latencies,
-            slo_violations=slo_violations,
+            slo_violations=int(np.count_nonzero(latencies > slo)),
             issued_work=engine.issued_work + fluid_work,
             completed_work=engine.completed_work + fluid_work,
             claimed_work=engine.claimed_work + fluid_work,

@@ -56,7 +56,7 @@ _REL_TOL = 1e-9
 
 
 def _p99(latencies: Sequence[float]) -> float:
-    if not latencies:
+    if not len(latencies):
         return 0.0
     arr = np.asarray(latencies)
     k = int(0.99 * (arr.size - 1))
@@ -79,7 +79,7 @@ def _matches(d, h) -> bool:
             return False
     if len(d.latencies) != len(h.latencies):
         return False
-    if d.latencies and not (
+    if len(d.latencies) and not (
         _close(statistics.fmean(d.latencies), statistics.fmean(h.latencies))
         and _close(_p99(d.latencies), _p99(h.latencies))
     ):
@@ -90,7 +90,7 @@ def _matches(d, h) -> bool:
 def _row(table: Table, workload: str, policy: str, outcome,
          engine: str, check: str) -> None:
     n = outcome.n_requests
-    mean = statistics.fmean(outcome.latencies) if outcome.latencies else 0.0
+    mean = statistics.fmean(outcome.latencies) if len(outcome.latencies) else 0.0
     issued = outcome.issued_work
     table.add_row(
         workload,

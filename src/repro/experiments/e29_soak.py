@@ -11,17 +11,17 @@ mid-soak on mirror pair ``d0``/``d1`` under the ``no-mitigation``
 policy -- the fail-oblivious strawman, so the fault shows up in the
 latency tail instead of being routed around.
 
-What the table shows: the per-window and rolling scorecards (the
-PR-3/PR-7 streaming statistics, merged across trailing windows exactly
-as a production dashboard would) stay flat through the quiet windows,
-then flag the onset window -- the ``flagged`` column is driven purely
-by the rolling SLO-violation count crossing zero.  The note reports
-the **detection latency**: the gap between the stutter's global onset
-time and the end of the first flagged window, i.e. how long a
-window-granularity rolling monitor takes to surface a stutter embedded
-in ~50 virtual hours of healthy traffic.  Memory stays O(windows
-retained) no matter the horizon; ``scripts/perf_report.py --suite
-soak`` gates the RSS-flatness claim.
+What the table shows: the per-window and rolling scorecards (exact
+numpy folds of each window's samples and of the trailing windows'
+samples together, as a production dashboard would roll them) stay flat
+through the quiet windows, then flag the onset window -- the
+``flagged`` column is driven purely by the rolling SLO-violation count
+crossing zero.  The note reports the **detection latency**: the gap
+between the stutter's global onset time and the end of the first
+flagged window, i.e. how long a window-granularity rolling monitor
+takes to surface a stutter embedded in ~50 virtual hours of healthy
+traffic.  Memory stays O(rolling x window size) no matter the horizon;
+``tests/faults/test_outcome_columnar.py`` pins the flatness claim.
 """
 
 from __future__ import annotations
@@ -116,7 +116,8 @@ def run(
         "Quiet soak baseline (no random injectors) with one correlated "
         f"stutter planted on mirror pair d0/d1 (factor {stutter_factor}, "
         f"{duration:.1f}s) under the no-mitigation policy.  roll_* columns "
-        f"merge the trailing {rolling} windows via StreamingMoments.merge / "
-        f"P2Quantile.combine.  {detection}."
+        f"cover the trailing {rolling} windows' samples together; every "
+        f"latency column is exact (mean and np.quantile over the "
+        f"retained samples).  {detection}."
     )
     return table

@@ -28,16 +28,25 @@ running every scenario twice.
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import json
+from collections import deque
 from dataclasses import dataclass, field, replace
 from random import Random
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
+import numpy as np
+
 from ..analysis.report import Table
 from ..core.system import System
 from ..policy import POLICIES, MitigationPolicy, make_policy
-from ..sim.metrics import LatencyRecorder, P2Quantile, StreamingMoments
+from ..sim.metrics import (
+    ExactQuantile,
+    LatencyRecorder,
+    StreamingMoments,
+    quantile_from_dict,
+)
 from .component import DegradableServer
 from .spec import PerformanceSpec
 
@@ -66,6 +75,10 @@ __all__ = [
 
 #: Work-accounting comparisons use this absolute slack for float sums.
 _EPS = 1e-6
+
+#: Version of :meth:`ScenarioOutcome.digest`'s byte layout.  Version 1
+#: hashed one JSON document with the latencies inlined as a list.
+OUTCOME_DIGEST_VERSION = 2
 
 
 # ---------------------------------------------------------------------------
@@ -255,7 +268,11 @@ class Request:
 
 @dataclass
 class ScenarioOutcome:
-    """Everything one (scenario, policy) run produced, engine-audited."""
+    """Everything one (scenario, policy) run produced, engine-audited.
+
+    ``latencies`` holds one response time per resolved request, in
+    resolution order, as a C-contiguous float64 array on both engines.
+    """
 
     workload: str
     family: str
@@ -263,7 +280,7 @@ class ScenarioOutcome:
     policy: str
     n_requests: int
     slo: float
-    latencies: List[float]
+    latencies: np.ndarray
     slo_violations: int
     issued_work: float
     completed_work: float
@@ -290,13 +307,22 @@ class ScenarioOutcome:
         return self.slo_violations / self.n_requests if self.n_requests else 0.0
 
     def digest(self) -> str:
-        """SHA-256 over the full-precision run outcome (oracle identity)."""
-        payload = {
+        """SHA-256 over the full-precision run outcome (oracle identity).
+
+        Digest v2 hashes two parts: a canonical-JSON header line (digest
+        version, identity fields, sample count, counters, sorted server
+        work), then the latencies' little-endian float64 bytes.  The
+        bytes are normalized first, so a big-endian or strided array of
+        the same values digests the same.
+        """
+        latencies = np.ascontiguousarray(self.latencies, dtype="<f8")
+        header = {
+            "digest": OUTCOME_DIGEST_VERSION,
             "workload": self.workload,
             "family": self.family,
             "scenario_index": self.scenario_index,
             "policy": self.policy,
-            "latencies": self.latencies,
+            "samples": int(latencies.size),
             "counters": [
                 self.issued_work, self.completed_work, self.claimed_work,
                 self.wasted_work, self.failed_work, self.outstanding_attempts,
@@ -304,9 +330,11 @@ class ScenarioOutcome:
             ],
             "servers": sorted(self.server_work.items()),
         }
-        blob = json.dumps(payload, sort_keys=True, separators=(",", ":"),
-                          allow_nan=True)
-        return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+        blob = json.dumps(header, sort_keys=True, separators=(",", ":"),
+                          allow_nan=True) + "\n"
+        digest = hashlib.sha256(blob.encode("utf-8"))
+        digest.update(latencies)
+        return digest.hexdigest()
 
 
 class CampaignEngine:
@@ -557,6 +585,7 @@ class CampaignEngine:
         self.sim.run(until=workload.horizon)
         outstanding = sum(r.outstanding for r in self.requests)
         unresolved = sum(1 for r in self.requests if not r.resolved)
+        latencies = np.array(self.recorder.samples, dtype=np.float64)
         outcome = ScenarioOutcome(
             workload=workload.name,
             family=scenario.family,
@@ -564,8 +593,8 @@ class CampaignEngine:
             policy=self.policy.name,
             n_requests=len(self.requests),
             slo=workload.slo,
-            latencies=list(self.recorder.samples),
-            slo_violations=self.recorder.count_over(workload.slo),
+            latencies=latencies,
+            slo_violations=int(np.count_nonzero(latencies > workload.slo)),
             issued_work=self.issued_work,
             completed_work=self.completed_work,
             claimed_work=self.claimed_work,
@@ -781,8 +810,7 @@ def _score_cell(workload: str, family: str, policy: str,
                 outcomes: Sequence[ScenarioOutcome]) -> CellScore:
     recorder = LatencyRecorder(name="cell")
     for outcome in outcomes:
-        for latency in outcome.latencies:
-            recorder.record(latency)
+        recorder.record_many(outcome.latencies)
     summary = recorder.summary()
     requests = sum(o.n_requests for o in outcomes)
     slo_violations = sum(o.slo_violations for o in outcomes)
@@ -889,14 +917,17 @@ def run_campaign(
 
 @dataclass
 class SoakWindow:
-    """One soak window's scorecard: exact counters, streaming statistics.
+    """One soak window's scorecard: exact counters, exact statistics.
 
-    ``moments``/``p50``/``p99`` are the window's latency distribution in
-    the PR-3 streaming form (O(1) memory per window); the ``rolling_*``
-    fields aggregate the last ``rolling`` windows via the lane-merge
-    operators (:meth:`~repro.sim.metrics.StreamingMoments.merge`,
-    :meth:`~repro.sim.metrics.P2Quantile.combine`), which is what a
-    production dashboard would alert on.
+    ``moments``/``p50``/``p99`` are the window's latency distribution,
+    folded from every sample with numpy
+    (:meth:`~repro.sim.metrics.StreamingMoments.of`,
+    :class:`~repro.sim.metrics.ExactQuantile`); the ``rolling_*`` fields
+    cover the last ``rolling`` windows' samples together (mean and
+    ``np.quantile`` p99 over their concatenation), which is what a
+    production dashboard would alert on.  A window replayed from a
+    schema-1 trace carries P² estimates in ``p50``/``p99`` instead; both
+    answer ``.value()``.
     """
 
     index: int
@@ -909,8 +940,8 @@ class SoakWindow:
     issued_work: float
     wasted_work: float
     moments: StreamingMoments
-    p50: P2Quantile
-    p99: P2Quantile
+    p50: ExactQuantile
+    p99: ExactQuantile
     rolling_windows: int
     rolling_requests: int
     rolling_slo_violations: int
@@ -972,8 +1003,8 @@ class SoakWindow:
             issued_work=float(payload["issued_work"]),
             wasted_work=float(payload["wasted_work"]),
             moments=StreamingMoments.from_dict(payload["moments"]),
-            p50=P2Quantile.from_dict(payload["p50"]),
-            p99=P2Quantile.from_dict(payload["p99"]),
+            p50=quantile_from_dict(payload["p50"]),
+            p99=quantile_from_dict(payload["p99"]),
             rolling_windows=int(rolling["windows"]),
             rolling_requests=int(rolling["requests"]),
             rolling_slo_violations=int(rolling["slo_violations"]),
@@ -987,10 +1018,10 @@ class SoakWindow:
 class SoakResult:
     """A whole soak campaign, windows optionally dropped as they stream.
 
-    With ``retain_windows=False`` (the O(1)-memory production mode,
-    what the RSS bench gates) only the merged whole-soak statistics and
-    the final rolling aggregates survive in RAM -- per-window scorecards
-    live in the attached trace sink instead.
+    With ``retain_windows=False`` (the flat-memory production mode)
+    only the merged whole-soak statistics and the final rolling
+    aggregates survive in RAM -- per-window scorecards live in the
+    attached trace sink instead.
     """
 
     seed: int
@@ -1052,9 +1083,9 @@ def soak_table(windows: Sequence[SoakWindow], title: str) -> Table:
         ],
         note=(
             "One row per soak window (each a fresh run over the window's "
-            "virtual span); roll_* columns aggregate the trailing windows "
-            "via StreamingMoments.merge / P2Quantile.combine -- the "
-            "rolling scorecard a production alert would watch."
+            "virtual span); roll_* columns cover the trailing windows' "
+            "samples together (exact np.quantile p99) -- the rolling "
+            "scorecard a production alert would watch."
         ),
     )
     for w in windows:
@@ -1133,15 +1164,16 @@ def run_soak(
     longer fault-free stretch and the hybrid engine keeps the run
     mostly fluid.
 
-    Memory is O(windows retained): with ``retain_windows=False`` each
-    window's scorecard is folded into the rolling aggregates (via the
-    PR-7 lane-merge operators) and streamed to ``sink`` (any
-    :class:`repro.telemetry.StreamingTraceSink`-shaped object), then
-    dropped -- RSS stays flat as the virtual horizon grows, which
-    ``scripts/perf_report.py --suite soak`` gates.
+    Every window statistic is exact: mean, p50 and p99 come from the
+    window's whole latency array, and the rolling mean and p99 from the
+    trailing ``rolling`` windows' arrays taken together
+    (``np.quantile``).  Memory is O(rolling x window size) plus the
+    windows retained: those trailing arrays are all that is kept, and
+    with ``retain_windows=False`` each window's scorecard is streamed to
+    ``sink`` (any :class:`repro.telemetry.StreamingTraceSink`-shaped
+    object) and dropped, so memory stays flat as the virtual horizon
+    grows (``tests/faults/test_outcome_columnar.py`` pins it).
     """
-    from collections import deque
-
     if n_windows < 1:
         raise ValueError(f"n_windows must be >= 1, got {n_windows}")
     if rolling < 1:
@@ -1187,20 +1219,19 @@ def run_soak(
             on_system = lambda system: system.attach_sink(sink)  # noqa: E731
         outcome = run_scenario(scaled, scenario, policy, check=check,
                                engine=engine, on_system=on_system)
-        moments = StreamingMoments()
-        p50 = P2Quantile(0.5)
-        p99 = P2Quantile(0.99)
-        for latency in outcome.latencies:
-            moments.push(latency)
-            p50.push(latency)
-            p99.push(latency)
+        latencies = outcome.latencies
+        moments = StreamingMoments.of(latencies)
+        p50, p99 = ExactQuantile.of(latencies, (0.5, 0.99))
         window_violations = [f"window[{w}]: {v}" for v in outcome.violations]
-        recent.append((moments, p99, outcome.n_requests, outcome.slo_violations))
-        rolling_acc = StreamingMoments()
-        for m, __, __, __ in recent:
-            rolling_acc.merge(m)
-        rolling_mean = rolling_acc.mean if rolling_acc.count else 0.0
-        rolling_p99 = P2Quantile.combine([q for __, q, __, __ in recent])
+        recent.append((latencies, outcome.n_requests, outcome.slo_violations))
+        trailing = np.concatenate([lat for lat, __, __ in recent])
+        rolling_mean = rolling_p99 = 0.0
+        if trailing.size:
+            rolling_mean = float(np.mean(trailing))
+            # The concatenation is a private copy: partition it in place
+            # (after the order-sensitive mean) rather than copy it again.
+            rolling_p99 = float(np.quantile(trailing, 0.99, overwrite_input=True))
+        del trailing
         score = SoakWindow(
             index=w,
             start=start,
@@ -1215,8 +1246,8 @@ def run_soak(
             p50=p50,
             p99=p99,
             rolling_windows=len(recent),
-            rolling_requests=sum(r for __, __, r, __ in recent),
-            rolling_slo_violations=sum(v for __, __, __, v in recent),
+            rolling_requests=sum(r for __, r, __ in recent),
+            rolling_slo_violations=sum(v for __, __, v in recent),
             rolling_mean=rolling_mean,
             rolling_p99=rolling_p99,
             violations=window_violations,
@@ -1233,10 +1264,13 @@ def run_soak(
         violations.extend(window_violations)
         if retain_windows:
             windows.append(score)
-        # Everything per-window (outcome, latency list, score) is now
-        # folded into the aggregates above; dropping it here is what
-        # keeps RSS flat as the horizon grows.
-        del outcome, score, moments, p50, p99
+        # Everything per-window but the latency array the rolling deque
+        # still holds is now folded into the aggregates above; dropping
+        # it here, and collecting the window's System (a reference
+        # cycle the generational collector may hold for many windows),
+        # is what keeps memory flat as the horizon grows.
+        del outcome, latencies, score, moments, p50, p99
+        gc.collect()
     return SoakResult(
         seed=seed,
         workload=scaled.name,

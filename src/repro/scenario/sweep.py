@@ -25,6 +25,8 @@ import json
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
+import numpy as np
+
 from .compile import compile_spec
 from .generate import SweepBounds, generate_spec
 
@@ -46,7 +48,7 @@ class SweepRun:
     slo_violations: int
     issued_work: float
     wasted_work: float
-    latencies: Tuple[float, ...]
+    latencies: np.ndarray = field(compare=False, repr=False)
     violations: Tuple[str, ...]
 
     @property
@@ -113,8 +115,7 @@ class SweepResult:
             runs = by_policy[policy]
             recorder = LatencyRecorder(name="sweep")
             for run in runs:
-                for latency in run.latencies:
-                    recorder.record(latency)
+                recorder.record_many(run.latencies)
             summary = recorder.summary()
             requests = sum(r.n_requests for r in runs)
             issued = sum(r.issued_work for r in runs)
@@ -215,7 +216,7 @@ def run_sweep(
             slo_violations=outcome.slo_violations,
             issued_work=outcome.issued_work,
             wasted_work=outcome.wasted_work,
-            latencies=tuple(outcome.latencies),
+            latencies=outcome.latencies,
             violations=tuple(violations),
         ))
     return SweepResult(seed=seed, count=count, engine=engine, runs=runs,

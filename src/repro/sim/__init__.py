@@ -29,6 +29,7 @@ from .engine import (
 )
 from .metrics import (
     AvailabilityMeter,
+    ExactQuantile,
     LatencyRecorder,
     LatencySummary,
     P2Quantile,
@@ -83,6 +84,7 @@ __all__ = [
     "AvailabilityMeter",
     "StreamingMoments",
     "P2Quantile",
+    "ExactQuantile",
     "SeedBatchRunner",
     "LaneProgram",
     "BatchResult",

@@ -198,8 +198,7 @@ class BatchAvailability:
     / unserved tallies are integers, so lane counts and the folded
     aggregate are exact (``==`` against a scalar meter fed the same
     stream).  Quantile curves are not tracked here; fold response times
-    through :class:`BatchMoments` and the
-    :meth:`~repro.sim.metrics.P2Quantile.combine` fallback instead.
+    through :class:`BatchMoments` instead.
     """
 
     __slots__ = ("slo", "offered", "within_slo", "unserved")

@@ -20,6 +20,11 @@ both accept ``streaming=True``: an O(1)-memory mode built on
 Counts, means, extremes and SLO fractions stay exact in streaming mode;
 only the quantiles are estimates, so keep the default for anything that
 feeds a regression-checked table.
+
+Whole sample arrays (campaign outcomes, soak windows) are folded in one
+numpy pass instead: :meth:`StreamingMoments.of` and
+:class:`ExactQuantile` give the same read surface as the streaming
+forms, computed from every sample.
 """
 
 from __future__ import annotations
@@ -27,7 +32,9 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple, Union
+
+import numpy as np
 
 from .engine import Simulator
 
@@ -39,6 +46,8 @@ __all__ = [
     "LatencySummary",
     "StreamingMoments",
     "P2Quantile",
+    "ExactQuantile",
+    "quantile_from_dict",
 ]
 
 
@@ -101,6 +110,29 @@ class StreamingMoments:
         if other.maximum > self.maximum:
             self.maximum = other.maximum
         return self
+
+    @classmethod
+    def of(cls, values) -> "StreamingMoments":
+        """The moments of a whole sample array, folded in one numpy pass.
+
+        The state :meth:`push` would build, computed from every sample at
+        once: count and extremes exact, the mean and the centred sum of
+        squares as numpy pairwise sums (deterministic, within O(log n)
+        ulps).  Soak windows and trace run-end records use this.
+        """
+        moments = cls()
+        values = np.asarray(values, dtype=np.float64)
+        if values.size:
+            mean = float(np.mean(values))
+            deviations = values - mean
+            moments.count = int(values.size)
+            moments.mean = mean
+            # An elementwise square and a pairwise sum, not np.dot: BLAS
+            # kernels round differently per CPU, and traces carry m2.
+            moments._m2 = float(np.sum(deviations * deviations))
+            moments.minimum = float(values.min())
+            moments.maximum = float(values.max())
+        return moments
 
     def to_dict(self) -> dict:
         """Exact JSON-ready state; :meth:`from_dict` round-trips it.
@@ -255,90 +287,64 @@ class P2Quantile:
         estimator._desired = [float(x) for x in payload["desired"]]
         return estimator
 
-    def _cdf_points(self) -> Tuple[List[float], List[float]]:
-        """This estimator's piecewise-linear CDF as (heights, fractions).
 
-        While samples are retained the points are the exact empirical
-        CDF under the same convention as :meth:`value`; in marker mode
-        marker ``i`` at position ``n_i`` estimates the
-        ``(n_i - 1)/(count - 1)`` quantile.
-        """
-        heights = self._heights
-        if len(heights) < 5:
-            c = len(heights)
-            if c <= 1:
-                return list(heights), [1.0] * c
-            return list(heights), [k / (c - 1) for k in range(c)]
-        c = self._positions[4]
-        return sorted(heights), [(n - 1.0) / (c - 1.0) for n in self._positions]
+class ExactQuantile:
+    """One q-quantile computed from every sample with ``np.quantile``.
+
+    The exact counterpart of :class:`P2Quantile`'s read side (``q``,
+    :meth:`value`, :meth:`to_dict`), so scorecards and trace replay read
+    either form.  The definition is numpy's default ``"linear"`` method:
+    interpolate between the order statistics around position
+    ``q * (n - 1)`` -- the same point :meth:`LatencyRecorder.quantile`
+    interpolates at, with numpy's own rounding of the interpolation.
+    """
+
+    __slots__ = ("q", "_value")
+
+    def __init__(self, q: float, value: float):
+        if not 0.0 <= q <= 1.0:
+            raise ValueError(f"q must be in [0, 1], got {q}")
+        self.q = q
+        self._value = value
 
     @classmethod
-    def combine(cls, estimators: Sequence["P2Quantile"]) -> float:
-        """Lane-combine fallback: one q-quantile over several estimators.
+    def of(cls, values, qs: Sequence[float]) -> List["ExactQuantile"]:
+        """One exact quantile per entry of ``qs``, from one numpy pass.
 
-        Exact merging of P² sketches is impossible (markers discard the
-        samples), so this is tiered the way the batch engine needs:
-
-        * If every lane still retains its samples (< 5 observations
-          each), the pooled retained samples give the **exact** combined
-          quantile, same interpolation as the exact recorder.
-        * Otherwise the lanes' piecewise-linear marker CDFs are mixed
-          with count weights and the mixture is inverted at ``q`` —
-          approximate, but monotone in ``q`` and bounded by the pooled
-          extremes (properties pinned in ``tests/sim/test_lane_merge.py``).
-
-        All estimators must track the same ``q``.  Returns 0.0 when no
-        lane has observations (matching :meth:`value` on empty).
+        An empty sample set reports 0.0 for every ``q`` (as
+        :meth:`P2Quantile.value` does with no observations).
         """
-        qs = {e.q for e in estimators}
-        if len(qs) > 1:
-            raise ValueError(f"estimators track different quantiles: {sorted(qs)}")
-        live = [e for e in estimators if e.count > 0]
-        if not live:
-            return 0.0
-        q = live[0].q
-        if all(len(e._heights) < 5 for e in live):
-            pooled = sorted(h for e in live for h in e._heights)
-            # _quantile's v*(1-f) + v*f interpolation can round an ulp
-            # past a tied extreme; the pooled-extremes bound is part of
-            # this method's contract, so clamp.
-            x = LatencyRecorder._quantile(pooled, q)
-            return min(max(x, pooled[0]), pooled[-1])
-        total = sum(e.count for e in live)
-        lanes = [(e.count / total,) + e._cdf_points() for e in live]
+        values = np.asarray(values, dtype=np.float64)
+        if not values.size:
+            return [cls(q, 0.0) for q in qs]
+        return [cls(q, float(x)) for q, x in zip(qs, np.quantile(values, qs))]
 
-        def mixture(x: float) -> float:
-            acc = 0.0
-            for weight, xs, ps in lanes:
-                if x < xs[0]:
-                    continue
-                if x >= xs[-1]:
-                    acc += weight
-                    continue
-                i = bisect_right(xs, x) - 1
-                if xs[i + 1] == xs[i]:
-                    acc += weight * ps[i + 1]
-                else:
-                    span = (x - xs[i]) / (xs[i + 1] - xs[i])
-                    acc += weight * (ps[i] + (ps[i + 1] - ps[i]) * span)
-            return acc
+    def value(self) -> float:
+        """The quantile's value."""
+        return self._value
 
-        candidates = sorted({x for __, xs, __ in lanes for x in xs})
-        values = [mixture(x) for x in candidates]
-        if q <= values[0]:
-            return candidates[0]
-        for i in range(1, len(candidates)):
-            if values[i] >= q:
-                lo, hi = candidates[i - 1], candidates[i]
-                flo, fhi = values[i - 1], values[i]
-                if fhi <= flo:
-                    return hi
-                x = lo + (hi - lo) * (q - flo) / (fhi - flo)
-                # The interpolation can overshoot hi (or undershoot lo)
-                # by an ulp when the slope ratio rounds to ~1; the
-                # pooled-extremes bound is part of the contract.
-                return min(max(x, lo), hi)
-        return candidates[-1]
+    def to_dict(self) -> dict:
+        """JSON-ready form; :meth:`from_dict` round-trips it exactly."""
+        return {"q": self.q, "value": self._value}
+
+    @classmethod
+    def from_dict(cls, payload: dict) -> "ExactQuantile":
+        return cls(float(payload["q"]), float(payload["value"]))
+
+    def __repr__(self) -> str:
+        return f"ExactQuantile(q={self.q!r}, value={self._value!r})"
+
+
+def quantile_from_dict(payload: dict) -> Union[ExactQuantile, P2Quantile]:
+    """Rebuild a serialized quantile of either form.
+
+    Schema-2 traces carry :class:`ExactQuantile` values (``q`` and
+    ``value``); schema-1 traces carry :class:`P2Quantile` marker state
+    (``heights`` and its companions), which replay still reads.
+    """
+    if "heights" in payload:
+        return P2Quantile.from_dict(payload)
+    return ExactQuantile.from_dict(payload)
 
 
 class ThroughputMeter:
@@ -401,10 +407,10 @@ class LatencyRecorder:
 
     Exact mode (the default) retains every sample; the sorted view
     needed by :meth:`quantile` / :meth:`summary` is cached and
-    invalidated on :meth:`record`, so repeated summary calls over a
-    stable sample set cost O(1) instead of re-sorting each time.
-    (Mutate samples through :meth:`record` only; writing to ``samples``
-    directly bypasses the cache invalidation.)
+    invalidated on :meth:`record` / :meth:`record_many`, so repeated
+    summary calls over a stable sample set cost O(1) instead of
+    re-sorting each time.  (Mutate samples through those two only;
+    writing to ``samples`` directly bypasses the cache invalidation.)
 
     ``streaming=True`` switches to O(1) memory for production-scale
     runs: moments via :class:`StreamingMoments` and one
@@ -441,6 +447,25 @@ class LatencyRecorder:
                 estimator.push(latency)
             return
         self.samples.append(latency)
+        self._sorted = None
+
+    def record_many(self, latencies) -> None:
+        """Record a batch of latencies (any float sequence or array), in order.
+
+        Exact mode stores the same Python floats, in the same order, as
+        calling :meth:`record` on each value, so every summary is
+        bit-identical; only the per-sample call overhead is gone.
+        """
+        values = np.asarray(latencies, dtype=np.float64)
+        if np.any(values < 0):
+            raise ValueError(
+                f"latency must be >= 0, got {float(values[values < 0][0])}"
+            )
+        if self.streaming:
+            for latency in values.tolist():
+                self.record(latency)
+            return
+        self.samples.extend(values.tolist())
         self._sorted = None
 
     def _ordered(self) -> List[float]:

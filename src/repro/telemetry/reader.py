@@ -18,18 +18,26 @@ Two conditions are errors rather than crash artifacts, because silently
   (:class:`TraceError` -- the file is not a trace);
 * a header whose ``schema`` this reader does not know
   (:class:`TraceSchemaError`, naming the version -- the version gate).
+
+Every schema in :data:`READABLE_SCHEMAS` reads: schema 1 (outcome
+digest v1, P² run-end/window statistics) stays readable for replay,
+though only the current schema can be byte-verified.
 """
 
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Any, Dict, List, Optional
 
 from .sink import TRACE_FORMAT, TRACE_SCHEMA_VERSION
 
-__all__ = ["TraceError", "TraceSchemaError", "TraceRead", "read_trace"]
+__all__ = ["READABLE_SCHEMAS", "TraceError", "TraceSchemaError", "TraceRead",
+           "read_trace"]
+
+#: Schema versions :func:`read_trace` accepts, oldest first.
+READABLE_SCHEMAS = (1, TRACE_SCHEMA_VERSION)
 
 
 class TraceError(Exception):
@@ -98,36 +106,37 @@ def read_trace(path) -> TraceRead:
     is intact but not a trace header.  Truncation and garbage never
     raise; see the module docstring for the exact recovery rule.
     """
-    data = Path(path).read_bytes()
-    result = TraceRead(path=str(path), header=None, file_bytes=len(data))
-    pos = 0
-    while pos < len(data):
-        newline = data.find(b"\n", pos)
-        if newline < 0:
-            break  # a trailing segment with no newline is never valid
-        obj = _parse_segment(data[pos:newline])
-        if obj is None:
-            break
-        if result.header is None:
-            if obj.get("k") != "header" or obj.get("format") != TRACE_FORMAT:
-                raise TraceError(
-                    f"{path}: not a repro trace (first line is "
-                    f"{obj.get('k', 'unknown')!r}, expected a "
-                    f"{TRACE_FORMAT!r} header)"
-                )
-            version = obj.get("schema")
-            if version != TRACE_SCHEMA_VERSION:
-                raise TraceSchemaError(
-                    f"{path}: unsupported trace schema version {version!r} "
-                    f"(this reader supports version {TRACE_SCHEMA_VERSION}); "
-                    "refusing to guess at an unknown format"
-                )
-            result.header = obj
-        else:
-            result.records.append(obj)
-        pos = newline + 1
-        result.bytes_valid = pos
-    if result.bytes_valid < len(data):
+    result = TraceRead(path=str(path), header=None)
+    with open(path, "rb") as fh:
+        # Segment by segment, so the raw bytes never sit in memory beside
+        # the parsed records.
+        for segment in fh:
+            if not segment.endswith(b"\n"):
+                break  # a trailing segment with no newline is never valid
+            obj = _parse_segment(segment[:-1])
+            if obj is None:
+                break
+            if result.header is None:
+                if obj.get("k") != "header" or obj.get("format") != TRACE_FORMAT:
+                    raise TraceError(
+                        f"{path}: not a repro trace (first line is "
+                        f"{obj.get('k', 'unknown')!r}, expected a "
+                        f"{TRACE_FORMAT!r} header)"
+                    )
+                version = obj.get("schema")
+                if version not in READABLE_SCHEMAS:
+                    supported = ", ".join(str(v) for v in READABLE_SCHEMAS)
+                    raise TraceSchemaError(
+                        f"{path}: unsupported trace schema version {version!r} "
+                        f"(this reader supports versions {supported}); "
+                        "refusing to guess at an unknown format"
+                    )
+                result.header = obj
+            else:
+                result.records.append(obj)
+            result.bytes_valid += len(segment)
+        result.file_bytes = fh.seek(0, os.SEEK_END)
+    if result.bytes_valid < result.file_bytes:
         result.truncated = True
         result.truncated_at = result.bytes_valid
     result.clean_close = (

@@ -25,7 +25,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 from ..scenario.bundle import spec_paths
 from ..scenario.spec import ScenarioSpec, load_spec
 from .reader import read_trace
-from .sink import StreamingTraceSink
+from .sink import TRACE_SCHEMA_VERSION, StreamingTraceSink
 
 __all__ = [
     "TraceRecorder",
@@ -55,6 +55,11 @@ def stock_spec_digests(names: Optional[Sequence[str]] = None) -> Dict[str, str]:
         if missing:
             raise KeyError(f"no bundled spec(s) named {missing}")
     return digests
+
+
+#: The outcome digest version (``ScenarioOutcome.digest``) that each
+#: readable trace schema's run-end records carry.
+_SCHEMA_DIGESTS = {1: 1, 2: 2}
 
 
 def _require_policy_names(policies) -> None:
@@ -311,10 +316,24 @@ def verify_trace(path, keep_regenerated: Optional[str] = None) -> VerifyResult:
     the two files must match byte-for-byte.  Before re-running, the
     header's spec digests are checked against the *current* bundle, so
     "the spec changed since this was recorded" is reported as itself
-    rather than as a mystifying byte diff.
+    rather than as a mystifying byte diff.  So is an older schema: a
+    schema-1 trace still replays, but this build writes schema
+    ``TRACE_SCHEMA_VERSION``, so its regeneration could never match.
     """
     read = read_trace(path)  # raises on non-trace / unknown schema
     reasons: List[str] = []
+    schema = read.header.get("schema") if read.header else None
+    if read.header is not None and schema != TRACE_SCHEMA_VERSION:
+        return VerifyResult(
+            path=str(path), ok=False,
+            reasons=[
+                f"schema {schema} / outcome digest "
+                f"v{_SCHEMA_DIGESTS[schema]}: re-record to verify (this "
+                f"build writes schema {TRACE_SCHEMA_VERSION} / outcome "
+                f"digest v{_SCHEMA_DIGESTS[TRACE_SCHEMA_VERSION]})"
+            ],
+            original_bytes=read.file_bytes,
+        )
     if read.truncated:
         reasons.append(
             f"trace is truncated at byte {read.truncated_at}; only a "

@@ -9,8 +9,9 @@ traces -- no simulator, no scenario registry, just the file:
 * per-component **spec-violation timelines** from ``spec-violation``
   records;
 * a **scorecard** from the ``run-end`` / ``window`` summary records,
-  whose streaming statistics were serialized exactly and therefore
-  reproduce every mean/p50/p99 cell bit-for-bit;
+  whose latency statistics were serialized exactly and therefore
+  reproduce every mean/p50/p99 cell bit-for-bit (schema-1 traces carry
+  P² estimates there, which replay reads as they are);
 * an **integrity report**: truncation point, clean-close flag, and a
   cross-check of the streamed per-record counts against the footer
   rollups (a trace whose footer disagrees with its own body is
@@ -24,10 +25,15 @@ byte-for-byte diff.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple, Union
 
 from ..analysis.report import Table
-from ..sim.metrics import P2Quantile, StreamingMoments
+from ..sim.metrics import (
+    ExactQuantile,
+    P2Quantile,
+    StreamingMoments,
+    quantile_from_dict,
+)
 from ..sim.trace import COMPLETION, SPEC_VIOLATION, STATE_CHANGE
 from .reader import TraceRead, read_trace
 
@@ -53,8 +59,11 @@ class RunSummary:
     wasted_work: float = 0.0
     digest: str = ""
     moments: StreamingMoments = field(default_factory=StreamingMoments)
-    p50: P2Quantile = field(default_factory=lambda: P2Quantile(0.5))
-    p99: P2Quantile = field(default_factory=lambda: P2Quantile(0.99))
+    #: Exact in schema-2 traces, P² estimates in schema-1 ones.
+    p50: Union[ExactQuantile, P2Quantile] = field(
+        default_factory=lambda: ExactQuantile(0.5, 0.0))
+    p99: Union[ExactQuantile, P2Quantile] = field(
+        default_factory=lambda: ExactQuantile(0.99, 0.0))
     oracle_violations: List[str] = field(default_factory=list)
     complete: bool = False  # saw the run-end record
 
@@ -120,10 +129,10 @@ class TraceReplay:
             ],
             note=(
                 "Reconstructed from the trace alone: counters and the "
-                "serialized streaming statistics in each run-end record "
-                "(exact), digest = the run's full-precision outcome "
-                "identity.  Incomplete runs (crash before run-end) show "
-                "a '(partial)' digest."
+                "serialized latency statistics in each run-end record "
+                "(exact; P2 estimates in schema-1 traces), digest = the "
+                "run's full-precision outcome identity.  Incomplete runs "
+                "(crash before run-end) show a '(partial)' digest."
             ),
         )
         for run in self.runs:
@@ -256,9 +265,9 @@ def replay_trace(path) -> TraceReplay:
             if "moments" in record:
                 run.moments = StreamingMoments.from_dict(record["moments"])
             if "p50" in record:
-                run.p50 = P2Quantile.from_dict(record["p50"])
+                run.p50 = quantile_from_dict(record["p50"])
             if "p99" in record:
-                run.p99 = P2Quantile.from_dict(record["p99"])
+                run.p99 = quantile_from_dict(record["p99"])
             run.oracle_violations = list(record.get("oracle_violations", []))
             run.complete = True
         elif k == "window":

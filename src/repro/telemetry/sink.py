@@ -5,16 +5,17 @@ capturing a long campaign with a :class:`~repro.sim.trace.Tracer` means
 retaining every record in RAM.  :class:`StreamingTraceSink` is the
 production counterpart -- a bus tap (``System.attach_sink``) that writes
 each record to disk as one self-contained JSONL line and keeps only
-O(subjects) state in memory: per-subject record counts plus the PR-3
-streaming statistics (:class:`~repro.sim.metrics.StreamingMoments` over
-completion durations and a :class:`~repro.sim.metrics.P2Quantile` p99)
-rolled as records stream through, written out once in the trace footer.
+O(subjects) state in memory: per-subject record counts plus streaming
+statistics (:class:`~repro.sim.metrics.StreamingMoments` over
+completion durations and a :class:`~repro.sim.metrics.P2Quantile` p99
+*estimate*) rolled as records stream through, written out once in the
+trace footer.
 
-Trace format (schema version 1), one JSON object per line, keys
+Trace format (schema version 2), one JSON object per line, keys
 sorted, no whitespace -- fully deterministic, so a re-run of the same
 recording is byte-identical (what ``replay --verify`` checks):
 
-``{"k":"header","schema":1,"format":"repro-trace","mode":...,"meta":...,
+``{"k":"header","schema":2,"format":"repro-trace","mode":...,"meta":...,
 "specs":...}``
     First line.  ``meta`` holds every parameter needed to regenerate
     the trace; ``specs`` maps the bundled/embedded scenario-spec names
@@ -26,9 +27,11 @@ recording is byte-identical (what ``replay --verify`` checks):
     (:attr:`StreamingTraceSink.time_offset` + the record's run-local
     time, so soak windows share one time axis).
 ``{"k":"run-end","run":N,...}`` / ``{"k":"window",...}``
-    Exact counters, the outcome digest, and the streaming statistics
-    (``StreamingMoments``/``P2Quantile`` marker state, serialized
-    exactly) -- what replay rebuilds scorecards from.
+    Exact counters, the outcome digest (v2), and the exact latency
+    statistics: ``moments`` (``StreamingMoments`` state folded from
+    every sample) and ``p50``/``p99`` as ``{"q":..,"value":..}``
+    (``np.quantile``) -- what replay rebuilds scorecards from.
+    Schema 1 carried a v1 digest and P² marker state here instead.
 ``{"k":"end","records":N,"subjects":...}``
     Footer: total record count and the per-subject rollups.  Its
     presence marks a cleanly closed trace.
@@ -45,7 +48,7 @@ from __future__ import annotations
 import json
 from typing import Any, Dict, List, Optional, TextIO
 
-from ..sim.metrics import P2Quantile, StreamingMoments
+from ..sim.metrics import ExactQuantile, P2Quantile, StreamingMoments
 from ..sim.trace import COMPLETION
 
 __all__ = ["TRACE_SCHEMA_VERSION", "TRACE_FORMAT", "StreamingTraceSink", "dumps_line"]
@@ -53,8 +56,9 @@ __all__ = ["TRACE_SCHEMA_VERSION", "TRACE_FORMAT", "StreamingTraceSink", "dumps_
 #: Bump on ANY change to the line shapes above; the golden-trace test
 #: (``tests/telemetry/test_golden_schema.py``) fails if the bytes the
 #: sink produces change while this stays put, and the reader refuses
-#: versions it does not know by name.
-TRACE_SCHEMA_VERSION = 1
+#: versions it does not know by name.  Version 2: outcome digest v2 and
+#: exact run-end/window latency statistics.
+TRACE_SCHEMA_VERSION = 2
 
 #: Sanity tag in the header, so a random JSONL file is not mistaken for
 #: a trace.
@@ -205,20 +209,16 @@ class StreamingTraceSink:
         self._write_line(payload)
 
     def write_run_end(self, run: int, outcome) -> None:
-        """Exact counters + streaming statistics for one finished run.
+        """Exact counters + exact latency statistics for one finished run.
 
         ``outcome`` is a :class:`repro.faults.campaign.ScenarioOutcome`
-        (duck-typed).  The raw latency list is *not* written -- the
-        streaming forms are exact enough to rebuild every scorecard
-        column, and the outcome digest pins the full-precision identity.
+        (duck-typed).  The raw latency array is *not* written -- its
+        moments and p50/p99, folded from every sample, rebuild every
+        scorecard column, and the outcome digest pins the full-precision
+        identity.
         """
-        moments = StreamingMoments()
-        p50 = P2Quantile(0.5)
-        p99 = P2Quantile(0.99)
-        for latency in outcome.latencies:
-            moments.push(latency)
-            p50.push(latency)
-            p99.push(latency)
+        moments = StreamingMoments.of(outcome.latencies)
+        p50, p99 = ExactQuantile.of(outcome.latencies, (0.5, 0.99))
         self._write_line({
             "k": "run-end",
             "run": run,

@@ -42,6 +42,23 @@ class TestWindowedRateEstimator:
         est.observe(1.0, 0.0)
         assert est.rate() == float("inf")
 
+    @given(
+        st.integers(1, 6),
+        st.lists(st.tuples(st.floats(1e-6, 1e6), st.floats(0.0, 1e6)),
+                 min_size=1, max_size=40),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_rate_is_bit_identical_to_a_fresh_resum(self, window, observations):
+        """Every rate() equals total work / total time re-summed in order."""
+        est = WindowedRateEstimator(window=window)
+        for i, (work, duration) in enumerate(observations):
+            est.observe(work, duration)
+            recent = observations[max(0, i + 1 - window):i + 1]
+            total_time = sum(d for __, d in recent)
+            expected = (float("inf") if total_time <= 0
+                        else sum(w for w, __ in recent) / total_time)
+            assert est.rate() == expected
+
     def test_validation(self):
         with pytest.raises(ValueError):
             WindowedRateEstimator(window=0)

@@ -51,7 +51,7 @@ def _assert_equivalent(discrete, hybrid):
                   "wasted_work", "failed_work"):
         assert abs(getattr(discrete, field) - getattr(hybrid, field)) <= _REL, field
     assert len(discrete.latencies) == len(hybrid.latencies)
-    if discrete.latencies:
+    if len(discrete.latencies):
         assert _close(statistics.fmean(discrete.latencies),
                       statistics.fmean(hybrid.latencies))
         assert _close(_p99(discrete.latencies), _p99(hybrid.latencies))

@@ -1,21 +1,22 @@
-"""Lane-combine operators: StreamingMoments.merge and P2Quantile.combine.
+"""Lane-combine operators: StreamingMoments.merge and pooled quantiles.
 
-These are what fold per-lane batch metrics into one scorecard.  The
-contract: merge is *as if* every observation had been pushed into one
-recorder -- count/min/max exact, mean/variance to float rounding (1e-9
-against exact recomputation) -- and the quantile combine is exact while
-samples are retained, bounded and monotone once estimators go into
-marker mode.
+These are what fold per-lane metrics into one scorecard.  The contract:
+merge is *as if* every observation had been pushed into one recorder --
+count/min/max exact, mean/variance to float rounding (1e-9 against exact
+recomputation).  Quantiles do not merge (no sketch keeps enough), so
+lanes pool their samples and take one :class:`ExactQuantile` -- the
+rolling p99 of run_soak -- which is exact, bounded by the pooled
+extremes and monotone in ``q``.
 """
 
-import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim.metrics import P2Quantile, StreamingMoments
+from repro.sim.metrics import ExactQuantile, LatencyRecorder, StreamingMoments
 
 
 def _filled(values):
@@ -91,84 +92,41 @@ class TestStreamingMomentsMerge:
             )
 
 
-class TestP2QuantileCombine:
-    def test_small_lanes_combine_exactly(self):
-        # Every lane below five samples: the pooled quantile is exact.
-        lanes = []
-        pooled = []
+class TestPooledExactQuantile:
+    @staticmethod
+    def _pooled(lanes, q):
+        return ExactQuantile.of(np.concatenate(lanes), (q,))[0].value()
+
+    def test_pooled_lanes_match_the_recorder_interpolation(self):
         rng = random.Random(3)
-        for _ in range(6):
-            estimator = P2Quantile(0.5)
-            for _ in range(rng.randint(1, 4)):
-                x = rng.uniform(0, 10)
-                estimator.push(x)
-                pooled.append(x)
-            lanes.append(estimator)
-        exact = P2Quantile(0.5)
-        # Reference: exact interpolated median over the pooled samples.
-        pooled.sort()
-        pos = 0.5 * (len(pooled) - 1)
-        lo, hi = int(math.floor(pos)), int(math.ceil(pos))
-        frac = pos - lo
-        expected = pooled[lo] * (1 - frac) + pooled[hi] * frac
-        assert P2Quantile.combine(lanes) == expected
+        lanes = [np.array([rng.uniform(0, 10) for _ in range(rng.randint(1, 40))])
+                 for _ in range(6)]
+        recorder = LatencyRecorder()
+        for lane in lanes:
+            recorder.record_many(lane)
+        for q in (0.0, 0.5, 0.9, 0.99, 1.0):
+            # Same interpolation point; numpy rounds the lerp its own way.
+            assert self._pooled(lanes, q) == pytest.approx(
+                recorder.quantile(q), rel=1e-15, abs=1e-15)
 
     def test_empty_lanes_are_ignored(self):
-        a = P2Quantile(0.9)
-        for x in (1.0, 2.0, 3.0):
-            a.push(x)
-        assert P2Quantile.combine([P2Quantile(0.9), a]) == a.value()
+        lane = np.array([1.0, 2.0, 3.0])
+        empty = np.empty(0)
+        assert self._pooled([empty, lane, empty], 0.9) == self._pooled([lane], 0.9)
 
     def test_all_empty_returns_zero(self):
-        assert P2Quantile.combine([P2Quantile(0.5), P2Quantile(0.5)]) == 0.0
-
-    def test_mismatched_quantiles_rejected(self):
-        with pytest.raises(ValueError):
-            P2Quantile.combine([P2Quantile(0.5), P2Quantile(0.9)])
-
-    def test_marker_mode_bounded_by_pooled_extremes(self):
-        rng = random.Random(21)
-        lanes = []
-        lo, hi = math.inf, -math.inf
-        for _ in range(4):
-            estimator = P2Quantile(0.9)
-            for _ in range(200):
-                x = rng.expovariate(0.5)
-                estimator.push(x)
-                lo, hi = min(lo, x), max(hi, x)
-            lanes.append(estimator)
-        combined = P2Quantile.combine(lanes)
-        assert lo <= combined <= hi
-
-    def test_marker_mode_near_true_quantile(self):
-        rng = random.Random(8)
-        samples = []
-        lanes = []
-        for _ in range(5):
-            estimator = P2Quantile(0.5)
-            for _ in range(400):
-                x = rng.uniform(0, 1)
-                estimator.push(x)
-                samples.append(x)
-            lanes.append(estimator)
-        samples.sort()
-        true_median = samples[len(samples) // 2]
-        assert P2Quantile.combine(lanes) == pytest.approx(true_median, abs=0.05)
+        assert self._pooled([np.empty(0), np.empty(0)], 0.5) == 0.0
 
     def test_monotone_in_q(self):
         rng = random.Random(4)
-        data = [[rng.gauss(10, 3) for _ in range(150)] for _ in range(3)]
-        previous = -math.inf
-        for q in (0.1, 0.25, 0.5, 0.75, 0.9, 0.99):
-            lanes = []
-            for lane_data in data:
-                estimator = P2Quantile(q)
-                for x in lane_data:
-                    estimator.push(x)
-                lanes.append(estimator)
-            value = P2Quantile.combine(lanes)
-            assert value >= previous
-            previous = value
+        lanes = [np.array([rng.gauss(10, 3) for _ in range(150)]) for _ in range(3)]
+        values = [self._pooled(lanes, q) for q in (0.1, 0.25, 0.5, 0.75, 0.9, 0.99)]
+        assert values == sorted(values)
+
+    def test_round_trips_through_dict(self):
+        (p99,) = ExactQuantile.of([0.5, 0.25, 4.0], (0.99,))
+        again = ExactQuantile.from_dict(p99.to_dict())
+        assert (again.q, again.value()) == (p99.q, p99.value())
 
     @given(
         st.lists(
@@ -183,14 +141,9 @@ class TestP2QuantileCombine:
         st.sampled_from([0.1, 0.5, 0.9]),
     )
     @settings(max_examples=50, deadline=None)
-    def test_combine_bounded_property(self, lane_data, q):
-        lanes = []
-        flat = []
-        for data in lane_data:
-            estimator = P2Quantile(q)
-            for x in data:
-                estimator.push(x)
-                flat.append(x)
-            lanes.append(estimator)
-        combined = P2Quantile.combine(lanes)
-        assert min(flat) <= combined <= max(flat)
+    def test_pooled_bounded_property(self, lane_data, q):
+        lanes = [np.array(data) for data in lane_data]
+        flat = [x for data in lane_data for x in data]
+        pooled = self._pooled(lanes, q)
+        assert min(flat) <= pooled <= max(flat)
+        assert pooled == float(np.quantile(np.array(flat), q))

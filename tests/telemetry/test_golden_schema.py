@@ -1,13 +1,15 @@
-"""The trace schema is version-gated: bytes may not drift under version 1.
+"""The trace schema is version-gated: bytes may not drift under version 2.
 
-``tests/telemetry/data/golden_trace_v1.jsonl`` is a committed schema-v1
+``tests/telemetry/data/golden_trace_v2.jsonl`` is a committed schema-v2
 trace (a tiny deterministic campaign).  Regenerating the same campaign
 today must reproduce it *byte-for-byte*: any change to the line shapes,
 key names, float formatting, or record ordering is a schema change and
 must come with a ``TRACE_SCHEMA_VERSION`` bump plus a new golden file.
 The flip side of the gate is also pinned here: a reader handed a
 version it does not know must refuse it by name, through the API and
-through the ``replay`` CLI (exit code 2).
+through the ``replay`` CLI (exit code 2).  The previous golden,
+``golden_trace_v1.jsonl``, stays as the read-compatibility fixture
+(``tests/faults/test_outcome_columnar.py``).
 """
 
 import json
@@ -23,7 +25,7 @@ from repro.telemetry import (
     replay_trace,
 )
 
-GOLDEN = Path(__file__).parent / "data" / "golden_trace_v1.jsonl"
+GOLDEN = Path(__file__).parent / "data" / "golden_trace_v2.jsonl"
 
 #: The exact parameters the golden file was recorded with.
 GOLDEN_PARAMS = dict(seed=3, workloads=("raid10",), families=("failstop",),
@@ -33,7 +35,7 @@ GOLDEN_PARAMS = dict(seed=3, workloads=("raid10",), families=("failstop",),
 
 class TestGoldenBytes:
     def test_schema_version_is_pinned(self):
-        assert TRACE_SCHEMA_VERSION == 1, (
+        assert TRACE_SCHEMA_VERSION == 2, (
             "TRACE_SCHEMA_VERSION moved: record a new golden trace as "
             f"tests/telemetry/data/golden_trace_v{TRACE_SCHEMA_VERSION}.jsonl "
             "and update this test's GOLDEN path"
@@ -56,7 +58,7 @@ class TestGoldenBytes:
         assert len(replay.runs) == 1 and replay.runs[0].complete
 
     def test_golden_line_shapes(self):
-        """Structural pin: the v1 discriminators and their key sets."""
+        """Structural pin: the v2 discriminators and their key sets."""
         lines = [json.loads(line) for line in GOLDEN.read_text().splitlines()]
         kinds = [line["k"] for line in lines]
         assert kinds[0] == "header" and kinds[-1] == "end"
@@ -70,6 +72,8 @@ class TestGoldenBytes:
         run_end = next(line for line in lines if line["k"] == "run-end")
         assert {"run", "digest", "moments", "p50", "p99", "requests",
                 "slo_violations"} <= set(run_end)
+        # Exact quantiles: a value, not P² marker state.
+        assert set(run_end["p50"]) == set(run_end["p99"]) == {"q", "value"}
         end = lines[-1]
         assert set(end) == {"k", "records", "subjects"}
 

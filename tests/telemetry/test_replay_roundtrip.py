@@ -4,30 +4,22 @@ The trace is the only input replay gets, so this is the round-trip that
 justifies calling it an observability layer: for machine-generated
 scenario specs (the PR-9 generator, the same envelope the sweep
 certifies), ``record_spec_run -> replay_trace`` must reconstruct the
-run's digest, counters, and streaming statistics exactly, and
+run's digest, counters, and exact latency statistics, and
 ``verify_trace`` must regenerate the file byte-for-byte -- on both the
 discrete and the hybrid engine.
 """
 
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.scenario.generate import generate_spec
-from repro.sim.metrics import P2Quantile, StreamingMoments
+from repro.sim.metrics import StreamingMoments
 from repro.telemetry import record_spec_run, replay_trace, verify_trace
 
 #: Timer-free, so every generated spec is hybrid-bindable and the
 #: hybrid lane really exercises the fluid path instead of falling back.
 POLICY = "stutter-aware"
-
-
-def _streamed(latencies):
-    moments, p50, p99 = StreamingMoments(), P2Quantile(0.5), P2Quantile(0.99)
-    for latency in latencies:
-        moments.push(latency)
-        p50.push(latency)
-        p99.push(latency)
-    return moments, p50, p99
 
 
 @settings(max_examples=8, deadline=None)
@@ -57,12 +49,13 @@ def test_recorded_spec_run_replays_exactly(tmp_path_factory, seed, index,
     assert run.wasted_work == outcome.wasted_work
     assert run.oracle_violations == list(outcome.violations)
 
-    # Streaming statistics: the serialized marker state is exact, so the
-    # replayed cells equal a fresh fold over the outcome's latencies.
-    moments, p50, p99 = _streamed(outcome.latencies)
-    assert run.moments.to_dict() == moments.to_dict()
-    assert run.p50.to_dict() == p50.to_dict()
-    assert run.p99.to_dict() == p99.to_dict()
+    # Latency statistics are serialized exactly, so the replayed cells
+    # equal a fresh numpy fold over the outcome's latencies.
+    latencies = outcome.latencies
+    assert run.moments.to_dict() == StreamingMoments.of(latencies).to_dict()
+    expected = [float(np.quantile(latencies, q)) if len(latencies) else 0.0
+                for q in (0.5, 0.99)]
+    assert [run.p50.value(), run.p99.value()] == expected
 
     # State timelines come from the trace's state-change records alone;
     # every subject named must belong to the spec's topology.
