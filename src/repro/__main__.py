@@ -43,7 +43,7 @@ def _cmd_list() -> int:
         )
         verdicts = compiled.eligibility()
         engines = []
-        for engine_name in ("discrete", "hybrid", "batch"):
+        for engine_name in ("discrete", "hybrid"):
             eligible, reason = verdicts[engine_name]
             if not eligible:
                 continue

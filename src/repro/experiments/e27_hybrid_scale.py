@@ -30,8 +30,8 @@ This experiment certifies the trade is free, then uses it:
   policies raise :class:`~repro.core.hybrid.HybridInfeasible` at bind.
 
 No wall-clock columns appear here (EXPERIMENTS.md must be byte-stable);
-the timing claim lives in ``scripts/perf_report.py --suite hybrid``,
-which records the >= 20x hybrid speedup in BENCH_hybrid.json.
+the repo benchmark's ``scale`` workload times the 10^6-client rows
+(``python3 perfbench/run.py --workload scale``).
 """
 
 from __future__ import annotations

@@ -1,6 +1,6 @@
 """Cache-aware, parallel orchestrator for the experiment suite.
 
-``python -m repro.experiments.report`` regenerates 32 tables.  Each one
+``python -m repro.experiments.report`` regenerates 36 tables.  Each one
 is a deterministic, independent simulation, which gives the suite two
 cheap levers that :func:`run_suite` pulls together:
 
@@ -35,8 +35,7 @@ from typing import Dict, Iterable, List, Optional, Tuple
 from ..analysis.cache import ClosureScan, ResultCache
 from ..analysis.parallel import parallel_sweep
 from ..analysis.report import Table
-from ..sim.batch import BatchInfeasible
-from . import ALL_EXPERIMENTS, BATCH_EXPERIMENTS, run_batched
+from . import ALL_EXPERIMENTS
 
 __all__ = ["ExperimentRun", "run_suite", "experiment_module"]
 
@@ -74,19 +73,12 @@ def run_suite(
     experiments: Optional[Iterable[str]] = None,
     workers: Optional[int] = None,
     cache: Optional[ResultCache] = None,
-    batch: bool = False,
 ) -> List[ExperimentRun]:
     """Regenerate experiments (default: all), in suite order.
 
     ``workers`` sizes the process pool for the cache misses (``None`` /
     ``0`` / ``1`` = serial in-process); ``cache=None`` disables
-    memoization entirely.  ``batch=True`` routes misses with a
-    registered seed-batch counterpart (``BATCH_EXPERIMENTS``) through
-    :func:`~repro.experiments.run_batched` in-process -- their multi-seed
-    sweeps run as vectorized lanes instead of per-run simulations --
-    before the remaining misses fan out to the pool.  A batch path that
-    raises :class:`~repro.sim.batch.BatchInfeasible` falls back to the
-    scalar pool path.  Tables are identical whichever path produced them.
+    memoization entirely.
     """
     ids = list(experiments) if experiments is not None else list(ALL_EXPERIMENTS)
     unknown = [key for key in ids if key not in ALL_EXPERIMENTS]
@@ -114,27 +106,6 @@ def run_suite(
             misses.append(key)
         else:
             runs[key] = ExperimentRun(key, table, cached=True, seconds=0.0)
-
-    if batch and misses:
-        still_scalar: List[str] = []
-        for key in misses:
-            if key not in BATCH_EXPERIMENTS:
-                still_scalar.append(key)
-                continue
-            start = time.perf_counter()
-            try:
-                batched = run_batched(key)
-            except BatchInfeasible:
-                still_scalar.append(key)
-                continue
-            seconds = time.perf_counter() - start
-            # Same dict round-trip the pool path ships results through,
-            # so batch-produced tables are byte-stable with cached ones.
-            table = Table.from_dict(batched.to_dict())
-            if cache is not None:
-                cache.put(key, experiment_module(key), table, key=keys[key])
-            runs[key] = ExperimentRun(key, table, cached=False, seconds=seconds)
-        misses = still_scalar
 
     if misses:
         computed = parallel_sweep(misses, _timed_run, workers=workers)

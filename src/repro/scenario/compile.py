@@ -6,7 +6,7 @@ schedule become a :class:`~repro.faults.campaign.CampaignWorkload`
 (whose ``build`` wires :class:`~repro.faults.component.DegradableServer`
 instances through the ComponentRegistry), its fault binding becomes a
 :class:`~repro.faults.campaign.Scenario` factory, and engine eligibility
-(discrete / hybrid / batch) is probed from the spec via the *same*
+(discrete / hybrid) is probed from the spec via the *same*
 predicates the engines enforce at runtime
 (:func:`repro.core.hybrid.feasibility_reason`), so a compiled spec runs
 through the existing ``CampaignEngine`` / ``InvariantOracle`` /
@@ -39,21 +39,10 @@ if TYPE_CHECKING:  # pragma: no cover - types only
     from ..faults.campaign import CampaignWorkload, Scenario, ScenarioOutcome
 
 __all__ = [
-    "BATCH_REDUCTIONS",
     "CompiledScenario",
     "compile_family",
     "compile_spec",
 ]
-
-#: Scenario-spec name -> seed-lane reduction for the vectorized batch
-#: engine (:mod:`repro.sim.batch`).  Campaign scenarios are replicated
-#: multi-server systems while the batch engine advances single-server
-#: lane programs, so batch eligibility is opt-in: a scenario is batch-
-#: runnable only once someone registers a reduction proving its lanes
-#: independent.  Empty for now -- the registry is the extension hook,
-#: and :meth:`CompiledScenario.eligibility` reports its absence.
-BATCH_REDUCTIONS: Dict[str, Callable] = {}
-
 
 def compile_family(spec: FamilySpec) -> Callable:
     """A registry-shaped generator ``(rng, groups, span) -> events``.
@@ -187,10 +176,6 @@ class CompiledScenario:
                 (True, "all policies bind") if shape is None
                 else (True, f"timer-free policies only ({shape})")
             )
-        if self.spec.name in BATCH_REDUCTIONS:
-            verdicts["batch"] = (True, "seed-lane reduction registered")
-        else:
-            verdicts["batch"] = (False, "no seed-lane reduction registered")
         return verdicts
 
     def _bound_policy(self, name: str):

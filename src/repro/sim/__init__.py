@@ -4,18 +4,10 @@ The kernel (:mod:`repro.sim.engine`), shared resources
 (:mod:`repro.sim.resources`), deterministic randomness
 (:mod:`repro.sim.random`), tracing (:mod:`repro.sim.trace`) and metrics
 (:mod:`repro.sim.metrics`) on which every simulated component is built,
-plus the vectorized seed-batch engine (:mod:`repro.sim.batch`) that runs
-many seeds' timelines as structure-of-arrays lanes.
+plus the fluid queue solver (:mod:`repro.sim.fluid`) behind the hybrid
+engine.
 """
 
-from .batch import (
-    BatchAvailability,
-    BatchInfeasible,
-    BatchMoments,
-    BatchResult,
-    LaneProgram,
-    SeedBatchRunner,
-)
 from .engine import (
     AllOf,
     AnyOf,
@@ -44,8 +36,7 @@ from .fluid import (
     fifo_completions,
     fifo_uniform_ramps,
 )
-from .mt import BankRandom, MersenneBank
-from .random import RandomStreams, derive_seed, derive_seeds
+from .random import RandomStreams, derive_seed
 from .resources import JobStats, RateServer, Resource, Store
 from .trace import Counter, TimeSeries, TraceRecord, Tracer
 
@@ -70,9 +61,6 @@ __all__ = [
     "fifo_uniform_ramps",
     "RandomStreams",
     "derive_seed",
-    "derive_seeds",
-    "MersenneBank",
-    "BankRandom",
     "Tracer",
     "TraceRecord",
     "TimeSeries",
@@ -85,10 +73,4 @@ __all__ = [
     "StreamingMoments",
     "P2Quantile",
     "ExactQuantile",
-    "SeedBatchRunner",
-    "LaneProgram",
-    "BatchResult",
-    "BatchMoments",
-    "BatchAvailability",
-    "BatchInfeasible",
 ]

@@ -7,24 +7,19 @@ load that is processed with acceptable response times."
 meters provide the throughput/latency/utilization views the experiments
 report.
 
-Two recording modes
--------------------
+Exact statistics
+----------------
 
-The latency and availability meters default to *exact* mode: every
-sample is retained, quantiles are computed over the full sorted sample
-set, and every number in EXPERIMENTS.md is reproducible bit for bit.
-For production-scale runs whose sample counts would not fit in memory,
-both accept ``streaming=True``: an O(1)-memory mode built on
-:class:`StreamingMoments` (Welford mean/variance, exact) and
-:class:`P2Quantile` (the Jain & Chlamtac P² estimator, approximate).
-Counts, means, extremes and SLO fractions stay exact in streaming mode;
-only the quantiles are estimates, so keep the default for anything that
-feeds a regression-checked table.
+The latency and availability meters retain every sample, quantiles are
+computed over the full sorted sample set, and every number in
+EXPERIMENTS.md is reproducible bit for bit.
 
 Whole sample arrays (campaign outcomes, soak windows) are folded in one
-numpy pass instead: :meth:`StreamingMoments.of` and
-:class:`ExactQuantile` give the same read surface as the streaming
-forms, computed from every sample.
+numpy pass: :meth:`StreamingMoments.of` builds the Welford state from
+every sample, and :class:`ExactQuantile` has the read surface of the
+online :class:`P2Quantile` (the Jain & Chlamtac P² estimator,
+approximate).  P² remains for the trace sink's per-subject rollups and
+for reading schema-1 traces.
 """
 
 from __future__ import annotations
@@ -32,7 +27,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Union
 
 import numpy as np
 
@@ -87,9 +82,9 @@ class StreamingMoments:
         Chan et al.'s parallel-variance combine: the result is as if
         every observation behind ``other`` had been pushed here.  Count,
         min and max are exact; mean and variance agree with a single
-        combined stream to float rounding (the batch equivalence tests
-        pin 1e-9 against exact recomputation).  Returns ``self`` so lane
-        folds chain: ``reduce(lambda a, b: a.merge(b), lanes)``.
+        combined stream to float rounding (``tests/sim/test_lane_merge.py``
+        pins 1e-9 against exact recomputation).  Returns ``self`` so folds
+        over many recorders chain: ``reduce(lambda a, b: a.merge(b), parts)``.
         """
         if other.count == 0:
             return self
@@ -405,66 +400,38 @@ class LatencySummary:
 class LatencyRecorder:
     """Collects per-request latencies and summarises them.
 
-    Exact mode (the default) retains every sample; the sorted view
-    needed by :meth:`quantile` / :meth:`summary` is cached and
-    invalidated on :meth:`record` / :meth:`record_many`, so repeated
-    summary calls over a stable sample set cost O(1) instead of
-    re-sorting each time.  (Mutate samples through those two only;
-    writing to ``samples`` directly bypasses the cache invalidation.)
-
-    ``streaming=True`` switches to O(1) memory for production-scale
-    runs: moments via :class:`StreamingMoments` and one
-    :class:`P2Quantile` per entry of ``quantiles`` (default the
-    p50/p90/p99 that :meth:`summary` reports).  Quantiles are then
-    approximate and :meth:`quantile` only answers the tracked ones;
-    ``samples`` stays empty.
+    Every sample is retained; the sorted view needed by
+    :meth:`quantile` / :meth:`summary` is cached and invalidated on
+    :meth:`record` / :meth:`record_many`, so repeated summary calls over
+    a stable sample set cost O(1) instead of re-sorting each time.
+    (Mutate samples through those two only; writing to ``samples``
+    directly bypasses the cache invalidation.)
     """
 
-    def __init__(
-        self,
-        name: str = "latency",
-        streaming: bool = False,
-        quantiles: Sequence[float] = (0.50, 0.90, 0.99),
-    ):
+    def __init__(self, name: str = "latency"):
         self.name = name
-        self.streaming = streaming
         self.samples: List[float] = []
         self._sorted: Optional[List[float]] = None
-        self._moments: Optional[StreamingMoments] = None
-        self._estimators: dict = {}
-        if streaming:
-            self._moments = StreamingMoments()
-            for q in quantiles:
-                self._estimators[q] = P2Quantile(q)
 
     def record(self, latency: float) -> None:
         """Record one request latency."""
         if latency < 0:
             raise ValueError(f"latency must be >= 0, got {latency}")
-        if self.streaming:
-            self._moments.push(latency)
-            for estimator in self._estimators.values():
-                estimator.push(latency)
-            return
         self.samples.append(latency)
         self._sorted = None
 
     def record_many(self, latencies) -> None:
         """Record a batch of latencies (any float sequence or array), in order.
 
-        Exact mode stores the same Python floats, in the same order, as
-        calling :meth:`record` on each value, so every summary is
-        bit-identical; only the per-sample call overhead is gone.
+        Stores the same Python floats, in the same order, as calling
+        :meth:`record` on each value, so every summary is bit-identical;
+        only the per-sample call overhead is gone.
         """
         values = np.asarray(latencies, dtype=np.float64)
         if np.any(values < 0):
             raise ValueError(
                 f"latency must be >= 0, got {float(values[values < 0][0])}"
             )
-        if self.streaming:
-            for latency in values.tolist():
-                self.record(latency)
-            return
         self.samples.extend(values.tolist())
         self._sorted = None
 
@@ -475,8 +442,6 @@ class LatencyRecorder:
         return self._sorted
 
     def __len__(self) -> int:
-        if self.streaming:
-            return self._moments.count
         return len(self.samples)
 
     @staticmethod
@@ -493,21 +458,9 @@ class LatencyRecorder:
         return ordered[lo] * (1 - frac) + ordered[hi] * frac
 
     def quantile(self, q: float) -> float:
-        """The q-quantile (q in [0, 1]) of recorded latencies.
-
-        In streaming mode only the quantiles named at construction are
-        tracked; asking for any other q raises ``ValueError``.
-        """
+        """The q-quantile (q in [0, 1]) of recorded latencies."""
         if not 0.0 <= q <= 1.0:
             raise ValueError(f"q must be in [0, 1], got {q}")
-        if self.streaming:
-            estimator = self._estimators.get(q)
-            if estimator is None:
-                raise ValueError(
-                    f"streaming recorder tracks {sorted(self._estimators)}, "
-                    f"not q={q}; list it in `quantiles` at construction"
-                )
-            return estimator.value()
         return self._quantile(self._ordered(), q)
 
     def count_over(self, threshold: float) -> int:
@@ -516,46 +469,15 @@ class LatencyRecorder:
         This is the SLO-violation count the campaign scorecards report
         (a request violates a latency SLO when it takes strictly longer
         than the SLO).  Answered with one bisect over the cached sorted
-        view; exact mode only -- the streaming recorder does not retain
-        samples, so it cannot answer an arbitrary threshold after the
-        fact.
+        view.
         """
         if threshold < 0:
             raise ValueError(f"threshold must be >= 0, got {threshold}")
-        if self.streaming:
-            raise ValueError(
-                "count_over needs retained samples; use streaming=False"
-            )
         ordered = self._ordered()
         return len(ordered) - bisect_right(ordered, threshold)
 
     def summary(self) -> LatencySummary:
-        """Full summary of the recorded latencies.
-
-        Exact mode computes every field from the retained samples;
-        streaming mode reads the Welford moments (count/mean/extremes
-        exact, stddev to float rounding) and the P² estimates for any
-        tracked p50/p90/p99 (0.0 for untracked ones).
-        """
-        if self.streaming:
-            moments = self._moments
-            if moments.count == 0:
-                return LatencySummary(0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
-
-            def estimate(q: float) -> float:
-                estimator = self._estimators.get(q)
-                return estimator.value() if estimator is not None else 0.0
-
-            return LatencySummary(
-                count=moments.count,
-                mean=moments.mean,
-                minimum=moments.minimum,
-                maximum=moments.maximum,
-                p50=estimate(0.50),
-                p90=estimate(0.90),
-                p99=estimate(0.99),
-                stddev=moments.stddev,
-            )
+        """Full summary of the recorded latencies, from every sample."""
         if not self.samples:
             return LatencySummary(0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
         ordered = self._ordered()
@@ -613,32 +535,21 @@ class AvailabilityMeter:
     *unserved* if it never completed); availability is the fraction whose
     response time was at most ``slo``.
 
-    Exact mode (the default) retains every response time so
-    :meth:`availability_at` can answer any SLO exactly — via one bisect
-    over a cached sorted view, invalidated on :meth:`record`.
-    ``streaming=True`` drops the per-request list for O(1) memory:
-    :meth:`availability` and the construction-time SLO stay exact, and
-    :meth:`availability_at` interpolates over a P² quantile ladder
-    (approximate; still monotone in the SLO).
+    Every response time is retained so :meth:`availability_at` can
+    answer any SLO exactly — via one bisect over a cached sorted view,
+    invalidated on :meth:`record`.
     """
 
-    #: Quantile ladder backing the streaming-mode availability curve.
-    _LADDER: Tuple[float, ...] = (0.01, 0.05, 0.10, 0.25, 0.50, 0.75, 0.90, 0.95, 0.99, 0.999)
-
-    def __init__(self, slo: float, name: str = "availability", streaming: bool = False):
+    def __init__(self, slo: float, name: str = "availability"):
         if slo <= 0:
             raise ValueError(f"slo must be > 0, got {slo}")
         self.slo = slo
         self.name = name
-        self.streaming = streaming
         self.offered = 0
         self.within_slo = 0
         self.unserved = 0
         self.response_times: List[float] = []
         self._sorted: Optional[List[float]] = None
-        self._ladder: List[P2Quantile] = (
-            [P2Quantile(q) for q in self._LADDER] if streaming else []
-        )
 
     def record(self, response_time: Optional[float]) -> None:
         """Record one offered request.
@@ -649,18 +560,13 @@ class AvailabilityMeter:
         self.offered += 1
         if response_time is None:
             self.unserved += 1
-            if not self.streaming:
-                self.response_times.append(float("inf"))
-                self._sorted = None
+            self.response_times.append(float("inf"))
+            self._sorted = None
             return
         if response_time < 0:
             raise ValueError(f"response time must be >= 0, got {response_time}")
-        if self.streaming:
-            for estimator in self._ladder:
-                estimator.push(response_time)
-        else:
-            self.response_times.append(response_time)
-            self._sorted = None
+        self.response_times.append(response_time)
+        self._sorted = None
         if response_time <= self.slo:
             self.within_slo += 1
 
@@ -671,7 +577,7 @@ class AvailabilityMeter:
         return self.within_slo / self.offered
 
     def _ordered(self) -> List[float]:
-        """The cached sorted view of the response times (exact mode)."""
+        """The cached sorted view of the response times."""
         if self._sorted is None or len(self._sorted) != len(self.response_times):
             self._sorted = sorted(self.response_times)
         return self._sorted
@@ -679,39 +585,9 @@ class AvailabilityMeter:
     def availability_at(self, slo: float) -> float:
         """Availability recomputed against a different SLO.
 
-        Monotone nondecreasing in ``slo`` by construction.  Exact mode
-        answers with one bisect over the cached sorted response times;
-        streaming mode inverts the P² quantile ladder by linear
-        interpolation (exact at 0 served, approximate between ladder
-        points, never counting unserved requests as available).
+        Monotone nondecreasing in ``slo`` by construction: one bisect
+        over the cached sorted response times.
         """
         if self.offered == 0:
             return 1.0
-        if not self.streaming:
-            return bisect_right(self._ordered(), slo) / self.offered
-        served = self.offered - self.unserved
-        if served == 0:
-            return 0.0
-        served_fraction = served / self.offered
-        # Independent P² estimators can cross by tiny margins; a running
-        # max re-imposes the monotone CDF the interpolation needs.
-        values: List[float] = []
-        for estimator in self._ladder:
-            value = estimator.value()
-            values.append(value if not values else max(value, values[-1]))
-        quantiles = list(zip(values, self._LADDER))
-        # CDF estimate among *served* requests, then scaled by the served
-        # fraction so unserved load always counts as unavailable.
-        if slo < quantiles[0][0]:
-            cdf = 0.0
-        elif slo >= quantiles[-1][0]:
-            cdf = 1.0
-        else:
-            cdf = quantiles[0][1]
-            for (lo_v, lo_q), (hi_v, hi_q) in zip(quantiles, quantiles[1:]):
-                if lo_v <= slo < hi_v:
-                    frac = 0.0 if hi_v == lo_v else (slo - lo_v) / (hi_v - lo_v)
-                    cdf = lo_q + frac * (hi_q - lo_q)
-                    break
-                cdf = hi_q
-        return cdf * served_fraction
+        return bisect_right(self._ordered(), slo) / self.offered

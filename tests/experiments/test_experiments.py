@@ -87,7 +87,7 @@ class TestE03BadBlocks:
     def test_3x_faults_land_near_paper_fraction(self):
         table = e03_badblocks.run(nblocks=4000)
         three_x = rows_by(table, **{"fault-rate multiplier": 3.0})[0]
-        assert 0.80 < three_x[2] < 0.97  # paper: ~0.91
+        assert 0.85 < three_x[2] < 0.97  # paper: ~0.91
 
 
 class TestE04Scsi:
@@ -229,9 +229,9 @@ class TestAblations:
         assert rows["none"][0] == 0
 
     def test_a2_low_t_wastes_capacity(self):
-        table = a2_threshold.run(t_values=(0.3, 3.0), n_requests=200)
-        low, mid = table.rows
-        assert low[1] < mid[1]  # availability suffers at low T
+        table = a2_threshold.run(n_requests=200)
+        low, mid = table.rows[0], table.rows[2]
+        assert low[1] < min(row[1] for row in table.rows[1:])  # low T is worst
         assert low[3] is True or low[3] == "yes" or low[3] == True  # noqa: E712
         assert mid[3] == False  # noqa: E712
 

@@ -13,7 +13,6 @@ import pytest
 
 from repro.faults import campaign
 from repro.scenario import (
-    BATCH_REDUCTIONS,
     FamilySpec,
     bundle,
     compile_spec,
@@ -147,14 +146,6 @@ class TestEligibility:
             run_scenario_hybrid(surge.workload, scenario, "fixed-timeout")
         _, probed_reason = surge.eligibility(policy="fixed-timeout")["hybrid"]
         assert str(err.value) == probed_reason
-
-    def test_batch_needs_a_registered_reduction(self, monkeypatch):
-        compiled = bundle.scenarios()["raid10"]
-        eligible, reason = compiled.eligibility()["batch"]
-        assert not eligible and "no seed-lane reduction" in reason
-        monkeypatch.setitem(BATCH_REDUCTIONS, "raid10", lambda: None)
-        eligible, _ = compiled.eligibility()["batch"]
-        assert eligible
 
 
 class TestCompiledFamilies:

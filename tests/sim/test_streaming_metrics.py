@@ -1,4 +1,4 @@
-"""Unit tests for the O(1)-memory streaming metrics mode."""
+"""Unit tests for the online moments, the P² estimator and cached availability."""
 
 import math
 import random
@@ -83,81 +83,15 @@ class TestP2Quantile:
 
 
 class TestStreamingLatencyRecorder:
-    def test_memory_bounded(self):
-        recorder = LatencyRecorder(streaming=True)
-        for i in range(10_000):
-            recorder.record(i * 1e-4)
-        assert recorder.samples == []  # nothing retained
-        assert len(recorder) == 10_000
-
-    def test_summary_fields(self):
-        recorder = LatencyRecorder(streaming=True)
-        assert recorder.summary().count == 0
-        for x in (1.0, 2.0, 3.0, 4.0):
-            recorder.record(x)
-        s = recorder.summary()
-        assert s.count == 4
-        assert s.minimum == 1.0 and s.maximum == 4.0
-        assert s.mean == pytest.approx(2.5)
-        assert s.p50 == pytest.approx(2.5)  # exact below 5 samples
-
-    def test_untracked_quantile_rejected(self):
-        recorder = LatencyRecorder(streaming=True)
-        recorder.record(1.0)
-        assert recorder.quantile(0.9) >= 0.0
-        with pytest.raises(ValueError, match="tracks"):
-            recorder.quantile(0.42)
-
-    def test_custom_quantiles(self):
-        recorder = LatencyRecorder(streaming=True, quantiles=(0.25, 0.75))
-        rng = random.Random(3)
-        for _ in range(20_000):
-            recorder.record(rng.random())
-        assert recorder.quantile(0.25) == pytest.approx(0.25, abs=0.02)
-        assert recorder.quantile(0.75) == pytest.approx(0.75, abs=0.02)
-        # Untracked defaults show up as 0.0 in the summary rather than lying.
-        assert recorder.summary().p99 == 0.0
+    """A latency stream fed one sample at a time or as a batch."""
 
     def test_negative_rejected_both_modes(self):
-        for streaming in (False, True):
-            recorder = LatencyRecorder(streaming=streaming)
-            with pytest.raises(ValueError):
-                recorder.record(-0.1)
-
-
-class TestStreamingAvailabilityMeter:
-    def test_primary_slo_exact(self):
-        meter = AvailabilityMeter(slo=1.0, streaming=True)
-        for r in (0.5, 0.9, 1.0, 1.5, None):
-            meter.record(r)
-        assert meter.offered == 5
-        assert meter.unserved == 1
-        assert meter.availability() == 3 / 5
-        assert meter.response_times == []  # bounded memory
-
-    def test_empty(self):
-        meter = AvailabilityMeter(slo=1.0, streaming=True)
-        assert meter.availability() == 1.0
-        assert meter.availability_at(0.5) == 1.0
-
-    def test_all_unserved(self):
-        meter = AvailabilityMeter(slo=1.0, streaming=True)
-        meter.record(None)
-        assert meter.availability_at(100.0) == 0.0
-
-    def test_curve_monotone_and_bounded(self):
-        rng = random.Random(77)
-        meter = AvailabilityMeter(slo=0.5, streaming=True)
-        for _ in range(5000):
-            meter.record(None if rng.random() < 0.1 else rng.expovariate(1.0))
-        previous = -1.0
-        for slo in (0.001, 0.01, 0.1, 0.5, 1.0, 5.0, 50.0):
-            a = meter.availability_at(slo)
-            assert 0.0 <= a <= 1.0
-            assert a >= previous
-            previous = a
-        # Unserved load can never be counted available.
-        assert meter.availability_at(1e9) <= 0.9 + 0.01
+        recorder = LatencyRecorder()
+        with pytest.raises(ValueError):
+            recorder.record(-0.1)
+        with pytest.raises(ValueError):
+            recorder.record_many([0.2, -0.1])
+        assert recorder.samples == []  # a rejected batch stores nothing
 
 
 class TestExactModeCachedAvailability:
