@@ -5,16 +5,24 @@ in this process"; this package answers the production questions --
 "what happened last night" (:class:`StreamingTraceSink` streams every
 TelemetryBus record to schema-versioned JSONL with O(subjects) memory),
 "reconstruct it from the file alone" (:func:`replay_trace`), "is this
-damaged file salvageable" (:func:`read_trace` recovers the valid
-prefix of a crash-truncated trace, never raising), and "is this trace
-honest" (:func:`verify_trace` re-runs the embedded parameters and
-demands byte-for-byte identity).
+damaged file salvageable" (:func:`iter_trace` and :func:`read_trace`
+recover the valid prefix of a crash-truncated trace, never raising),
+and "is this trace honest" (:func:`verify_trace` re-runs the embedded
+parameters and demands byte-for-byte identity).  Replay and verify
+stream the file and keep no record.
 
 Entry points: ``python -m repro replay <trace>`` and the ``--trace`` /
 ``--soak`` flags on ``python -m repro campaign``.
 """
 
-from .reader import TraceError, TraceRead, TraceSchemaError, read_trace
+from .reader import (
+    TraceError,
+    TraceRead,
+    TraceSchemaError,
+    TraceSummary,
+    iter_trace,
+    read_trace,
+)
 from .record import (
     TraceRecorder,
     VerifyResult,
@@ -34,7 +42,9 @@ __all__ = [
     "dumps_line",
     "TraceError",
     "TraceSchemaError",
+    "TraceSummary",
     "TraceRead",
+    "iter_trace",
     "read_trace",
     "RunSummary",
     "TraceReplay",

@@ -2,7 +2,7 @@
 
 A trace that matters is one that survived a crash, which means the tail
 may hold half a line, a torn UTF-8 sequence, or arbitrary garbage from a
-reused block.  :func:`read_trace` therefore parses bytes, not lines: it
+reused block.  The reader therefore parses bytes, not lines: it
 walks newline-delimited segments from the start and accepts each one
 only if it decodes as UTF-8 AND parses as a JSON object carrying the
 ``"k"`` discriminator.  The first segment that fails -- or a trailing
@@ -22,6 +22,15 @@ Two conditions are errors rather than crash artifacts, because silently
 Every schema in :data:`READABLE_SCHEMAS` reads: schema 1 (outcome
 digest v1, P² run-end/window statistics) stays readable for replay,
 though only the current schema can be byte-verified.
+
+:func:`iter_trace` is the one parser.  It yields each record as it is
+parsed and fills a :class:`TraceSummary` (header, byte counts,
+truncation point, clean close) as it walks, so a consumer that folds
+records and keeps none reads a trace in memory independent of its
+length: :func:`~repro.telemetry.replay.replay_trace` and
+:func:`~repro.telemetry.record.verify_trace` do.  :func:`read_trace` is
+the same walk collected into a list, for callers that want every
+record.
 """
 
 from __future__ import annotations
@@ -29,14 +38,14 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, Iterator, List, Optional
 
 from .sink import TRACE_FORMAT, TRACE_SCHEMA_VERSION
 
-__all__ = ["READABLE_SCHEMAS", "TraceError", "TraceSchemaError", "TraceRead",
-           "read_trace"]
+__all__ = ["READABLE_SCHEMAS", "TraceError", "TraceSchemaError",
+           "TraceSummary", "TraceRead", "iter_trace", "read_trace"]
 
-#: Schema versions :func:`read_trace` accepts, oldest first.
+#: Schema versions the reader accepts, oldest first.
 READABLE_SCHEMAS = (1, TRACE_SCHEMA_VERSION)
 
 
@@ -49,21 +58,20 @@ class TraceSchemaError(TraceError):
 
 
 @dataclass
-class TraceRead:
-    """Everything recoverable from one trace file.
+class TraceSummary:
+    """What one walk over a trace file learns, records aside.
 
-    ``records`` holds every parsed line after the header, in file
-    order, each the raw ``dict`` form keyed by ``"k"``.  ``bytes_valid``
-    is the length of the valid prefix; when it is shorter than the
-    file, ``truncated`` is True and ``truncated_at == bytes_valid`` is
-    where recovery stopped.  ``clean_close`` means the file ends
-    exactly at an ``{"k":"end"}`` footer -- the only state in which a
-    byte-for-byte verify is meaningful.
+    ``bytes_valid`` is the length of the valid prefix; when it is
+    shorter than the file, ``truncated`` is True and
+    ``truncated_at == bytes_valid`` is where recovery stopped.
+    ``clean_close`` means the file ends exactly at an ``{"k":"end"}``
+    footer -- the only state in which a byte-for-byte verify is
+    meaningful.  :func:`iter_trace` sets the last four when its walk
+    ends.
     """
 
     path: str
-    header: Optional[Dict[str, Any]]
-    records: List[Dict[str, Any]] = field(default_factory=list)
+    header: Optional[Dict[str, Any]] = None
     file_bytes: int = 0
     bytes_valid: int = 0
     truncated: bool = False
@@ -82,6 +90,17 @@ class TraceRead:
     def specs(self) -> Dict[str, str]:
         return dict(self.header.get("specs", {})) if self.header else {}
 
+
+@dataclass
+class TraceRead(TraceSummary):
+    """Everything recoverable from one trace file, records included.
+
+    ``records`` holds every parsed line after the header, in file
+    order, each the raw ``dict`` form keyed by ``"k"``.
+    """
+
+    records: List[Dict[str, Any]] = field(default_factory=list)
+
     def of_kind(self, kind: str) -> List[Dict[str, Any]]:
         """All records with discriminator ``kind`` (``"rec"`` etc.)."""
         return [r for r in self.records if r.get("k") == kind]
@@ -98,25 +117,27 @@ def _parse_segment(segment: bytes) -> Optional[Dict[str, Any]]:
     return obj
 
 
-def read_trace(path) -> TraceRead:
-    """Read a trace, recovering the valid prefix of a damaged file.
+def iter_trace(path, summary: TraceSummary) -> Iterator[Dict[str, Any]]:
+    """Yield each record after the header, in file order, as it is parsed.
 
-    Raises :class:`TraceSchemaError` when the header is intact but its
-    ``schema`` is unknown, and :class:`TraceError` when the first line
-    is intact but not a trace header.  Truncation and garbage never
-    raise; see the module docstring for the exact recovery rule.
+    Fills the fresh ``summary`` as it walks: ``header`` from the first
+    line, ``bytes_valid`` line by line, and ``file_bytes``,
+    ``truncated``/``truncated_at`` and ``clean_close`` once the valid
+    prefix ends.  Raises like :func:`read_trace`, from the first
+    ``next()``.  The file is open only while the generator is; a
+    consumer that may stop early closes it (``contextlib.closing``).
     """
-    result = TraceRead(path=str(path), header=None)
+    last_kind = None
     with open(path, "rb") as fh:
-        # Segment by segment, so the raw bytes never sit in memory beside
-        # the parsed records.
+        # Segment by segment, so the raw bytes never sit in memory.
         for segment in fh:
             if not segment.endswith(b"\n"):
                 break  # a trailing segment with no newline is never valid
             obj = _parse_segment(segment[:-1])
             if obj is None:
                 break
-            if result.header is None:
+            summary.bytes_valid += len(segment)
+            if summary.header is None:
                 if obj.get("k") != "header" or obj.get("format") != TRACE_FORMAT:
                     raise TraceError(
                         f"{path}: not a repro trace (first line is "
@@ -131,17 +152,24 @@ def read_trace(path) -> TraceRead:
                         f"(this reader supports versions {supported}); "
                         "refusing to guess at an unknown format"
                     )
-                result.header = obj
-            else:
-                result.records.append(obj)
-            result.bytes_valid += len(segment)
-        result.file_bytes = fh.seek(0, os.SEEK_END)
-    if result.bytes_valid < result.file_bytes:
-        result.truncated = True
-        result.truncated_at = result.bytes_valid
-    result.clean_close = (
-        not result.truncated
-        and bool(result.records)
-        and result.records[-1].get("k") == "end"
-    )
+                summary.header = obj
+                continue
+            last_kind = obj["k"]
+            yield obj
+        summary.file_bytes = fh.seek(0, os.SEEK_END)
+    summary.truncated = summary.bytes_valid < summary.file_bytes
+    summary.truncated_at = summary.bytes_valid if summary.truncated else None
+    summary.clean_close = not summary.truncated and last_kind == "end"
+
+
+def read_trace(path) -> TraceRead:
+    """Read a whole trace, recovering the valid prefix of a damaged file.
+
+    Raises :class:`TraceSchemaError` when the header is intact but its
+    ``schema`` is unknown, and :class:`TraceError` when the first line
+    is intact but not a trace header.  Truncation and garbage never
+    raise; see the module docstring for the exact recovery rule.
+    """
+    result = TraceRead(path=str(path))
+    result.records.extend(iter_trace(path, result))
     return result

@@ -18,13 +18,14 @@ the trace could never verify.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..scenario.bundle import spec_paths
 from ..scenario.spec import ScenarioSpec, load_spec
-from .reader import read_trace
+from .reader import TraceSummary, iter_trace
 from .sink import TRACE_SCHEMA_VERSION, StreamingTraceSink
 
 __all__ = [
@@ -299,12 +300,28 @@ class VerifyResult:
         return "\n".join(lines)
 
 
-def _first_diff(a: bytes, b: bytes) -> int:
-    limit = min(len(a), len(b))
-    for i in range(limit):
-        if a[i] != b[i]:
-            return i
-    return limit
+#: Bytes per read when comparing a trace with its regeneration.
+_COMPARE_CHUNK = 1 << 16
+
+
+def _first_diff(a, b) -> Optional[int]:
+    """Offset of the first byte at which files ``a`` and ``b`` differ.
+
+    None when they are identical; the shorter file's length when it is
+    a prefix of the other.  Reads both in fixed-size chunks.
+    """
+    with open(a, "rb") as fa, open(b, "rb") as fb:
+        offset = 0
+        while True:
+            chunk_a, chunk_b = fa.read(_COMPARE_CHUNK), fb.read(_COMPARE_CHUNK)
+            if chunk_a != chunk_b:
+                return offset + next(
+                    (i for i, (x, y) in enumerate(zip(chunk_a, chunk_b)) if x != y),
+                    min(len(chunk_a), len(chunk_b)),
+                )
+            if not chunk_a:
+                return None
+            offset += len(chunk_a)
 
 
 def verify_trace(path, keep_regenerated: Optional[str] = None) -> VerifyResult:
@@ -319,8 +336,13 @@ def verify_trace(path, keep_regenerated: Optional[str] = None) -> VerifyResult:
     rather than as a mystifying byte diff.  So is an older schema: a
     schema-1 trace still replays, but this build writes schema
     ``TRACE_SCHEMA_VERSION``, so its regeneration could never match.
+    Neither file is ever held in memory whole.
     """
-    read = read_trace(path)  # raises on non-trace / unknown schema
+    read = TraceSummary(path=str(path))
+    # Walks the whole file for the integrity flags; raises on a
+    # non-trace or an unknown schema.
+    for _record in iter_trace(path, read):
+        pass
     reasons: List[str] = []
     schema = read.header.get("schema") if read.header else None
     if read.header is not None and schema != TRACE_SCHEMA_VERSION:
@@ -379,23 +401,26 @@ def verify_trace(path, keep_regenerated: Optional[str] = None) -> VerifyResult:
                 reasons=[f"unknown trace mode {mode!r}; cannot regenerate"],
                 original_bytes=read.file_bytes,
             )
-        original = Path(path).read_bytes()
-        regenerated = regen.read_bytes()
-        if original == regenerated:
+        original_bytes = os.path.getsize(path)
+        regenerated_bytes = os.path.getsize(regen)
+        diff = _first_diff(path, regen)
+        if diff is None:
             return VerifyResult(path=str(path), ok=True, reasons=[],
-                                original_bytes=len(original),
-                                regenerated_bytes=len(regenerated))
-        diff = _first_diff(original, regenerated)
-        context = original[max(0, diff - 20):diff + 20]
+                                original_bytes=original_bytes,
+                                regenerated_bytes=regenerated_bytes)
+        start = max(0, diff - 20)
+        with open(path, "rb") as fh:
+            fh.seek(start)
+            context = fh.read(diff + 20 - start)
         return VerifyResult(
             path=str(path), ok=False,
             reasons=[
                 f"regenerated trace diverges at byte {diff} "
-                f"(original {len(original)} bytes, regenerated "
-                f"{len(regenerated)}); context: {context!r}"
+                f"(original {original_bytes} bytes, regenerated "
+                f"{regenerated_bytes}); context: {context!r}"
             ],
-            original_bytes=len(original),
-            regenerated_bytes=len(regenerated),
+            original_bytes=original_bytes,
+            regenerated_bytes=regenerated_bytes,
             first_diff=diff,
         )
     finally:

@@ -17,6 +17,13 @@ traces -- no simulator, no scenario registry, just the file:
   rollups (a trace whose footer disagrees with its own body is
   flagged, never silently trusted).
 
+Replay folds each record as the reader parses it and keeps none, so
+its memory is O(subjects + runs + windows + timeline entries) however
+long the trace: :attr:`TraceReplay.read` is a
+:class:`~repro.telemetry.reader.TraceSummary` (header, byte counts,
+truncation, clean close), not a record list.  Callers that want the
+records themselves use :func:`~repro.telemetry.reader.read_trace`.
+
 :func:`verify_trace` lives in :mod:`repro.telemetry.record` -- it needs
 the recording orchestrations to regenerate the trace for the
 byte-for-byte diff.
@@ -24,6 +31,7 @@ byte-for-byte diff.
 
 from __future__ import annotations
 
+from contextlib import closing
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple, Union
 
@@ -35,7 +43,7 @@ from ..sim.metrics import (
     quantile_from_dict,
 )
 from ..sim.trace import COMPLETION, SPEC_VIOLATION, STATE_CHANGE
-from .reader import TraceRead, read_trace
+from .reader import TraceSummary, iter_trace
 
 __all__ = ["RunSummary", "TraceReplay", "replay_trace"]
 
@@ -84,7 +92,7 @@ class RunSummary:
 class TraceReplay:
     """Everything :func:`replay_trace` reconstructs from one trace."""
 
-    read: TraceRead
+    read: TraceSummary
     runs: List[RunSummary] = field(default_factory=list)
     windows: List[Any] = field(default_factory=list)  # SoakWindow
     #: subject -> [(t, state), ...] in record order.
@@ -206,88 +214,90 @@ def replay_trace(path) -> TraceReplay:
     :class:`~repro.telemetry.reader.TraceSchemaError` on unknown schema
     versions and :class:`~repro.telemetry.reader.TraceError` on
     non-trace files, exactly like :func:`~repro.telemetry.reader.read_trace`.
+    Records are folded as they are parsed; none is kept.
     """
-    read = read_trace(path)
+    read = TraceSummary(path=str(path))
     replay = TraceReplay(read=read)
     by_run: Dict[int, RunSummary] = {}
-    for record in read.records:
-        k = record.get("k")
-        if k == "rec":
-            replay.records += 1
-            kind = record.get("kind")
-            subject = record.get("subject", "?")
-            t = record.get("t", 0.0)
-            detail = record.get("detail")
-            if kind == COMPLETION:
-                replay.completions[subject] = replay.completions.get(subject, 0) + 1
-            elif kind == STATE_CHANGE:
-                state = (detail or {}).get("state", "?")
-                timeline = replay.state_timelines.setdefault(subject, [])
-                if not timeline or timeline[-1][1] != state:
-                    timeline.append((t, state))
-            elif kind == SPEC_VIOLATION:
-                detail = detail or {}
-                replay.violation_timelines.setdefault(subject, []).append(
-                    (t, detail.get("observed", 0.0), detail.get("threshold", 0.0))
-                )
-        elif k == "run-start":
-            run = RunSummary(
-                run=record.get("run", -1),
-                workload=record.get("workload", "?"),
-                family=record.get("family", "?"),
-                index=record.get("index", -1),
-                policy=record.get("policy", "?"),
-                engine=record.get("engine", "?"),
-                events=list(record.get("events", [])),
-            )
-            by_run[run.run] = run
-            replay.runs.append(run)
-        elif k == "run-end":
-            run = by_run.get(record.get("run", -1))
-            if run is None:  # run-start lost to truncation upstream? keep it
+    with closing(iter_trace(path, read)) as records:
+        for record in records:
+            k = record.get("k")
+            if k == "rec":
+                replay.records += 1
+                kind = record.get("kind")
+                subject = record.get("subject", "?")
+                t = record.get("t", 0.0)
+                detail = record.get("detail")
+                if kind == COMPLETION:
+                    replay.completions[subject] = replay.completions.get(subject, 0) + 1
+                elif kind == STATE_CHANGE:
+                    state = (detail or {}).get("state", "?")
+                    timeline = replay.state_timelines.setdefault(subject, [])
+                    if not timeline or timeline[-1][1] != state:
+                        timeline.append((t, state))
+                elif kind == SPEC_VIOLATION:
+                    detail = detail or {}
+                    replay.violation_timelines.setdefault(subject, []).append(
+                        (t, detail.get("observed", 0.0), detail.get("threshold", 0.0))
+                    )
+            elif k == "run-start":
                 run = RunSummary(
                     run=record.get("run", -1),
                     workload=record.get("workload", "?"),
                     family=record.get("family", "?"),
                     index=record.get("index", -1),
                     policy=record.get("policy", "?"),
-                    engine="?",
-                    events=[],
+                    engine=record.get("engine", "?"),
+                    events=list(record.get("events", [])),
                 )
+                by_run[run.run] = run
                 replay.runs.append(run)
-            run.requests = record.get("requests", 0)
-            run.slo = record.get("slo", 0.0)
-            run.slo_violations = record.get("slo_violations", 0)
-            run.failed_requests = record.get("failed_requests", 0)
-            run.issued_work = record.get("issued_work", 0.0)
-            run.wasted_work = record.get("wasted_work", 0.0)
-            run.digest = record.get("digest", "")
-            if "moments" in record:
-                run.moments = StreamingMoments.from_dict(record["moments"])
-            if "p50" in record:
-                run.p50 = quantile_from_dict(record["p50"])
-            if "p99" in record:
-                run.p99 = quantile_from_dict(record["p99"])
-            run.oracle_violations = list(record.get("oracle_violations", []))
-            run.complete = True
-        elif k == "window":
-            from ..faults.campaign import SoakWindow
-
-            payload = {key: value for key, value in record.items() if key != "k"}
-            replay.windows.append(SoakWindow.from_dict(payload))
-        elif k == "end":
-            if record.get("records") != replay.records:
-                replay.integrity.append(
-                    f"footer claims {record.get('records')} records, "
-                    f"{replay.records} streamed"
-                )
-            subjects = record.get("subjects", {})
-            for subject, stats in subjects.items():
-                footer = stats.get("kinds", {}).get(COMPLETION, 0)
-                streamed = replay.completions.get(subject, 0)
-                if footer != streamed:
-                    replay.integrity.append(
-                        f"{subject}: footer counts {footer} completions, "
-                        f"{streamed} streamed"
+            elif k == "run-end":
+                run = by_run.get(record.get("run", -1))
+                if run is None:  # run-start lost to truncation upstream? keep it
+                    run = RunSummary(
+                        run=record.get("run", -1),
+                        workload=record.get("workload", "?"),
+                        family=record.get("family", "?"),
+                        index=record.get("index", -1),
+                        policy=record.get("policy", "?"),
+                        engine="?",
+                        events=[],
                     )
+                    replay.runs.append(run)
+                run.requests = record.get("requests", 0)
+                run.slo = record.get("slo", 0.0)
+                run.slo_violations = record.get("slo_violations", 0)
+                run.failed_requests = record.get("failed_requests", 0)
+                run.issued_work = record.get("issued_work", 0.0)
+                run.wasted_work = record.get("wasted_work", 0.0)
+                run.digest = record.get("digest", "")
+                if "moments" in record:
+                    run.moments = StreamingMoments.from_dict(record["moments"])
+                if "p50" in record:
+                    run.p50 = quantile_from_dict(record["p50"])
+                if "p99" in record:
+                    run.p99 = quantile_from_dict(record["p99"])
+                run.oracle_violations = list(record.get("oracle_violations", []))
+                run.complete = True
+            elif k == "window":
+                from ..faults.campaign import SoakWindow
+
+                payload = {key: value for key, value in record.items() if key != "k"}
+                replay.windows.append(SoakWindow.from_dict(payload))
+            elif k == "end":
+                if record.get("records") != replay.records:
+                    replay.integrity.append(
+                        f"footer claims {record.get('records')} records, "
+                        f"{replay.records} streamed"
+                    )
+                subjects = record.get("subjects", {})
+                for subject, stats in subjects.items():
+                    footer = stats.get("kinds", {}).get(COMPLETION, 0)
+                    streamed = replay.completions.get(subject, 0)
+                    if footer != streamed:
+                        replay.integrity.append(
+                            f"{subject}: footer counts {footer} completions, "
+                            f"{streamed} streamed"
+                        )
     return replay

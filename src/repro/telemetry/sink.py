@@ -41,11 +41,21 @@ line-atomic (the sink buffers *complete* lines and flushes them in
 bounded chunks, never a partial line by its own hand); readers must
 version-gate on ``schema`` and treat anything after the last parseable
 line as a crash artifact.
+
+Every line is byte-identical to :func:`dumps_line` of its payload.
+Completion records, nearly every line of a long trace, skip the JSON
+encoder: they are formatted with ``float.__repr__`` and
+``json.encoder.encode_basestring_ascii``, which is what the encoder
+calls for them, when the subject is a ``str`` and the time, work and
+duration are finite and of type exactly ``float`` (the detail a
+2-tuple).  Any other record, or a completion of any other shape, goes
+through :func:`dumps_line`.
 """
 
 from __future__ import annotations
 
 import json
+from json.encoder import encode_basestring_ascii
 from typing import Any, Dict, List, Optional, TextIO
 
 from ..sim.metrics import ExactQuantile, P2Quantile, StreamingMoments
@@ -65,6 +75,12 @@ TRACE_SCHEMA_VERSION = 2
 TRACE_FORMAT = "repro-trace"
 
 
+#: The canonical encoder, built once: ``json.dumps`` with non-default
+#: arguments would construct a fresh ``JSONEncoder`` on every call.
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"),
+                            allow_nan=True)
+
+
 def dumps_line(payload: Dict[str, Any]) -> str:
     """One canonical trace line (sorted keys, compact, ``\\n``-terminated).
 
@@ -72,8 +88,29 @@ def dumps_line(payload: Dict[str, Any]) -> str:
     ``Infinity``/``-Infinity`` extremes, and Python's reader accepts
     the literals back unchanged.
     """
-    return json.dumps(payload, sort_keys=True, separators=(",", ":"),
-                      allow_nan=True) + "\n"
+    return _ENCODER.encode(payload) + "\n"
+
+
+_INF = float("inf")
+_COMPLETION_KIND = encode_basestring_ascii(COMPLETION)
+
+
+def _completion_line(t: Any, subject: Any, detail: Any) -> Optional[str]:
+    """``dumps_line`` of a completion ``rec`` line, or None to fall back.
+
+    Formats only the shape the module docstring names, the one whose
+    bytes are known; the keys are written in sorted order.
+    """
+    if type(detail) is not tuple or len(detail) != 2 or type(subject) is not str:
+        return None
+    work, duration = detail
+    if (type(work) is float and type(duration) is float and type(t) is float
+            and -_INF < work < _INF and -_INF < duration < _INF
+            and -_INF < t < _INF):
+        return (f'{{"detail":[{work!r},{duration!r}],"k":"rec","kind":'
+                f'{_COMPLETION_KIND},"subject":{encode_basestring_ascii(subject)},'
+                f'"t":{t!r}}}\n')
+    return None
 
 
 class _SubjectStats:
@@ -133,8 +170,14 @@ class StreamingTraceSink:
                                           newline="")
         self._csv: Optional[TextIO] = None
         if csv_path is not None:
-            self._csv = open(csv_path, "w", encoding="utf-8", newline="")
-            self._csv.write("time,kind,subject,detail\n")
+            try:
+                self._csv = open(csv_path, "w", encoding="utf-8", newline="")
+                self._csv.write("time,kind,subject,detail\n")
+            except BaseException:
+                # The caller never receives the sink, so nothing else
+                # could close the trace file.
+                self._fh.close()
+                raise
         self._buffer: List[str] = []
         self._stats: Dict[str, _SubjectStats] = {}
         self._header_written = False
@@ -143,9 +186,12 @@ class StreamingTraceSink:
     # -- line plumbing ---------------------------------------------------------
 
     def _write_line(self, payload: Dict[str, Any]) -> None:
+        self._append(dumps_line(payload))
+
+    def _append(self, line: str) -> None:
         if self._fh is None:
             raise ValueError(f"sink for {self.path} is closed")
-        self._buffer.append(dumps_line(payload))
+        self._buffer.append(line)
         self.lines_written += 1
         if len(self._buffer) >= self.flush_lines:
             self.flush()
@@ -265,24 +311,25 @@ class StreamingTraceSink:
     def on_record(self, record) -> None:
         """The ``subscribe_all`` callback: stream one TraceRecord out."""
         t = self.time_offset + record.time
-        detail = record.detail
-        self._write_line({
-            "k": "rec",
-            "t": t,
-            "kind": record.kind,
-            "subject": record.subject,
-            "detail": detail,
-        })
+        kind, subject, detail = record.kind, record.subject, record.detail
+        line = _completion_line(t, subject, detail) if kind == COMPLETION else None
+        if line is None:
+            line = dumps_line({
+                "k": "rec",
+                "t": t,
+                "kind": kind,
+                "subject": subject,
+                "detail": detail,
+            })
+        self._append(line)
         self.records_written += 1
-        stats = self._stats.get(record.subject)
+        stats = self._stats.get(subject)
         if stats is None:
-            stats = self._stats[record.subject] = _SubjectStats()
-        stats.observe(record.kind, detail)
+            stats = self._stats[subject] = _SubjectStats()
+        stats.observe(kind, detail)
         if self._csv is not None:
-            detail_json = json.dumps(detail, sort_keys=True,
-                                     separators=(",", ":"), allow_nan=True)
-            quoted = '"' + detail_json.replace('"', '""') + '"'
-            self._csv.write(f"{t!r},{record.kind},{record.subject},{quoted}\n")
+            quoted = '"' + _ENCODER.encode(detail).replace('"', '""') + '"'
+            self._csv.write(f"{t!r},{kind},{subject},{quoted}\n")
 
     # -- lifecycle -------------------------------------------------------------
 

@@ -22,7 +22,7 @@ from repro.faults.campaign import (
     run_soak,
     WORKLOADS,
 )
-from repro.telemetry import record_soak, replay_trace, verify_trace
+from repro.telemetry import read_trace, record_soak, replay_trace, verify_trace
 
 pytestmark = pytest.mark.soak
 
@@ -176,11 +176,11 @@ class TestSoakTrace:
         record_soak(path, seed=11, n_windows=3, injectors_per_window=2,
                     n_requests=N_REQUESTS, engine="discrete",
                     retain_windows=False)
-        replay = replay_trace(path)
-        starts = [r.get("start") for r in replay.read.of_kind("run-start")]
+        read = read_trace(path)
+        starts = [r.get("start") for r in read.of_kind("run-start")]
         assert starts == sorted(starts) and starts[0] == 0.0
         # Records in later windows carry later absolute timestamps.
-        recs = replay.read.of_kind("rec")
+        recs = read.of_kind("rec")
         assert recs, "discrete soak should stream completion records"
         assert max(r["t"] for r in recs) > starts[-1]
 
