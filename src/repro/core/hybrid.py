@@ -587,31 +587,41 @@ class HybridRunner:
         if self._pending_eras:
             self._materialize_pending()
         n, gap, horizon = w.n_requests, w.gap, w.horizon
-        while sim.now < horizon:
+        engine = self.engine
+        while True:
+            now = sim._now
+            if now >= horizon:
+                break
+            # One peek serves both tests below: _can_close never touches
+            # the event queue.
+            pending = sim.peek()
             if (
-                sim.now >= min_end
-                and sim.peek() > sim.now  # same-instant events come first
+                now >= min_end
+                and pending > now  # same-instant events come first
                 and self._can_close(next_index)
             ):
                 break
             arrival = next_index * gap if next_index < n else math.inf
-            pending = sim.peek()
             if arrival == math.inf and pending == math.inf:
-                if sim.now < min_end:
+                if now < min_end:
                     sim.run(until=min_end)
                     continue
                 break  # nothing can ever happen again (hang -> oracle)
             if arrival <= pending:
-                # run(until=t) is inclusive, so fault edges scheduled at
-                # the arrival instant fire first -- the discrete engine's
-                # heap ordering (faults enqueued before submissions).
+                # Events due at the arrival instant fire first -- the
+                # discrete engine's heap ordering (faults enqueued before
+                # submissions) -- via run(until=t), which is inclusive.
+                # With nothing due by then, the clock just moves there.
                 # A window opened a float-residue past the arrival
                 # instant (the fluid cut keeps boundary arrivals for the
                 # window) leaves arrival <= now; submit immediately.
-                if arrival > sim.now:
-                    sim.run(until=arrival)
-                self.engine._submit_one(next_index)
-                request = self.engine.requests[-1]
+                if arrival > now:
+                    if pending == arrival:
+                        sim.run(until=arrival)
+                    else:
+                        sim._now = arrival
+                engine._submit_one(next_index)
+                request = engine.requests[-1]
                 if not request.resolved:
                     self._open[request.index] = request
                 next_index += 1

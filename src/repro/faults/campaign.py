@@ -372,13 +372,20 @@ class CampaignEngine:
         #: (claimed or given up).  The hybrid runner uses this to decide
         #: when a discrete window has gone quiescent.
         self.on_request_resolved: Optional[Callable[[Request], None]] = None
+        #: Member name -> its registered component, resolved once here
+        #: (before the policy binds) so routing and attempts skip the
+        #: registry on every request.
+        components = system.components
+        self._members: Dict[str, DegradableServer] = {
+            name: components.get(name) for name in self.component_names()
+        }
         policy.bind(self)
 
     # -- surface the policies program against --------------------------------------
 
     @property
     def now(self) -> float:
-        return self.sim.now
+        return self.sim._now
 
     @property
     def expected_service(self) -> float:
@@ -396,37 +403,41 @@ class CampaignEngine:
 
     def queue_depth(self, name: str) -> int:
         """Backlog on one member: queued jobs plus the one in service."""
-        component = self.system.components.get(name)
-        return component.queue_length + (1 if component.busy else 0)
+        return self._members[name].backlog
 
     def live_candidates(self, request: Request) -> List[str]:
-        return [
-            name for name in request.group
-            if not self.system.components.get(name).stopped
-        ]
+        members = self._members
+        return [name for name in request.group if not members[name].stopped]
 
     def pick_candidate(self, request: Request) -> Optional[str]:
-        """Default routing: untried first, then shortest queue, then name."""
-        live = self.live_candidates(request)
-        if not live:
-            return None
-        return min(
-            live,
-            key=lambda name: (
-                request.tried.get(name, 0), self.queue_depth(name), name,
-            ),
-        )
+        """Default routing: untried first, then shortest queue, then name.
+
+        The first live member with the smallest ``(tried, depth, name)``
+        wins.  Depth comes from :meth:`queue_depth`, looked up on the
+        instance, so a shadow of it (the hybrid route probe) applies.
+        """
+        members = self._members
+        tried = request.tried
+        queue_depth = self.queue_depth
+        best = best_key = None
+        for name in request.group:
+            if members[name].stopped:
+                continue
+            key = (tried.get(name, 0), queue_depth(name), name)
+            if best_key is None or key < best_key:
+                best, best_key = name, key
+        return best
 
     def attempt(self, request: Request, name: str) -> bool:
         """Issue one attempt on ``name``; False if it already fail-stopped."""
-        component = self.system.components.get(name)
+        component = self._members[name]
         if component.stopped:
             return False
         request.attempts += 1
         request.outstanding += 1
         request.tried[name] = request.tried.get(name, 0) + 1
         self.issued_work += request.work
-        started = self.sim.now
+        started = self.sim._now
         event = component.submit(request.work)
         event.callbacks.append(
             lambda ev: self._on_attempt(request, name, started, ev)
@@ -461,7 +472,7 @@ class CampaignEngine:
             submitted_at=submitted_at,
         )
         self.requests.append(request)
-        component = self.system.components.get(name)
+        component = self._members[name]
         request.attempts += 1
         request.outstanding += 1
         request.tried[name] = request.tried.get(name, 0) + 1
@@ -513,7 +524,8 @@ class CampaignEngine:
     # -- engine internals ----------------------------------------------------------
 
     def _on_attempt(self, request: Request, name: str, started: float, event) -> None:
-        elapsed = self.sim.now - started
+        now = self.sim._now
+        elapsed = now - started
         request.outstanding -= 1
         if not event._ok:
             self.failed_work += request.work
@@ -522,7 +534,7 @@ class CampaignEngine:
         self.completed_work += request.work
         claimed = not request.resolved
         if claimed:
-            self._resolve(request, self.sim.now - request.submitted_at)
+            self._resolve(request, now - request.submitted_at)
         else:
             self.wasted_work += request.work
         self.policy.on_attempt_completed(request, name, elapsed, claimed)
@@ -540,7 +552,7 @@ class CampaignEngine:
             index=index,
             work=self.workload.work,
             group=self.groups[index % len(self.groups)],
-            submitted_at=self.sim.now,
+            submitted_at=self.sim._now,
         )
         self.requests.append(request)
         self.policy.start(request)
@@ -580,8 +592,8 @@ class CampaignEngine:
         workload = self.workload
         for tag, fault in enumerate(scenario.events):
             self._apply_event(tag, fault)
-        for index in range(workload.n_requests):
-            self.sim.call_at(index * workload.gap, self._submit_one, index)
+        # Arrival i at i * gap, after every fault edge at the same instant.
+        self.sim.call_series(workload.n_requests, workload.gap, self._submit_one)
         self.sim.run(until=workload.horizon)
         outstanding = sum(r.outstanding for r in self.requests)
         unresolved = sum(1 for r in self.requests if not r.resolved)
@@ -604,8 +616,8 @@ class CampaignEngine:
             unresolved_requests=unresolved,
             failed_requests=self.failed_requests,
             server_work={
-                name: self.system.components.get(name).work_completed
-                for name in self.component_names()
+                name: member.work_completed
+                for name, member in self._members.items()
             },
         )
         return outcome

@@ -40,7 +40,9 @@ class DegradableServer(DegradableMixin):
         self.sim = sim
         self._server = RateServer(sim, nominal_rate, name=name)
         self._init_degradable(name, nominal_rate)
-        self._inflight: list[Event] = []
+        #: Unsettled submissions, in submission order (a dict for O(1)
+        #: removal; the order is the order :meth:`stop` fails them in).
+        self._inflight: dict[Event, None] = {}
         self.attach_spec(spec if spec is not None else PerformanceSpec(nominal_rate))
         register_component(sim, self)
 
@@ -62,7 +64,7 @@ class DegradableServer(DegradableMixin):
         if self.stopped:
             raise ComponentStopped(self.name)
         event = self._server.submit(size, tag=tag)
-        self._inflight.append(event)
+        self._inflight[event] = None
         event.callbacks.append(self._forget)
         # Completion telemetry is pay-for-what-you-use: the callback is
         # only attached when a bus is bound AND someone listens to us.
@@ -83,9 +85,8 @@ class DegradableServer(DegradableMixin):
         self._telemetry.completion(self.name, stats.size, stats.service_time)
 
     def _forget(self, event: Event) -> None:
-        """Drop a settled job from the in-flight list (idempotent)."""
-        if event in self._inflight:
-            self._inflight.remove(event)
+        """Drop a settled job from the in-flight set (idempotent)."""
+        self._inflight.pop(event, None)
 
     def stop(self, cause: str = "fail-stop") -> None:
         """Fail-stop: halt, fail all in-flight work detectably."""
@@ -118,6 +119,17 @@ class DegradableServer(DegradableMixin):
     def busy(self) -> bool:
         """True while a job is in service."""
         return self._server.busy
+
+    @property
+    def backlog(self) -> int:
+        """Jobs queued plus the one in service, read in one step.
+
+        Routing reads this per candidate per pick, so it looks at the
+        wrapped server's state directly instead of adding
+        :attr:`queue_length` and :attr:`busy`.
+        """
+        server = self._server
+        return len(server._queue) + (server._current is not None)
 
     def completion_eta(self) -> Optional[float]:
         """When the in-service job completes (None if idle or frozen)."""

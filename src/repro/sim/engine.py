@@ -24,6 +24,14 @@ avoids attribute lookups and re-wrapping.  Cancellation is *lazy*: a
 cancelled :class:`Timeout`/:class:`Callback` stays in the heap and is
 skipped for free when popped (its ``callbacks`` slot is ``None``),
 rather than paying O(n) heap surgery up front.
+:meth:`Simulator.call_series` runs a whole grid of calls (an arrival
+stream) on one self-re-arming heap entry, ordered exactly as the
+equivalent loop of :meth:`Simulator.call_at` calls, so the heap every
+other event works on stays small.
+
+A delay, time or ``until`` that is NaN raises :class:`SimulationError`:
+a NaN heap key would otherwise end :meth:`Simulator.run` early as if the
+queue had drained.
 """
 
 from __future__ import annotations
@@ -170,8 +178,8 @@ class Timeout(Event):
     __slots__ = ("delay", "_cancelled")
 
     def __init__(self, sim: "Simulator", delay: float, value: Any = None):
-        if delay < 0:
-            raise SimulationError(f"negative delay {delay}")
+        if not delay >= 0:  # also rejects NaN, which would poison the heap
+            raise SimulationError(f"delay must be >= 0, got {delay}")
         # Inlined Event.__init__ plus enqueue: timeouts are the single
         # most-constructed object in a simulation, so skip the redundant
         # pending-state stores and the two call frames.
@@ -207,6 +215,11 @@ class Timeout(Event):
         self.callbacks = None
 
 
+def _run_callback(timer: "Callback") -> None:
+    """The one event callback every :class:`Callback` carries."""
+    timer._fn(*timer._args)
+
+
 class Callback(Timeout):
     """A lightweight cancellable timer that invokes ``fn(*args)``.
 
@@ -220,13 +233,62 @@ class Callback(Timeout):
     __slots__ = ("_fn", "_args")
 
     def __init__(self, sim: "Simulator", delay: float, fn: _CallableT, args: tuple):
-        super().__init__(sim, delay)
+        if not delay >= 0:
+            raise SimulationError(f"delay must be >= 0, got {delay}")
+        # Timeout's set-up inlined, with a module-level runner instead of
+        # a bound method: one allocation less per timer.
+        self.sim = sim
+        self.callbacks = [_run_callback]
+        self._defused = False
+        self.delay = delay
+        self._cancelled = False
+        self._ok = True
+        self._value = None
         self._fn = fn
         self._args = args
-        self.callbacks.append(self._run)
+        sim._seq += 1
+        _heappush(sim._queue, (sim._now + delay, PRIORITY_NORMAL, sim._seq, self))
 
-    def _run(self, _event: Event) -> None:
-        self._fn(*self._args)
+
+class _Series(Event):
+    """Internal: the one live heap entry of :meth:`Simulator.call_series`.
+
+    It holds call ``i``'s key and, just before running call ``i``,
+    re-arms itself with call ``i + 1``'s, so the heap carries one entry
+    for the whole series instead of one per call.
+    """
+
+    __slots__ = ("_fn", "_count", "_spacing", "_base", "_index", "_armed")
+
+    def __init__(self, sim: "Simulator", count: int, spacing: float, fn: _CallableT):
+        self.sim = sim
+        self._defused = False
+        self._ok = True
+        self._value = None
+        self._fn = fn
+        self._count = count
+        self._spacing = spacing
+        self._base = sim._seq
+        self._index = 0
+        self._armed = [self._fire]
+        sim._seq += count  # the sequence numbers the call_at loop consumed
+        self._push()
+
+    def _push(self) -> None:
+        # call_at(i * spacing)'s key: created at t = 0, its delay is the
+        # time itself.
+        i = self._index
+        self.callbacks = self._armed
+        _heappush(self.sim._queue,
+                  (i * self._spacing, PRIORITY_NORMAL, self._base + i + 1, self))
+
+    def _fire(self, _event: Event) -> None:
+        i = self._index
+        if i + 1 < self._count:
+            # Re-arm first: if fn raises, the rest of the series stays live.
+            self._index = i + 1
+            self._push()
+        self._fn(i)
 
 
 class _Initialize(Event):
@@ -472,9 +534,31 @@ class Simulator:
     def call_at(self, when: float, fn: _CallableT, *args: Any) -> Callback:
         """Call ``fn(*args)`` at absolute virtual time ``when``."""
         delay = when - self._now
-        if delay < 0:
+        if not delay >= 0:
             raise SimulationError(f"call_at({when}) is in the past (now={self._now})")
         return Callback(self, delay, fn, args)
+
+    def call_series(self, count: int, spacing: float, fn: _CallableT) -> None:
+        """Call ``fn(i)`` at virtual time ``i * spacing`` for each ``i < count``.
+
+        Runs exactly as ``for i in range(count): call_at(i * spacing, fn,
+        i)`` would -- same sequence numbers (all ``count`` are reserved
+        now), same heap keys, so ties with every other event order as
+        with the loop -- but keeps one live heap entry for the whole
+        series, which re-arms with call ``i + 1`` just before call ``i``
+        runs.  Like the loop, a series whose first call (at t = 0) is in
+        the past raises :class:`SimulationError` and schedules nothing.
+        """
+        if not (isinstance(count, int) and count >= 0):
+            raise SimulationError(f"count must be an int >= 0, got {count!r}")
+        if not 0 <= spacing < float("inf"):  # also rejects NaN
+            raise SimulationError(f"spacing must be finite and >= 0, got {spacing}")
+        if count:
+            if self._now > 0:
+                raise SimulationError(
+                    f"call_series(...) starts at 0, in the past (now={self._now})"
+                )
+            _Series(self, count, spacing, fn)
 
     def schedule(self, delay: float, fn: _CallableT, *args: Any) -> Event:
         """Call ``fn(*args)`` after ``delay``; returns the firing event.
@@ -498,6 +582,8 @@ class Simulator:
     # -- the loop -----------------------------------------------------------
 
     def _enqueue(self, event: Event, priority: int, delay: float) -> None:
+        if not delay >= 0:
+            raise SimulationError(f"delay must be >= 0, got {delay}")
         self._seq += 1
         _heappush(self._queue, (self._now + delay, priority, self._seq, event))
 
@@ -559,8 +645,8 @@ class Simulator:
                 raise StopSimulation(ev)
 
             until.callbacks.append(_stop)
-        elif isinstance(until, (int, float)):
-            if until < self._now:
+        elif isinstance(until, (int, float)) and not isinstance(until, bool):
+            if not until >= self._now:  # also rejects NaN
                 raise SimulationError(f"until={until} is in the past (now={self._now})")
             stop_at = float(until)
         else:
@@ -591,8 +677,8 @@ class Simulator:
                 raise ev._value
             return ev._value
 
-        if isinstance(until, (int, float)) and not isinstance(until, bool):
-            self._now = max(self._now, stop_at) if stop_at != float("inf") else self._now
         if isinstance(until, Event):
             raise SimulationError("simulation queue drained before `until` event fired")
+        if stop_at != float("inf"):
+            self._now = max(self._now, stop_at)
         return None

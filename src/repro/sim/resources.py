@@ -230,8 +230,9 @@ class RateServer:
         """Enqueue ``size`` units of work; event fires with :class:`JobStats`."""
         if size <= 0:
             raise SimulationError(f"job size must be > 0, got {size}")
-        stats = JobStats(size=size, submitted_at=self.sim.now, tag=tag)
-        job = _Job(size=size, remaining=float(size), event=self.sim.event(), stats=stats)
+        sim = self.sim
+        stats = JobStats(size=size, submitted_at=sim._now, tag=tag)
+        job = _Job(size=size, remaining=float(size), event=Event(sim), stats=stats)
         self._queue.append(job)
         if self._current is None:
             self._start_next()
@@ -279,22 +280,27 @@ class RateServer:
 
     # -- internals -----------------------------------------------------------
 
+    # The internals below run once or more per job: they read the clock
+    # as ``sim._now`` rather than through the ``now`` property.
+
     def _accrue(self) -> None:
         """Charge elapsed work against the in-flight job."""
-        now = self.sim.now
-        if self._current is not None and self._rate > 0:
-            self._current.remaining -= (now - self._last_update) * self._rate
-            if self._current.remaining < 0:
-                self._current.remaining = 0.0
+        now = self.sim._now
+        job = self._current
+        if job is not None and self._rate > 0:
+            job.remaining -= (now - self._last_update) * self._rate
+            if job.remaining < 0:
+                job.remaining = 0.0
         self._last_update = now
 
     def _start_next(self) -> None:
+        now = self.sim._now
         job = self._queue.popleft()
-        job.stats.started_at = self.sim.now
+        job.stats.started_at = now
         self._current = job
-        self._last_update = self.sim.now
+        self._last_update = now
         if self._busy_since is None:
-            self._busy_since = self.sim.now
+            self._busy_since = now
         self._schedule_completion()
 
     def _schedule_completion(self) -> None:
@@ -305,7 +311,7 @@ class RateServer:
         if self._rate <= 0:
             return  # frozen: completion rescheduled when rate rises
         eta = self._current.remaining / self._rate
-        self._timer = self.sim.call_later(eta, self._complete)
+        self._timer = Callback(self.sim, eta, self._complete, ())
 
     def _complete(self) -> None:
         self._timer = None
@@ -316,7 +322,8 @@ class RateServer:
             self._schedule_completion()
             return
         self._current = None
-        job.stats.completed_at = self.sim.now
+        now = self.sim._now
+        job.stats.completed_at = now
         self.jobs_completed += 1
         self.work_completed += job.size
         job.event.succeed(job.stats)
@@ -324,7 +331,7 @@ class RateServer:
             self._start_next()
         else:
             if self._busy_since is not None:
-                self.busy_time += self.sim.now - self._busy_since
+                self.busy_time += now - self._busy_since
                 self._busy_since = None
             if self._drain_waiters:
                 waiters = self._drain_waiters

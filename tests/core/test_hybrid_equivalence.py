@@ -16,6 +16,7 @@ import statistics
 
 import pytest
 
+from repro.core import hybrid
 from repro.core.hybrid import (
     HybridInfeasible,
     HybridRunner,
@@ -190,6 +191,32 @@ class TestRouteProbeShadow:
         # to the class method, which reads real queue state again.
         assert "queue_depth" not in vars(engine)
         assert engine.queue_depth == original
+
+    @pytest.mark.parametrize("policy", ["no-mitigation", "stutter-aware"])
+    def test_probe_hides_real_backlog_from_picks(self, policy):
+        """Inside the probe every member looks idle; outside, backlog shows.
+
+        Both the engine's default ``pick_candidate`` and the
+        stutter-aware ``pick`` must read depth through the instance's
+        ``queue_depth`` -- reading a member's backlog directly would make
+        fluid routes depend on transient residuals, which changes e28's
+        and the 10^6-client digests.
+        """
+        workload = campaign.WORKLOADS["raid10"]
+        scenario = campaign.generate_scenario(workload, "magnitude", 7, 0)
+        runner = HybridRunner(workload, scenario, policy)
+        engine = runner.engine
+        first, second = sorted(engine.groups[0])
+        for __ in range(3):  # backlog on the member that wins name ties
+            runner.system.components.get(first).submit(workload.work)
+        request = campaign.Request(index=0, work=workload.work,
+                                   group=engine.groups[0], submitted_at=0.0)
+        picks = (engine.pick_candidate, runner.policy.pick)
+        assert [pick(request) for pick in picks] == [second, second]
+        with hybrid._zero_queue_probe(engine):
+            assert engine.queue_depth(first) == 0
+            assert [pick(request) for pick in picks] == [first, first]
+        assert engine.queue_depth(first) == 3
 
 
 class TestUnannouncedRateChange:

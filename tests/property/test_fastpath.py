@@ -151,3 +151,114 @@ class TestDeterminismWithDefunctEntries:
         noisy = run_once(with_cancelled=True)
         assert clean == noisy
         assert clean == sorted(clean)
+
+
+class _Boom(Exception):
+    pass
+
+
+@st.composite
+def _series_cases(draw):
+    """A call_series (or its call_at loop) among other timers."""
+    count = draw(st.one_of(st.just(0), st.just(1), st.integers(2, 30)))
+    spacing = draw(st.one_of(
+        st.just(0.0),
+        st.sampled_from([0.1, 0.25, 1.0 / 3.0]),
+        st.floats(min_value=0.01, max_value=2.0),
+    ))
+    # Timers on an arrival instant (k * spacing, the very float the
+    # series computes) or anywhere; some get cancelled.
+    when = st.one_of(st.integers(0, 35).map(lambda k: k * spacing),
+                     st.floats(min_value=0.0, max_value=40.0))
+    return dict(
+        count=count,
+        spacing=spacing,
+        # A clock already past 0 when the series is created.
+        start=draw(st.sampled_from([0.0, 0.0, 0.75])),
+        before=draw(st.lists(when, max_size=6)),
+        after=draw(st.lists(when, max_size=6)),
+        cancel=draw(st.lists(st.integers(0, 11), max_size=4)),
+        # Calls that raise, and calls that schedule more work: at their
+        # own instant, or on the next arrival's.
+        raise_at=draw(st.sets(st.integers(0, 30), max_size=3)),
+        spawn=draw(st.lists(st.tuples(st.integers(0, 30),
+                                      st.sampled_from(["now", "next"])),
+                            max_size=6)),
+    )
+
+
+def _drive(case, series):
+    """Run one case.
+
+    Returns the log, the final clock, the most series entries the heap
+    ever held at once, and the sequence counter.
+    """
+    from repro.sim.engine import SimulationError, _Series
+
+    sim = Simulator()
+    log = []
+    most = 0
+
+    def count_series():
+        nonlocal most
+        live = sum(isinstance(entry[3], _Series) for entry in sim._queue)
+        most = max(most, live)
+
+    def call(i):
+        count_series()
+        log.append(("call", i, sim.now))
+        for index, where in case["spawn"]:
+            if index == i:
+                when = sim.now if where == "now" else (i + 1) * case["spacing"]
+                sim.call_at(when, log.append, ("spawned", i, where))
+        if i in case["raise_at"]:
+            raise _Boom(i)
+
+    if case["start"]:
+        sim.run(until=case["start"])
+    handles = [sim.call_at(case["start"] + t, log.append, ("before", k))
+               for k, t in enumerate(case["before"])]
+    try:
+        if series:
+            sim.call_series(case["count"], case["spacing"], call)
+        else:
+            for i in range(case["count"]):
+                sim.call_at(i * case["spacing"], call, i)
+    except SimulationError:
+        log.append(("refused",))
+    handles += [sim.call_at(case["start"] + t, log.append, ("after", k))
+                for k, t in enumerate(case["after"])]
+    for k in case["cancel"]:
+        if handles:
+            handles[k % len(handles)].cancel()
+    while True:
+        try:
+            sim.run()
+            break
+        except _Boom as exc:
+            log.append(("raised", exc.args[0], sim.now))
+            count_series()
+    return log, sim.now, most, sim._seq
+
+
+class TestCallSeriesEqualsCallAtLoop:
+    @given(_series_cases())
+    @settings(max_examples=200, deadline=None)
+    def test_same_log_same_clock_one_entry(self, case):
+        """call_series runs exactly like its call_at loop, on one entry.
+
+        Same calls in the same order at the same instants, interleaved
+        identically with timers scheduled before and after it (ties
+        included), with cancelled timers, with calls that raise, and
+        with work the calls themselves schedule."""
+        loop_log, loop_now, __, loop_seq = _drive(case, series=False)
+        log, now, most, seq = _drive(case, series=True)
+        assert log == loop_log
+        assert now == loop_now
+        assert seq == loop_seq
+        assert most <= 1
+        # A series created after t=0 is refused whole, like the loop.
+        refused = case["start"] > 0 and case["count"] > 0
+        assert (("refused",) in log) == refused
+        calls = [entry[1] for entry in log if entry[0] == "call"]
+        assert calls == ([] if refused else list(range(case["count"])))

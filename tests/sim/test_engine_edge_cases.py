@@ -1,5 +1,7 @@
 """Edge-case coverage for the simulation kernel."""
 
+import math
+
 import pytest
 
 from repro.sim import (
@@ -11,6 +13,7 @@ from repro.sim import (
     Simulator,
     Store,
 )
+from repro.sim.engine import PRIORITY_NORMAL
 
 
 class TestConditionEdgeCases:
@@ -240,3 +243,63 @@ class TestRunSemantics:
         assert later == []  # background not yet run
         sim.run()
         assert later == [5.0]
+
+
+class TestNaNAndBoolArguments:
+    """A NaN heap key or a bool ``until`` must fail loudly, not quietly."""
+
+    NAN = float("nan")
+
+    def test_nan_delay_rejected_everywhere(self):
+        sim = Simulator()
+        with pytest.raises(SimulationError):
+            sim.timeout(self.NAN)
+        with pytest.raises(SimulationError):
+            sim.call_later(self.NAN, lambda: None)
+        with pytest.raises(SimulationError):
+            sim.call_at(self.NAN, lambda: None)
+        with pytest.raises(SimulationError):
+            sim._enqueue(sim.event(), PRIORITY_NORMAL, self.NAN)
+        with pytest.raises(SimulationError):
+            sim.call_series(3, self.NAN, lambda i: None)
+        assert sim._queue == [] and sim._seq == 0
+
+    def test_nan_timer_no_longer_cuts_the_run_short(self):
+        """Timers at 3, 1, 2, NaN, 0.5, 4, 1.5: the NaN one is refused and
+        every other one runs, in time order, to t=4."""
+        sim = Simulator()
+        fired = []
+        for delay in (3, 1, 2, self.NAN, 0.5, 4, 1.5):
+            if math.isnan(delay):
+                with pytest.raises(SimulationError):
+                    sim.call_later(delay, fired.append, delay)
+            else:
+                sim.call_later(delay, fired.append, delay)
+        sim.run()
+        assert fired == [0.5, 1, 1.5, 2, 3, 4]
+        assert sim.now == 4.0
+
+    @pytest.mark.parametrize("count, spacing", [
+        (-1, 1.0), (2.0, 1.0), ("3", 1.0), (3, -1.0), (3, float("inf")),
+    ])
+    def test_call_series_arguments_validated(self, count, spacing):
+        sim = Simulator()
+        with pytest.raises(SimulationError):
+            sim.call_series(count, spacing, lambda i: None)
+        assert sim._queue == [] and sim._seq == 0
+
+    @pytest.mark.parametrize("until", [True, False])
+    def test_bool_until_rejected(self, until):
+        sim = Simulator()
+        fired = []
+        sim.call_later(0.5, fired.append, "early")
+        with pytest.raises(SimulationError, match="bad until"):
+            sim.run(until=until)
+        assert fired == [] and sim.now == 0.0
+
+    def test_nan_until_rejected(self):
+        sim = Simulator()
+        sim.call_later(0.5, lambda: None)
+        with pytest.raises(SimulationError):
+            sim.run(until=self.NAN)
+        assert sim.now == 0.0
