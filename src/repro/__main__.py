@@ -22,7 +22,7 @@ import argparse
 import sys
 
 from .experiments import ALL_EXPERIMENTS, experiment_substrates
-from .experiments.report import CLAIMS, generate
+from .experiments.report import CLAIMS, add_report_arguments, print_report
 
 
 def _cmd_list() -> int:
@@ -71,14 +71,6 @@ def _cmd_run(ids) -> int:
     for key in ids:
         print(ALL_EXPERIMENTS[key]().render())
         print()
-    return 0
-
-
-def _cmd_report(args) -> int:
-    from .analysis.cache import ResultCache
-
-    cache = None if args.no_cache else ResultCache(args.cache_dir)
-    print(generate(workers=args.workers, cache=cache))
     return 0
 
 
@@ -269,20 +261,8 @@ def main(argv=None) -> int:
     )
     run_parser = sub.add_parser("run", help="regenerate experiments by id")
     run_parser.add_argument("ids", nargs="+", help="experiment ids (or 'all')")
-    report_parser = sub.add_parser(
-        "report", help="print the full EXPERIMENTS.md content"
-    )
-    report_parser.add_argument(
-        "--workers", type=int, default=None, metavar="N",
-        help="process-pool size for cache-miss experiments (default: serial)",
-    )
-    report_parser.add_argument(
-        "--no-cache", action="store_true",
-        help="recompute every experiment, bypassing the result cache",
-    )
-    report_parser.add_argument(
-        "--cache-dir", default=None, metavar="PATH",
-        help="cache location (default: $REPRO_CACHE_DIR or ~/.cache/repro/experiments)",
+    add_report_arguments(
+        sub.add_parser("report", help="print the full EXPERIMENTS.md content")
     )
     campaign_parser = sub.add_parser(
         "campaign",
@@ -403,7 +383,7 @@ def main(argv=None) -> int:
         return _cmd_sweep(args)
     if args.command == "replay":
         return _cmd_replay(args)
-    return _cmd_report(args)
+    return print_report(args)
 
 
 if __name__ == "__main__":

@@ -1,25 +1,10 @@
 """Measurement and reporting utilities for experiments."""
 
-from .availability import availability_curve, unavailability_nines
 from .cache import ResultCache, canonical_kwargs, default_cache_dir, module_closure, source_digest
-from .parallel import parallel_sweep, pool_start_method
 from .report import Table
-from .stats import Summary, confidence_interval, geometric_mean, ratio, summarize
-from .sweep import cross, sweep
 
 __all__ = [
     "Table",
-    "Summary",
-    "summarize",
-    "confidence_interval",
-    "geometric_mean",
-    "ratio",
-    "sweep",
-    "parallel_sweep",
-    "pool_start_method",
-    "cross",
-    "availability_curve",
-    "unavailability_nines",
     "ResultCache",
     "canonical_kwargs",
     "default_cache_dir",

@@ -270,10 +270,7 @@ class HybridRunner:
     """
 
     def __init__(self, workload: "CampaignWorkload", scenario: "Scenario",
-                 policy, resolution: int = 8):
-        # ``resolution`` is retained for call-site compatibility but
-        # unused: the FIFO delay reconstruction is exact (arithmetic
-        # ramps), so there is no latency quantization left to tune.
+                 policy):
         self.workload = workload
         self.scenario = scenario
         self.system = System()

@@ -16,10 +16,8 @@ fail-stopped.
 from __future__ import annotations
 
 import random
-from functools import partial
-from typing import Optional, Sequence
+from typing import Sequence
 
-from ..analysis.parallel import parallel_sweep
 from ..analysis.report import Table
 from ..core.system import FailStutterSystem, WeightedRouter
 from ..faults.component import DegradableServer
@@ -72,13 +70,8 @@ def run(
     gap: float = 0.06,
     slo: float = 0.6,
     seed: int = 23,
-    workers: Optional[int] = None,
 ) -> Table:
-    """Regenerate the A2 table: T vs availability and promotions.
-
-    The per-threshold points are independent simulations; ``workers``
-    runs them through a process pool (``None`` = serial, same output).
-    """
+    """Regenerate the A2 table: T vs availability and promotions."""
     table = Table(
         "A2: correctness threshold T -- one 4x-slow server (keep) + one "
         "wedged server (kill)",
@@ -86,11 +79,9 @@ def run(
         note="low T wastes the working-but-slow server; high T strands "
         "requests on the wedged one",
     )
-    point_fn = partial(
-        _one, n_servers=n_servers, n_requests=n_requests, gap=gap, slo=slo, seed=seed
-    )
-    for t_value, (availability, killed, slow_killed) in parallel_sweep(
-        t_values, point_fn, workers=workers
-    ):
+    for t_value in t_values:
+        availability, killed, slow_killed = _one(
+            t_value, n_servers, n_requests, gap, slo, seed
+        )
         table.add_row(t_value, availability, killed, slow_killed)
     return table

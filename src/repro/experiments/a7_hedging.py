@@ -12,10 +12,8 @@ and report both sides: makespan and duplicates/wasted completions.
 
 from __future__ import annotations
 
-from functools import partial
-from typing import Optional, Sequence, Tuple
+from typing import Sequence
 
-from ..analysis.parallel import parallel_sweep
 from ..analysis.report import Table
 from ..core.hedging import HedgingScheduler
 from ..faults.component import DegradableServer
@@ -44,27 +42,13 @@ def _one(hedge_after, n_tasks: int, n_workers: int, seed: int):
     return result
 
 
-def _point(
-    threshold: float, n_tasks: int, n_workers: int, seed: int
-) -> Tuple[float, int, int]:
-    """One threshold's (makespan, duplicates, wasted) -- an independent
-    simulation returning plain scalars so it ships cheaply from a worker."""
-    result = _one(threshold, n_tasks, n_workers, seed)
-    return result.duration, result.duplicates_launched, result.wasted_completions
-
-
 def run(
     thresholds: Sequence[float] = (1.2, 2.0, 4.0, 8.0, 1e6),
     n_tasks: int = 48,
     n_workers: int = 4,
     seed: int = 67,
-    workers: Optional[int] = None,
 ) -> Table:
-    """Regenerate the A7 table: hedge threshold vs makespan and waste.
-
-    The per-threshold points are independent simulations; ``workers``
-    runs them through a process pool (``None`` = serial, same output).
-    """
+    """Regenerate the A7 table: hedge threshold vs makespan and waste."""
     table = Table(
         "A7: hedge-after threshold -- heterogeneous tasks, one worker "
         "wedging mid-run",
@@ -72,9 +56,8 @@ def run(
         note="eager hedging burns duplicate work; lazy hedging (1e6 = "
         "disabled) lets the straggler set the completion time",
     )
-    point_fn = partial(_point, n_tasks=n_tasks, n_workers=n_workers, seed=seed)
-    for threshold, (duration, duplicates, wasted) in parallel_sweep(
-        thresholds, point_fn, workers=workers
-    ):
-        table.add_row(threshold, duration, duplicates, wasted)
+    for threshold in thresholds:
+        result = _one(threshold, n_tasks, n_workers, seed)
+        table.add_row(threshold, result.duration, result.duplicates_launched,
+                      result.wasted_completions)
     return table

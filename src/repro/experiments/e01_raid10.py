@@ -15,10 +15,6 @@ Paper's analysis, with N pairs at B MB/s and one pair at b < B:
 
 from __future__ import annotations
 
-from functools import partial
-from typing import Optional, Tuple
-
-from ..analysis.parallel import parallel_sweep
 from ..analysis.report import Table
 from ..core.system import System
 from ..storage.disk import Disk, DiskParams
@@ -61,14 +57,6 @@ def _one_run(policy_name: str, scenario: str, n_pairs: int, rate_b: float,
     return result.throughput_mb_s
 
 
-def _cell(point: Tuple[str, str], n_pairs: int, rate_b: float, slow_factor: float,
-          n_blocks: int) -> float:
-    """One (scenario, policy) sweep point: an independent simulation,
-    module-level so it can run in a worker process."""
-    scenario, policy = point
-    return _one_run(policy, scenario, n_pairs, rate_b, slow_factor, n_blocks)
-
-
 def analytic(scenario: str, policy: str, n: int, big: float, small: float) -> float:
     """The paper's closed-form prediction for each cell."""
     if scenario == "healthy":
@@ -83,13 +71,8 @@ def analytic(scenario: str, policy: str, n: int, big: float, small: float) -> fl
 
 
 def run(n_pairs: int = 4, rate_b: float = 5.5, slow_factor: float = 0.5,
-        n_blocks: int = 400, workers: Optional[int] = None) -> Table:
-    """Regenerate the E1 table: policy x scenario throughput.
-
-    The nine (scenario, policy) cells are independent simulations;
-    ``workers`` runs them through a process pool (``None`` = serial,
-    byte-identical output).
-    """
+        n_blocks: int = 400) -> Table:
+    """Regenerate the E1 table: policy x scenario throughput."""
     small = rate_b * slow_factor
     table = Table(
         "E1: Section 3.2 RAID-10 write throughput (MB/s), "
@@ -97,20 +80,15 @@ def run(n_pairs: int = 4, rate_b: float = 5.5, slow_factor: float = 0.5,
         ["scenario", "policy", "measured MB/s", "paper analytic MB/s", "bookkeeping"],
         note="dynamic-fault analytic values are the 'tracks the slow disk' bound",
     )
-    points = [
-        (scenario, policy)
-        for scenario in ("healthy", "static-fault", "dynamic-fault")
-        for policy in ("uniform", "proportional", "adaptive")
-    ]
-    cell_fn = partial(_cell, n_pairs=n_pairs, rate_b=rate_b,
-                      slow_factor=slow_factor, n_blocks=n_blocks)
-    for (scenario, policy), measured in parallel_sweep(points, cell_fn, workers=workers):
-        bookkeeping = n_blocks if policy == "adaptive" else 0
-        table.add_row(
-            scenario,
-            policy,
-            measured,
-            analytic(scenario, policy, n_pairs, rate_b, small),
-            bookkeeping,
-        )
+    for scenario in ("healthy", "static-fault", "dynamic-fault"):
+        for policy in ("uniform", "proportional", "adaptive"):
+            measured = _one_run(policy, scenario, n_pairs, rate_b, slow_factor, n_blocks)
+            bookkeeping = n_blocks if policy == "adaptive" else 0
+            table.add_row(
+                scenario,
+                policy,
+                measured,
+                analytic(scenario, policy, n_pairs, rate_b, small),
+                bookkeeping,
+            )
     return table

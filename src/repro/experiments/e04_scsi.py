@@ -14,10 +14,7 @@ chain.
 from __future__ import annotations
 
 import random
-from functools import partial
-from typing import Optional
 
-from ..analysis.parallel import parallel_sweep
 from ..analysis.report import Table
 from ..faults.distributions import Exponential, Fixed
 from ..sim.engine import Simulator
@@ -42,9 +39,7 @@ def _chain(sim: Simulator, n_disks: int):
 def _scan_bandwidth(
     with_resets: bool, n_disks: int, reset_seconds: float, seed: int
 ) -> float:
-    """Part (b) sweep point: streaming-scan bandwidth on a quiet or
-    resetting chain.  Module-level (picklable) and independently seeded,
-    so the two points can run in parallel workers."""
+    """Part (b): streaming-scan bandwidth on a quiet or resetting chain."""
     sim = Simulator()
     disks = _chain(sim, n_disks)
     if with_resets:
@@ -67,13 +62,8 @@ def run(
     errors_per_day: float = 2.0,
     reset_seconds: float = 2.0,
     seed: int = 7,
-    workers: Optional[int] = None,
 ) -> Table:
-    """Regenerate the E4 table: error accounting plus reset impact.
-
-    The part-(b) scan points are independent simulations; ``workers``
-    runs them through a process pool (``None`` = serial, same output).
-    """
+    """Regenerate the E4 table: error accounting plus reset impact."""
     # Part (a): accounting over a long window.
     sim = Simulator()
     disks = _chain(sim, n_disks)
@@ -90,12 +80,8 @@ def run(
     observed_per_day = len(bus.errors) / days
 
     # Part (b): scan bandwidth with a fast reset cadence to expose impact.
-    scan_fn = partial(
-        _scan_bandwidth, n_disks=n_disks, reset_seconds=reset_seconds, seed=seed
-    )
-    scans = dict(parallel_sweep([False, True], scan_fn, workers=workers))
-    clean = scans[False]
-    noisy = scans[True]
+    clean = _scan_bandwidth(False, n_disks, reset_seconds, seed)
+    noisy = _scan_bandwidth(True, n_disks, reset_seconds, seed)
 
     table = Table(
         f"E4: SCSI chain errors over {days:.0f} simulated days ({n_disks}-disk chain)",

@@ -12,10 +12,6 @@ different speeds.
 
 from __future__ import annotations
 
-from functools import partial
-from typing import Optional, Tuple
-
-from ..analysis.parallel import parallel_sweep
 from ..analysis.report import Table
 from ..sim.engine import Simulator
 from ..storage.disk import Disk, DiskParams
@@ -26,7 +22,8 @@ __all__ = ["run"]
 
 
 def _zone_scan(
-    point: Tuple[int, int],
+    index: int,
+    start: int,
     outer_rate: float,
     inner_rate: float,
     n_zones: int,
@@ -35,11 +32,9 @@ def _zone_scan(
 ) -> float:
     """One zone's streaming scan as an independent simulation.
 
-    Each point builds its own disk (the geometry is a pure function of
-    the parameters), so zones can be measured in any order or in
-    parallel workers without sharing simulator state.
+    Each scan builds its own disk (the geometry is a pure function of
+    the parameters), so no zone shares simulator state with another.
     """
-    index, start = point
     sim = Simulator()
     params = DiskParams(rpm=7200, avg_seek=0.009, block_size_mb=0.5)
     geometry = zoned_geometry(capacity_blocks, outer_rate, inner_rate, n_zones)
@@ -55,13 +50,8 @@ def run(
     n_zones: int = 8,
     capacity_blocks: int = 160_000,
     scan_blocks: int = 4000,
-    workers: Optional[int] = None,
 ) -> Table:
-    """Regenerate the E5 table: per-zone streaming bandwidth.
-
-    The per-zone scans are independent simulations; ``workers`` runs
-    them through a process pool (``None`` = serial, same output).
-    """
+    """Regenerate the E5 table: per-zone streaming bandwidth."""
     table = Table(
         f"E5: zoned-disk bandwidth, {n_zones} zones, "
         f"{outer_rate}->{inner_rate} MB/s",
@@ -69,20 +59,12 @@ def run(
         note="paper: outer zones up to 2x the inner zones",
     )
     geometry = zoned_geometry(capacity_blocks, outer_rate, inner_rate, n_zones)
-    points, start = [], 0
-    for zone in geometry.zones:
-        points.append((len(points), start))
+    start = 0
+    for index, zone in enumerate(geometry.zones):
+        bandwidth = _zone_scan(index, start, outer_rate, inner_rate, n_zones,
+                               capacity_blocks, scan_blocks)
+        table.add_row(index, start, bandwidth, zone.rate)
         start += zone.blocks
-    scan_fn = partial(
-        _zone_scan,
-        outer_rate=outer_rate,
-        inner_rate=inner_rate,
-        n_zones=n_zones,
-        capacity_blocks=capacity_blocks,
-        scan_blocks=scan_blocks,
-    )
-    for (index, zone_start), bandwidth in parallel_sweep(points, scan_fn, workers=workers):
-        table.add_row(index, zone_start, bandwidth, geometry.zones[index].rate)
     outer = table.rows[0][2]
     inner = table.rows[-1][2]
     table.note += f"; measured outer/inner ratio = {outer / inner:.2f}"

@@ -11,17 +11,13 @@ peak -- the cluster-plus-tail shape is the target.
 Each repetition is an *independent* simulation: its stutter process is
 seeded per run (:func:`~repro.sim.random.derive_seed`) and the benchmark
 starts at a random phase of that process, so a run samples the same
-stationary behavior a long shared timeline would, while remaining safe
-to execute in parallel workers.
+stationary behavior a long shared timeline would.
 """
 
 from __future__ import annotations
 
 import random
-from functools import partial
-from typing import Optional
 
-from ..analysis.parallel import parallel_sweep
 from ..analysis.report import Table
 from ..core.system import System
 from ..faults.distributions import Exponential, Uniform
@@ -70,25 +66,18 @@ def run(
     stutter_mean_gap: float = 15.0,
     stutter_mean_duration: float = 4.0,
     seed: int = 11,
-    workers: Optional[int] = None,
 ) -> Table:
     """Regenerate the E6 table: benchmark-time distribution vs peak.
 
     Each run takes ~2 s against stutter episodes averaging 4 s every
     ~19 s: most runs miss the episodes entirely (the near-peak cluster),
     while an unlucky run sits mostly inside one and lands at the
-    episode's rate factor -- the paper's 15-20%-of-peak tail.  The runs
-    are independent simulations; ``workers`` fans them out over a
-    process pool (``None`` = serial, same output).
+    episode's rate factor -- the paper's 15-20%-of-peak tail.
     """
-    run_fn = partial(
-        _one_benchmark,
-        nblocks=nblocks,
-        stutter_mean_gap=stutter_mean_gap,
-        stutter_mean_duration=stutter_mean_duration,
-        seed=seed,
-    )
-    bandwidths = [b for _, b in parallel_sweep(range(n_runs), run_fn, workers=workers)]
+    bandwidths = [
+        _one_benchmark(i, nblocks, stutter_mean_gap, stutter_mean_duration, seed)
+        for i in range(n_runs)
+    ]
     peak = max(bandwidths)
     fractions = sorted(b / peak for b in bandwidths)
     near_peak = sum(1 for f in fractions if f >= 0.9) / len(fractions)

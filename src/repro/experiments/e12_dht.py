@@ -11,10 +11,7 @@ adaptive (fail-stutter) placement of new keys.
 from __future__ import annotations
 
 import random
-from functools import partial
-from typing import Optional, Tuple
 
-from ..analysis.parallel import parallel_sweep
 from ..analysis.report import Table
 from ..cluster.dht import ReplicatedDht
 from ..core.system import System
@@ -61,16 +58,6 @@ def _one(gc: bool, placement: str, n_ops: int, gap: float, seed: int) -> Latency
     return _drive(sim, dht, n_ops, gap, reuse=0.0, seed=seed)
 
 
-def _config_point(
-    point: Tuple[bool, str], n_ops: int, gap: float, seed: int
-) -> Tuple[float, float, float]:
-    """One configuration's (p50, p99, max) -- an independent simulation,
-    returning plain floats so the result ships cheaply from a worker."""
-    gc, placement = point
-    summary = _one(gc, placement, n_ops, gap, seed).summary()
-    return summary.p50, summary.p99, summary.maximum
-
-
 CONFIGURATIONS = (
     ("no GC, hashed", False, "hash"),
     ("GC, hashed", True, "hash"),
@@ -78,22 +65,15 @@ CONFIGURATIONS = (
 )
 
 
-def run(n_ops: int = 800, gap: float = 0.02, seed: int = 3,
-        workers: Optional[int] = None) -> Table:
-    """Regenerate the E12 table: GC x placement put latency.
-
-    The three configurations are independent simulations; ``workers``
-    runs them through a process pool (``None`` = serial, same output).
-    """
+def run(n_ops: int = 800, gap: float = 0.02, seed: int = 3) -> Table:
+    """Regenerate the E12 table: GC x placement put latency."""
     table = Table(
         "E12: replicated DHT put latency under stop-the-world GC on one brick",
         ["configuration", "p50 (s)", "p99 (s)", "max (s)"],
         note="paper: the GC'd node falls behind its mirror and saturates; "
         "adaptive placement of new keys limits the damage",
     )
-    points = [(gc, placement) for _, gc, placement in CONFIGURATIONS]
-    point_fn = partial(_config_point, n_ops=n_ops, gap=gap, seed=seed)
-    results = parallel_sweep(points, point_fn, workers=workers)
-    for (label, _, __), (___, (p50, p99, maximum)) in zip(CONFIGURATIONS, results):
-        table.add_row(label, p50, p99, maximum)
+    for label, gc, placement in CONFIGURATIONS:
+        summary = _one(gc, placement, n_ops, gap, seed).summary()
+        table.add_row(label, summary.p50, summary.p99, summary.maximum)
     return table

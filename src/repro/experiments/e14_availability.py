@@ -20,10 +20,8 @@ One server pool, one mid-run performance fault, four routing designs:
 from __future__ import annotations
 
 import random
-from functools import partial
-from typing import Optional, Tuple
+from typing import Optional
 
-from ..analysis.parallel import parallel_sweep
 from ..analysis.report import Table
 from ..core.system import (
     FailStutterSystem,
@@ -102,32 +100,17 @@ def _run_policy(
     return meter.availability()
 
 
-def _availability_point(
-    point: Tuple[str, Optional[float]],
-    n_servers: int,
-    n_requests: int,
-    arrival_gap: float,
-    slo: float,
-    seed: int,
-) -> float:
-    """One (policy, fault) sweep point; module-level so it pickles."""
-    policy, fault = point
-    return _run_policy(policy, fault, n_servers, n_requests, arrival_gap, slo, seed)
-
-
 def run(
     n_servers: int = 4,
     n_requests: int = 600,
     arrival_gap: float = 0.05,
     slo: float = 0.5,
     seed: int = 17,
-    workers: Optional[int] = None,
 ) -> Table:
     """Regenerate the E14 table: policy x fault availability.
 
     Every (policy, fault) cell is an independent simulation seeded from
-    ``seed``, so ``workers`` fans the grid out over a process pool
-    without changing the table (``None`` = serial).
+    ``seed``.
     """
     table = Table(
         f"E14: availability (SLO {slo}s) of a {n_servers}-server pool, "
@@ -138,17 +121,11 @@ def run(
     )
     policies = ("round-robin", "jsq", "weighted", "weighted+T")
     faults = (None, 0.05, 0.0)
-    points = [(policy, fault) for policy in policies for fault in faults]
-    point_fn = partial(
-        _availability_point,
-        n_servers=n_servers,
-        n_requests=n_requests,
-        arrival_gap=arrival_gap,
-        slo=slo,
-        seed=seed,
-    )
-    results = dict(parallel_sweep(points, point_fn, workers=workers))
     for policy in policies:
-        table.add_row(policy, *(results[(policy, fault)] for fault in faults))
+        cells = [
+            _run_policy(policy, fault, n_servers, n_requests, arrival_gap, slo, seed)
+            for fault in faults
+        ]
+        table.add_row(policy, *cells)
     return table
 

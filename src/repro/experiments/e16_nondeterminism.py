@@ -13,17 +13,14 @@ in the program differs between runs.
 
 Each run is an *independent* trial: its predictor state is seeded per
 run (:func:`~repro.sim.random.derive_seed`) rather than drawn from one
-shared master stream, so runs can execute in any order -- or in parallel
-workers -- and still render byte-identically.
+shared master stream, so runs can execute in any order and still render
+byte-identically.
 """
 
 from __future__ import annotations
 
 import random
-from functools import partial
-from typing import Optional
 
-from ..analysis.parallel import parallel_sweep
 from ..analysis.report import Table
 from ..processor.predictor import NextFieldPredictor, run_snippet
 from ..sim.random import derive_seed
@@ -58,21 +55,12 @@ def run(
     mispredict_penalty: int = 2,
     target_space: int = 8,
     seed: int = 19,
-    workers: Optional[int] = None,
 ) -> Table:
-    """Regenerate the E16 table: run-time distribution across runs.
-
-    ``workers`` fans the independent runs out over a process pool
-    (``None`` = serial, same output).
-    """
-    run_fn = partial(
-        _one_run,
-        n_dispatches=n_dispatches,
-        mispredict_penalty=mispredict_penalty,
-        target_space=target_space,
-        seed=seed,
-    )
-    runtimes = [cycles for _, cycles in parallel_sweep(range(n_runs), run_fn, workers=workers)]
+    """Regenerate the E16 table: run-time distribution across runs."""
+    runtimes = [
+        _one_run(i, n_dispatches, mispredict_penalty, target_space, seed)
+        for i in range(n_runs)
+    ]
     fast = min(runtimes)
     slow = max(runtimes)
     slow_runs = sum(1 for r in runtimes if r == slow)

@@ -15,10 +15,8 @@ false-positive count.
 from __future__ import annotations
 
 import random
-from functools import partial
 from typing import Dict, List, Optional, Tuple
 
-from ..analysis.parallel import parallel_sweep
 from ..analysis.report import Table
 from ..core.prediction import StutterTrendPredictor, score_predictions
 from ..sim.random import derive_seed
@@ -50,15 +48,15 @@ def _wearout_episodes(
 
 
 def _episode_stream(
-    point: Tuple[str, Optional[float]],
+    name: str,
+    death_at: Optional[float],
     base_rate: float,
     acceleration: float,
     horizon: float,
     seed: int,
 ) -> List[float]:
-    """One disk's episode timeline -- an independent, per-point-seeded
-    sweep point (``death_at=None`` marks a healthy disk)."""
-    name, death_at = point
+    """One disk's episode timeline, seeded from its name
+    (``death_at=None`` marks a healthy disk)."""
     rng = random.Random(derive_seed(seed, f"e19/{name}"))
     if death_at is None:
         return _healthy_episodes(base_rate, horizon, rng)
@@ -72,15 +70,13 @@ def run(
     acceleration: float = 30.0,
     horizon: float = 3000.0,
     seed: int = 41,
-    workers: Optional[int] = None,
 ) -> Table:
     """Regenerate the E19 table: predictor scores on the synthetic fleet.
 
     Each disk's episode timeline is seeded independently from its name
-    (:func:`derive_seed`), so the fleet's streams are order-independent
-    and ``workers`` can generate them in a process pool (``None`` =
-    serial, same output).  The predictor feed stays serial: it consumes
-    the merged timeline in global order, as a live monitor would.
+    (:func:`derive_seed`), so the fleet's streams are order-independent.
+    The predictor consumes the merged timeline in global order, as a
+    live monitor would.
     """
     predictor = StutterTrendPredictor(
         baseline_rate=base_rate, window=100.0, factor=4.0, min_episodes=5
@@ -95,16 +91,9 @@ def run(
     points: List[Tuple[str, Optional[float]]] = [
         (f"ok{i}", None) for i in range(n_healthy)
     ] + [(f"dying{i}", death_times[f"dying{i}"]) for i in range(n_dying)]
-    stream_fn = partial(
-        _episode_stream,
-        base_rate=base_rate,
-        acceleration=acceleration,
-        horizon=horizon,
-        seed=seed,
-    )
     streams: Dict[str, List[float]] = {
-        name: episodes
-        for (name, _), episodes in parallel_sweep(points, stream_fn, workers=workers)
+        name: _episode_stream(name, death_at, base_rate, acceleration, horizon, seed)
+        for name, death_at in points
     }
 
     # Merge-feed all episodes in global time order (as a monitor would see).

@@ -14,10 +14,8 @@ speed with zero reconfiguration: true plug-and-play.
 
 from __future__ import annotations
 
-from functools import partial
-from typing import Optional, Sequence, Tuple
+from typing import Sequence
 
-from ..analysis.parallel import parallel_sweep
 from ..analysis.report import Table
 from ..sim.engine import Simulator
 from ..storage.disk import Disk, DiskParams
@@ -50,32 +48,14 @@ def _throughput(policy, n_old, n_new, old_rate, new_rate, n_blocks):
     return result.throughput_mb_s
 
 
-POLICIES = {"uniform": UniformStriping, "adaptive": AdaptiveStriping}
-
-
-def _policy_point(
-    point: Tuple[int, str], n_old: int, old_rate: float, new_rate: float, n_blocks: int
-) -> float:
-    """One (added pairs, policy) cell -- an independent simulation; the
-    policy is named (not passed as an instance) so the point pickles."""
-    n_new, policy_name = point
-    return _throughput(POLICIES[policy_name](), n_old, n_new, old_rate, new_rate, n_blocks)
-
-
 def run(
     n_old: int = 4,
     new_counts: Sequence[int] = (0, 1, 2, 4),
     old_rate: float = 5.5,
     new_rate: float = 11.0,
     n_blocks: int = 600,
-    workers: Optional[int] = None,
 ) -> Table:
-    """Regenerate the E21 table: added fast pairs vs policy throughput.
-
-    The (added pairs, policy) cells are independent simulations;
-    ``workers`` runs them through a process pool (``None`` = serial,
-    same output).
-    """
+    """Regenerate the E21 table: added fast pairs vs policy throughput."""
     table = Table(
         f"E21: incremental growth -- {n_old} old pairs ({old_rate} MB/s) plus "
         f"new pairs at {new_rate} MB/s",
@@ -89,14 +69,9 @@ def run(
         note="uniform striping treats new disks as identical to old ones "
         "and wastes them; adaptive striping is plug-and-play",
     )
-    points = [(n_new, name) for n_new in new_counts for name in ("uniform", "adaptive")]
-    point_fn = partial(
-        _policy_point, n_old=n_old, old_rate=old_rate, new_rate=new_rate, n_blocks=n_blocks
-    )
-    cells = dict(parallel_sweep(points, point_fn, workers=workers))
     for n_new in new_counts:
         capacity = n_old * old_rate + n_new * new_rate
-        uniform = cells[(n_new, "uniform")]
-        adaptive = cells[(n_new, "adaptive")]
+        uniform = _throughput(UniformStriping(), n_old, n_new, old_rate, new_rate, n_blocks)
+        adaptive = _throughput(AdaptiveStriping(), n_old, n_new, old_rate, new_rate, n_blocks)
         table.add_row(n_new, uniform, adaptive, capacity, adaptive / capacity)
     return table

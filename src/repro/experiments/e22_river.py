@@ -12,10 +12,8 @@ capacity actually lost.
 
 from __future__ import annotations
 
-from functools import partial
-from typing import Optional, Sequence, Tuple
+from typing import Sequence
 
-from ..analysis.parallel import parallel_sweep
 from ..analysis.report import Table
 from ..core.river import DistributedQueue
 from ..faults.component import DegradableServer
@@ -35,27 +33,12 @@ def _drain_throughput(policy: str, factor: float, n_consumers: int, n_records: i
     return result.throughput
 
 
-def _factor_point(
-    factor: float, n_consumers: int, n_records: int
-) -> Tuple[float, float]:
-    """One perturbation-factor sweep point: (hash, credit) throughputs."""
-    hash_tp = _drain_throughput("hash", factor, n_consumers, n_records)
-    credit_tp = _drain_throughput("credit", factor, n_consumers, n_records)
-    return hash_tp, credit_tp
-
-
 def run(
     factors: Sequence[float] = (1.0, 0.5, 0.25, 0.1),
     n_consumers: int = 4,
     n_records: int = 120,
-    workers: Optional[int] = None,
 ) -> Table:
-    """Regenerate the E22 table: perturbation vs DQ/hash throughput.
-
-    Each perturbation factor is an independent pair of simulations, so
-    ``workers`` distributes the factor sweep over a process pool with
-    identical table output (``None`` = serial).
-    """
+    """Regenerate the E22 table: perturbation vs DQ/hash throughput."""
     table = Table(
         f"E22: distributed queue vs static partitioning, {n_consumers} "
         "consumers, one perturbed",
@@ -69,8 +52,9 @@ def run(
         note="River's shape: the DQ loses only the perturbed capacity; "
         "static partitioning tracks the slow consumer",
     )
-    point_fn = partial(_factor_point, n_consumers=n_consumers, n_records=n_records)
-    for factor, (hash_tp, credit_tp) in parallel_sweep(factors, point_fn, workers=workers):
+    for factor in factors:
+        hash_tp = _drain_throughput("hash", factor, n_consumers, n_records)
+        credit_tp = _drain_throughput("credit", factor, n_consumers, n_records)
         capacity = (n_consumers - 1) + factor
         table.add_row(factor, hash_tp, credit_tp, capacity, credit_tp / capacity)
     return table

@@ -23,7 +23,7 @@ from typing import Iterable, Optional
 from ..analysis.cache import ResultCache
 from . import ALL_EXPERIMENTS
 
-__all__ = ["CLAIMS", "generate", "main"]
+__all__ = ["CLAIMS", "add_report_arguments", "generate", "main", "print_report"]
 
 #: Paper claim per experiment id, quoted or paraphrased from the text.
 CLAIMS = {
@@ -210,11 +210,12 @@ def generate(
     return "\n".join(parts)
 
 
-def main(argv: Optional[Iterable[str]] = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.experiments.report",
-        description="Regenerate the full EXPERIMENTS.md content on stdout.",
-    )
+def add_report_arguments(parser: argparse.ArgumentParser) -> None:
+    """Add the report's flags: ``--workers``, ``--no-cache``, ``--cache-dir``.
+
+    ``python -m repro report`` and ``python -m repro.experiments.report``
+    both take their flags from here.
+    """
     parser.add_argument(
         "--workers",
         type=int,
@@ -234,10 +235,22 @@ def main(argv: Optional[Iterable[str]] = None) -> int:
         help="cache location (default: $REPRO_CACHE_DIR or "
         "~/.cache/repro/experiments)",
     )
-    args = parser.parse_args(argv)
+
+
+def print_report(args: argparse.Namespace) -> int:
+    """Print the report, generated as the :func:`add_report_arguments` flags ask."""
     cache = None if args.no_cache else ResultCache(args.cache_dir)
     print(generate(workers=args.workers, cache=cache))
     return 0
+
+
+def main(argv: Optional[Iterable[str]] = None) -> int:
+    parser = argparse.ArgumentParser(
+        prog="python -m repro.experiments.report",
+        description="Regenerate the full EXPERIMENTS.md content on stdout.",
+    )
+    add_report_arguments(parser)
+    return print_report(parser.parse_args(argv))
 
 
 if __name__ == "__main__":

@@ -8,32 +8,26 @@ cheap levers that :func:`run_suite` pulls together:
   on (experiment id, kwargs, source digest of the experiment's import
   closure) skips every experiment whose inputs haven't changed;
 * **process parallelism** -- the cache misses fan out over a
-  ``multiprocessing`` pool via
-  :func:`~repro.analysis.parallel.parallel_sweep`, one experiment per
-  worker task, shipped back as :meth:`Table.to_dict` payloads.  The
-  sweep itself decides whether a pool can win: on a one-core machine
-  (or when the first miss regenerates faster than pool overhead) the
-  misses run in-process instead, so asking for workers never makes the
-  report slower.
+  ``multiprocessing`` pool, one experiment per worker task, shipped back
+  as :meth:`Table.to_dict` payloads.  The pool is capped at the core
+  count and the number of misses, and a pool of one is no pool: the
+  misses then run in-process.
 
 Output is deterministic at any worker count and any cache state: results
 come back in suite order, and a cached table round-trips byte-identically
 through :meth:`Table.to_dict`/``from_dict``, so the rendered report never
-depends on *how* it was computed.
-
-Experiments that expose their own ``workers=`` knob keep it; the runner
-parallelizes *across* experiments and runs each one serially inside its
-worker, which avoids nested pools.
+depends on *how* it was computed.  Each experiment runs serially inside
+its worker, which avoids nested pools.
 """
 
 from __future__ import annotations
 
+import os
 import time
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from ..analysis.cache import ClosureScan, ResultCache
-from ..analysis.parallel import parallel_sweep
 from ..analysis.report import Table
 from . import ALL_EXPERIMENTS
 
@@ -69,6 +63,24 @@ def _timed_run(experiment: str) -> Tuple[dict, float]:
     return table.to_dict(), time.perf_counter() - start
 
 
+def _run_pool(misses: List[str], size: int) -> List[Tuple[dict, float]]:
+    """Regenerate ``misses`` on a ``size``-process pool, in suite order.
+
+    The start method is pinned -- ``fork`` where the platform offers it,
+    else ``spawn`` -- rather than inherited from the platform default,
+    which Python has changed before (macOS in 3.8, Linux in 3.14).
+    ``fork`` skips re-importing the package in every worker; the tables
+    are the same either way, since every experiment seeds itself.
+    """
+    import multiprocessing
+
+    method = "fork" if "fork" in multiprocessing.get_all_start_methods() else "spawn"
+    # chunksize=1 hands out one experiment at a time: runtimes are skewed
+    # (e28 takes seconds, e05 milliseconds).
+    with multiprocessing.get_context(method).Pool(processes=size) as pool:
+        return pool.map(_timed_run, misses, chunksize=1)
+
+
 def run_suite(
     experiments: Optional[Iterable[str]] = None,
     workers: Optional[int] = None,
@@ -76,9 +88,10 @@ def run_suite(
 ) -> List[ExperimentRun]:
     """Regenerate experiments (default: all), in suite order.
 
-    ``workers`` sizes the process pool for the cache misses (``None`` /
-    ``0`` / ``1`` = serial in-process); ``cache=None`` disables
-    memoization entirely.
+    ``workers`` sizes the process pool for the cache misses, capped at
+    the core count and the number of misses; a size of one or less
+    (``None`` included) runs them serially in-process.  ``cache=None``
+    disables memoization entirely.
     """
     ids = list(experiments) if experiments is not None else list(ALL_EXPERIMENTS)
     unknown = [key for key in ids if key not in ALL_EXPERIMENTS]
@@ -108,8 +121,12 @@ def run_suite(
             runs[key] = ExperimentRun(key, table, cached=True, seconds=0.0)
 
     if misses:
-        computed = parallel_sweep(misses, _timed_run, workers=workers)
-        for key, (payload, seconds) in computed:
+        size = min(workers or 1, os.cpu_count() or 1, len(misses))
+        if size > 1:
+            computed = _run_pool(misses, size)
+        else:
+            computed = [_timed_run(key) for key in misses]
+        for key, (payload, seconds) in zip(misses, computed):
             table = Table.from_dict(payload)
             if cache is not None:
                 cache.put(key, experiment_module(key), table, key=keys[key])

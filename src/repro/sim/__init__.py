@@ -4,8 +4,8 @@ The kernel (:mod:`repro.sim.engine`), shared resources
 (:mod:`repro.sim.resources`), deterministic randomness
 (:mod:`repro.sim.random`), tracing (:mod:`repro.sim.trace`) and metrics
 (:mod:`repro.sim.metrics`) on which every simulated component is built,
-plus the fluid queue solver (:mod:`repro.sim.fluid`) behind the hybrid
-engine.
+plus the closed-form FIFO response times (:mod:`repro.sim.fluid`) behind
+the hybrid engine.
 """
 
 from .engine import (
@@ -26,19 +26,11 @@ from .metrics import (
     LatencySummary,
     P2Quantile,
     StreamingMoments,
-    ThroughputMeter,
-    UtilizationMeter,
 )
-from .fluid import (
-    FluidBlock,
-    FluidRamp,
-    FluidServer,
-    fifo_completions,
-    fifo_uniform_ramps,
-)
+from .fluid import FluidRamp, fifo_completions, fifo_uniform_ramps
 from .random import RandomStreams, derive_seed
 from .resources import JobStats, RateServer, Resource, Store
-from .trace import Counter, TimeSeries, TraceRecord, Tracer
+from .trace import TraceRecord, Tracer
 
 __all__ = [
     "Simulator",
@@ -54,8 +46,6 @@ __all__ = [
     "Store",
     "RateServer",
     "JobStats",
-    "FluidServer",
-    "FluidBlock",
     "FluidRamp",
     "fifo_completions",
     "fifo_uniform_ramps",
@@ -63,12 +53,8 @@ __all__ = [
     "derive_seed",
     "Tracer",
     "TraceRecord",
-    "TimeSeries",
-    "Counter",
-    "ThroughputMeter",
     "LatencyRecorder",
     "LatencySummary",
-    "UtilizationMeter",
     "AvailabilityMeter",
     "StreamingMoments",
     "P2Quantile",

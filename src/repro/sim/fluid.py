@@ -1,32 +1,27 @@
-"""Fluid (analytic) companion to :class:`~repro.sim.resources.RateServer`.
+"""Closed-form FIFO response times: the fluid side of the hybrid engine.
 
 The discrete kernel simulates every job; that caps a campaign run at
 ~10^5-10^6 requests.  Between fault transitions, though, nothing about a
-FIFO rate server is discrete: with a *piecewise-constant* service rate
-and arrivals spread over a segment, the backlog is piecewise linear in
-time, so completion counts, queue lengths and per-arrival response times
-all have closed forms.  :class:`FluidServer` evolves those quantities for
-a whole bank of servers at once (numpy structure-of-arrays), one
-``advance`` call per segment instead of one heap event per job.
+FIFO :class:`~repro.sim.resources.RateServer` at a constant rate is
+discrete: each response time follows from the Lindley recurrence
+``D[j] = max(0, D[j-1] - gap[j]) + s[j]``, which has a closed form.
 
-The contract that makes the hybrid engine trustworthy:
+* :func:`fifo_uniform_ramps` specializes it to equally spaced arrivals
+  of equal work, the shape of a campaign workload's arrival stream.
+  Every response time then lies on at most two arithmetic ramps (a
+  saturated or draining queue, then the flat underloaded tail), each a
+  :class:`FluidRamp`, so the cost does not grow with the arrival count.
+  :class:`~repro.core.hybrid.HybridRunner` calls it once per replica
+  group in every fluid era, and carries each member's backlog across era
+  boundaries as ``busy_until``.
+* :func:`fifo_completions` is the general closed form, for arbitrary
+  arrival times and works.  It is the reference
+  ``tests/sim/test_fifo_reconstruction.py`` checks the ramps against:
+  both must match a real ``RateServer`` on random overload and drain
+  schedules to 1e-9 relative, and conserve work exactly.
 
-* **Work conservation at every segment boundary** -- after any sequence
-  of ``advance``/``set_rate`` calls, ``arrived_work`` splits exactly
-  into ``completed_work`` plus ``backlog`` (per server, within float
-  accumulation slack).  The property tests in ``tests/sim/test_fluid.py``
-  drive random segment sequences against this invariant.
-* **Exactness in the underloaded regime** -- while the backlog is zero
-  and stays zero (inflow <= rate), every arrival's response time is
-  exactly ``work / rate``: the same value the discrete kernel computes.
-  This is the regime the :class:`~repro.core.hybrid.HybridRunner`
-  restricts itself to; overloaded segments are a *fluid approximation*
-  (arrival mass spread uniformly over the segment) and are reported as
-  latency blocks interpolated along the piecewise-linear backlog.
-
-Rates only change *between* segments (``set_rate`` then ``advance``),
-mirroring how the hybrid runner brackets every fault transition with an
-exact discrete window.
+Rates are constant within a call.  The hybrid runner brackets every
+rate change with an exact discrete window, so no fluid era spans one.
 """
 
 from __future__ import annotations
@@ -37,32 +32,7 @@ from typing import List, Sequence
 
 import numpy as np
 
-__all__ = [
-    "FluidBlock",
-    "FluidRamp",
-    "FluidServer",
-    "fifo_completions",
-    "fifo_uniform_ramps",
-]
-
-#: Backlog below this is treated as empty (float accrual residue).
-_EPSILON = 1e-9
-
-
-@dataclass(frozen=True, slots=True)
-class FluidBlock:
-    """A group of fluid-resolved jobs sharing one response-time value.
-
-    ``count`` jobs that arrived at server ``server`` during one segment
-    and (analytically) experienced ``latency`` seconds of response time.
-    Blocks are the scale-friendly latency representation: a million
-    fault-free arrivals collapse into a single block instead of a
-    million samples.
-    """
-
-    server: int
-    latency: float
-    count: int
+__all__ = ["FluidRamp", "fifo_completions", "fifo_uniform_ramps"]
 
 
 @dataclass(frozen=True, slots=True)
@@ -70,8 +40,8 @@ class FluidRamp:
     """``count`` fluid-resolved jobs whose response times form a ramp.
 
     Job ``j`` (0-based within the ramp) saw response time
-    ``first + step * j``.  A :class:`FluidBlock` is the ``step == 0``
-    special case; a saturated FIFO run compresses into one ramp with
+    ``first + step * j``.  An underloaded run is the ``step == 0`` case;
+    a saturated FIFO run compresses into one ramp with
     ``step = service - spacing`` instead of one sample per job, so the
     queueing regime keeps the scale-friendly memory story.
     """
@@ -184,190 +154,3 @@ def fifo_completions(
     prev[1:] = cum[:-1]
     busy_start = np.maximum.accumulate(a - prev)
     return cum + np.maximum(busy_until, busy_start)
-
-
-class FluidServer:
-    """Closed-form queue evolution for a bank of FIFO rate servers.
-
-    ``advance(t1, arrivals, job_work)`` moves virtual time from the
-    current boundary to ``t1`` with ``arrivals[i]`` jobs of ``job_work``
-    units landing on server ``i``, spread uniformly over the segment
-    (the open-loop fluid limit).  Backlog evolves as
-
-    ``B(t) = max(0, B0 + (inflow - rate) * t)``
-
-    per server -- piecewise linear with at most one kink (the drain
-    instant) -- and a job arriving at offset ``t`` sees response time
-    ``(B(t) + job_work) / rate``.  The returned :class:`FluidBlock` list
-    quantizes each linear latency ramp into ``resolution`` blocks whose
-    integer counts sum exactly to the arrivals.
-    """
-
-    def __init__(self, rates: Sequence[float], start: float = 0.0,
-                 resolution: int = 8):
-        if resolution < 1:
-            raise ValueError(f"resolution must be >= 1, got {resolution}")
-        self.rate = np.asarray(rates, dtype=float).copy()
-        if self.rate.ndim != 1 or self.rate.size == 0:
-            raise ValueError("rates must be a non-empty 1-d sequence")
-        if (self.rate < 0).any():
-            raise ValueError("rates must be >= 0")
-        n = self.rate.size
-        self.now = float(start)
-        self.resolution = resolution
-        #: Outstanding (queued + in-service) work per server.
-        self.backlog = np.zeros(n)
-        #: Lifetime arrival/completion tallies (the conservation triple).
-        self.arrived_jobs = np.zeros(n, dtype=np.int64)
-        self.arrived_work = np.zeros(n)
-        self.completed_work = np.zeros(n)
-        self.segments = 0
-
-    def __len__(self) -> int:
-        return self.rate.size
-
-    # -- rate surface (piecewise-constant between segments) ---------------------
-
-    def set_rate(self, index: int, rate: float) -> None:
-        """Change one server's rate, effective for subsequent segments."""
-        if rate < 0:
-            raise ValueError(f"rate must be >= 0, got {rate}")
-        self.rate[index] = rate
-
-    def set_rates(self, rates: Sequence[float]) -> None:
-        """Replace every server's rate (e.g. re-seeding from discrete state)."""
-        rates = np.asarray(rates, dtype=float)
-        if rates.shape != self.rate.shape:
-            raise ValueError(f"expected {self.rate.size} rates, got {rates.size}")
-        if (rates < 0).any():
-            raise ValueError("rates must be >= 0")
-        self.rate = rates.copy()
-
-    # -- queries -----------------------------------------------------------------
-
-    def queue_work(self) -> np.ndarray:
-        """Outstanding work per server at the current boundary."""
-        return self.backlog.copy()
-
-    def conservation_error(self) -> float:
-        """Largest per-server violation of arrived = completed + queued."""
-        return float(
-            np.max(np.abs(self.arrived_work - self.completed_work - self.backlog))
-        )
-
-    # -- the closed-form segment step --------------------------------------------
-
-    def advance(self, t1: float, arrivals: Sequence[int],
-                job_work: float) -> List[FluidBlock]:
-        """Evolve every server to time ``t1``; returns the latency blocks.
-
-        ``arrivals[i]`` jobs of ``job_work`` units land on server ``i``,
-        uniformly over ``[now, t1)``.  Zero-arrival servers still drain
-        their backlog.  Jobs arriving at a rate-0 server are reported as
-        ``inf``-latency blocks (they never complete while the rate holds).
-        """
-        arrivals = np.asarray(arrivals, dtype=np.int64)
-        if arrivals.shape != self.rate.shape:
-            raise ValueError(
-                f"expected {self.rate.size} arrival counts, got {arrivals.size}"
-            )
-        if (arrivals < 0).any():
-            raise ValueError("arrival counts must be >= 0")
-        dt = t1 - self.now
-        if dt < 0:
-            raise ValueError(f"t1={t1} is before the current boundary {self.now}")
-        any_arrivals = bool(arrivals.any())
-        if any_arrivals and job_work <= 0:
-            raise ValueError(f"job_work must be > 0, got {job_work}")
-        if dt == 0:
-            if any_arrivals:
-                raise ValueError("arrivals need elapsed time (dt == 0)")
-            return []
-
-        rate = self.rate
-        b0 = self.backlog
-        inflow_work = arrivals * float(job_work)
-        inflow = inflow_work / dt
-        net = inflow - rate
-        # Drain instant per server: when a shrinking backlog hits zero.
-        with np.errstate(divide="ignore", invalid="ignore"):
-            t_empty = np.where(net < 0, b0 / (rate - inflow), np.inf)
-            busy = np.minimum(dt, t_empty)
-            # The still-filling branch leaves t_empty at inf; the masked
-            # arm then evaluates inflow * -inf = nan before np.where
-            # discards it, so invalid stays suppressed here too.
-            completed = rate * busy + np.where(
-                t_empty < dt, inflow * (dt - t_empty), 0.0
-            )
-        b1 = b0 + inflow_work - completed
-        if (b1 < -1e-6).any():
-            raise ValueError("fluid backlog went negative; inconsistent segment")
-        clipped = np.maximum(b1, 0.0)
-        # Keep conservation exact through the clip: the (float-residue)
-        # difference is charged to completions.
-        completed = completed + (b1 - clipped)
-
-        blocks = self._latency_blocks(arrivals, b0, net, t_empty, dt, job_work)
-
-        self.backlog = clipped
-        self.arrived_jobs += arrivals
-        self.arrived_work += inflow_work
-        self.completed_work += completed
-        self.now = float(t1)
-        self.segments += 1
-        return blocks
-
-    def _latency_blocks(self, arrivals, b0, net, t_empty, dt, job_work):
-        """Quantize each server's piecewise-linear response ramp."""
-        blocks: List[FluidBlock] = []
-        for idx in np.nonzero(arrivals)[0]:
-            count = int(arrivals[idx])
-            mu = self.rate[idx]
-            if mu <= 0:
-                blocks.append(FluidBlock(int(idx), float("inf"), count))
-                continue
-            base = b0[idx]
-            slope = net[idx]
-            cut = float(min(dt, max(0.0, t_empty[idx])))
-            # At most two linear pieces: backlog draining/growing until
-            # the drain instant, then empty.
-            pieces = []
-            # Denormal-tiny rates overflow these ratios to inf; the
-            # finiteness guard below turns such pieces into inf blocks.
-            with np.errstate(over="ignore", invalid="ignore"):
-                if cut > 0:
-                    pieces.append(
-                        (0.0, cut, (base + job_work) / mu,
-                         (base + slope * cut + job_work) / mu)
-                    )
-                if cut < dt:
-                    pieces.append((cut, dt, job_work / mu, job_work / mu))
-            taken = 0
-            for lo, hi, r_lo, r_hi in pieces:
-                if not (np.isfinite(r_lo) and np.isfinite(r_hi)):
-                    # A denormal-tiny rate overflows the ratio: at float
-                    # precision the server is indistinguishable from
-                    # stalled, so the piece resolves as one inf block.
-                    cum = count if hi >= dt else int(round(count * hi / dt))
-                    if cum > taken:
-                        blocks.append(
-                            FluidBlock(int(idx), float("inf"), cum - taken)
-                        )
-                        taken = cum
-                    continue
-                flat = abs(r_hi - r_lo) <= 1e-12 * max(1.0, abs(r_lo))
-                subdivisions = 1 if flat else self.resolution
-                for j in range(subdivisions):
-                    t_hi = lo + (hi - lo) * (j + 1) / subdivisions
-                    # Divide before scaling: near-max-float ramps must
-                    # not overflow on the intermediate product.
-                    r_mid = r_lo + (r_hi - r_lo) / subdivisions * (j + 0.5)
-                    # Cumulative rounding: block counts sum exactly to
-                    # the integer arrivals, whatever the piece geometry.
-                    cum = count if t_hi >= dt else int(round(count * t_hi / dt))
-                    if cum > taken:
-                        blocks.append(FluidBlock(int(idx), float(r_mid), cum - taken))
-                        taken = cum
-            if taken < count:  # pragma: no cover - float-edge safety net
-                blocks.append(FluidBlock(int(idx), float(job_work / mu), count - taken))
-        return blocks

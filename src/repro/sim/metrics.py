@@ -3,16 +3,16 @@
 The paper's benefits argument (Section 3.3) is framed in terms of
 *availability* as defined by Gray & Reuter: "the fraction of the offered
 load that is processed with acceptable response times."
-:class:`AvailabilityMeter` implements exactly that definition; the other
-meters provide the throughput/latency/utilization views the experiments
+:class:`AvailabilityMeter` implements exactly that definition;
+:class:`LatencyRecorder` provides the latency view the experiments
 report.
 
 Exact statistics
 ----------------
 
-The latency and availability meters retain every sample, quantiles are
-computed over the full sorted sample set, and every number in
-EXPERIMENTS.md is reproducible bit for bit.
+The availability meter keeps exact counts.  The latency recorder retains
+every sample, quantiles are computed over the full sorted sample set, and
+every number in EXPERIMENTS.md is reproducible bit for bit.
 
 Whole sample arrays (campaign outcomes, soak windows) are folded in one
 numpy pass: :meth:`StreamingMoments.of` builds the Welford state from
@@ -25,18 +25,13 @@ for reading schema-1 traces.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Union
 
 import numpy as np
 
-from .engine import Simulator
-
 __all__ = [
-    "ThroughputMeter",
     "LatencyRecorder",
-    "UtilizationMeter",
     "AvailabilityMeter",
     "LatencySummary",
     "StreamingMoments",
@@ -342,47 +337,6 @@ def quantile_from_dict(payload: dict) -> Union[ExactQuantile, P2Quantile]:
     return ExactQuantile.from_dict(payload)
 
 
-class ThroughputMeter:
-    """Counts completed work and reports rates over elapsed time."""
-
-    def __init__(self, sim: Simulator, name: str = "throughput"):
-        self.sim = sim
-        self.name = name
-        self._start = sim.now
-        self.completed_work = 0.0
-        self.completed_jobs = 0
-
-    def record(self, work: float) -> None:
-        """Record ``work`` units completed now."""
-        if work < 0:
-            raise ValueError(f"work must be >= 0, got {work}")
-        self.completed_work += work
-        self.completed_jobs += 1
-
-    def reset(self) -> None:
-        """Zero the counters and restart the measurement window."""
-        self._start = self.sim.now
-        self.completed_work = 0.0
-        self.completed_jobs = 0
-
-    @property
-    def elapsed(self) -> float:
-        """Length of the current measurement window."""
-        return self.sim.now - self._start
-
-    def rate(self) -> float:
-        """Completed work per unit time over the window (0 if empty)."""
-        if self.elapsed <= 0:
-            return 0.0
-        return self.completed_work / self.elapsed
-
-    def job_rate(self) -> float:
-        """Completed jobs per unit time over the window."""
-        if self.elapsed <= 0:
-            return 0.0
-        return self.completed_jobs / self.elapsed
-
-
 @dataclass(frozen=True)
 class LatencySummary:
     """Summary statistics for a batch of latencies."""
@@ -463,19 +417,6 @@ class LatencyRecorder:
             raise ValueError(f"q must be in [0, 1], got {q}")
         return self._quantile(self._ordered(), q)
 
-    def count_over(self, threshold: float) -> int:
-        """How many recorded latencies exceed ``threshold``.
-
-        This is the SLO-violation count the campaign scorecards report
-        (a request violates a latency SLO when it takes strictly longer
-        than the SLO).  Answered with one bisect over the cached sorted
-        view.
-        """
-        if threshold < 0:
-            raise ValueError(f"threshold must be >= 0, got {threshold}")
-        ordered = self._ordered()
-        return len(ordered) - bisect_right(ordered, threshold)
-
     def summary(self) -> LatencySummary:
         """Full summary of the recorded latencies, from every sample."""
         if not self.samples:
@@ -496,48 +437,13 @@ class LatencyRecorder:
         )
 
 
-class UtilizationMeter:
-    """Tracks the busy fraction of a component over time."""
-
-    def __init__(self, sim: Simulator, name: str = "utilization"):
-        self.sim = sim
-        self.name = name
-        self._busy_since: Optional[float] = None
-        self._busy_total = 0.0
-        self._start = sim.now
-
-    def set_busy(self) -> None:
-        """Mark the component busy (idempotent)."""
-        if self._busy_since is None:
-            self._busy_since = self.sim.now
-
-    def set_idle(self) -> None:
-        """Mark the component idle (idempotent)."""
-        if self._busy_since is not None:
-            self._busy_total += self.sim.now - self._busy_since
-            self._busy_since = None
-
-    def utilization(self) -> float:
-        """Busy fraction since construction (in [0, 1])."""
-        elapsed = self.sim.now - self._start
-        if elapsed <= 0:
-            return 0.0
-        busy = self._busy_total
-        if self._busy_since is not None:
-            busy += self.sim.now - self._busy_since
-        return min(1.0, busy / elapsed)
-
-
 class AvailabilityMeter:
     """Gray & Reuter availability: fraction of load served within an SLO.
 
     Each offered request is recorded with its response time (or as
     *unserved* if it never completed); availability is the fraction whose
-    response time was at most ``slo``.
-
-    Every response time is retained so :meth:`availability_at` can
-    answer any SLO exactly — via one bisect over a cached sorted view,
-    invalidated on :meth:`record`.
+    response time was at most ``slo``.  Three exact counters hold the
+    whole state, so the meter costs O(1) memory at any request count.
     """
 
     def __init__(self, slo: float, name: str = "availability"):
@@ -548,8 +454,6 @@ class AvailabilityMeter:
         self.offered = 0
         self.within_slo = 0
         self.unserved = 0
-        self.response_times: List[float] = []
-        self._sorted: Optional[List[float]] = None
 
     def record(self, response_time: Optional[float]) -> None:
         """Record one offered request.
@@ -560,13 +464,9 @@ class AvailabilityMeter:
         self.offered += 1
         if response_time is None:
             self.unserved += 1
-            self.response_times.append(float("inf"))
-            self._sorted = None
             return
         if response_time < 0:
             raise ValueError(f"response time must be >= 0, got {response_time}")
-        self.response_times.append(response_time)
-        self._sorted = None
         if response_time <= self.slo:
             self.within_slo += 1
 
@@ -575,19 +475,3 @@ class AvailabilityMeter:
         if self.offered == 0:
             return 1.0
         return self.within_slo / self.offered
-
-    def _ordered(self) -> List[float]:
-        """The cached sorted view of the response times."""
-        if self._sorted is None or len(self._sorted) != len(self.response_times):
-            self._sorted = sorted(self.response_times)
-        return self._sorted
-
-    def availability_at(self, slo: float) -> float:
-        """Availability recomputed against a different SLO.
-
-        Monotone nondecreasing in ``slo`` by construction: one bisect
-        over the cached sorted response times.
-        """
-        if self.offered == 0:
-            return 1.0
-        return bisect_right(self._ordered(), slo) / self.offered

@@ -1,4 +1,4 @@
-"""Event tracing and time-series capture.
+"""Event tracing.
 
 Every experiment needs to answer "what happened, when" after a run.  The
 classes here are deliberately plain -- append-only records with small
@@ -8,9 +8,8 @@ stay deterministic.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Callable, Iterator, List, Optional
 
 from .engine import Simulator
 
@@ -21,8 +20,6 @@ __all__ = [
     "INJECTOR_EVENT",
     "TraceRecord",
     "Tracer",
-    "TimeSeries",
-    "Counter",
 ]
 
 #: Structured telemetry kinds emitted by registered components (see
@@ -105,84 +102,3 @@ class Tracer:
 
     def __iter__(self) -> Iterator[TraceRecord]:
         return iter(self.records)
-
-
-class TimeSeries:
-    """A piecewise-constant signal sampled at change points.
-
-    ``record(value)`` appends ``(now, value)``; the signal is assumed to
-    hold that value until the next record.  Supports time-weighted
-    averaging, which is what utilization/rate plots need.
-    """
-
-    def __init__(self, sim: Simulator, name: str = ""):
-        self.sim = sim
-        self.name = name
-        self.times: List[float] = []
-        self.values: List[float] = []
-
-    def record(self, value: float) -> None:
-        """Append the current value of the signal."""
-        self.times.append(self.sim.now)
-        self.values.append(value)
-
-    def __len__(self) -> int:
-        return len(self.times)
-
-    def at(self, time: float) -> Optional[float]:
-        """Signal value holding at ``time`` (None before the first record)."""
-        idx = bisect_right(self.times, time) - 1
-        if idx < 0:
-            return None
-        return self.values[idx]
-
-    def window(self, start: float, end: float) -> List[Tuple[float, float]]:
-        """The (time, value) pairs recorded in ``[start, end)``."""
-        lo = bisect_left(self.times, start)
-        hi = bisect_left(self.times, end)
-        return list(zip(self.times[lo:hi], self.values[lo:hi]))
-
-    def time_average(self, start: float = 0.0, end: Optional[float] = None) -> float:
-        """Time-weighted mean of the signal over ``[start, end]``.
-
-        Periods before the first record contribute nothing (the span is
-        clipped to start at the first record).
-        """
-        if not self.times:
-            return 0.0
-        if end is None:
-            end = self.sim.now
-        start = max(start, self.times[0])
-        if end <= start:
-            return self.values[-1] if self.times[-1] <= start else 0.0
-        total = 0.0
-        for i, t in enumerate(self.times):
-            seg_start = max(t, start)
-            seg_end = end if i + 1 >= len(self.times) else min(self.times[i + 1], end)
-            if seg_end > seg_start:
-                total += self.values[i] * (seg_end - seg_start)
-        return total / (end - start)
-
-
-class Counter:
-    """Named monotonically increasing counters."""
-
-    def __init__(self):
-        self._counts: Dict[str, int] = {}
-
-    def incr(self, name: str, amount: int = 1) -> None:
-        """Increase ``name`` by ``amount`` (must be >= 0)."""
-        if amount < 0:
-            raise ValueError(f"counter increments must be >= 0, got {amount}")
-        self._counts[name] = self._counts.get(name, 0) + amount
-
-    def get(self, name: str) -> int:
-        """Current value of ``name`` (0 if never incremented)."""
-        return self._counts.get(name, 0)
-
-    def as_dict(self) -> Dict[str, int]:
-        """Snapshot of all counters."""
-        return dict(self._counts)
-
-    def __getitem__(self, name: str) -> int:
-        return self.get(name)

@@ -2,18 +2,7 @@
 
 import pytest
 
-from repro.analysis import (
-    Table,
-    availability_curve,
-    confidence_interval,
-    cross,
-    geometric_mean,
-    ratio,
-    summarize,
-    sweep,
-    unavailability_nines,
-)
-from repro.sim import AvailabilityMeter
+from repro.analysis import Table
 
 
 class TestTable:
@@ -66,96 +55,3 @@ class TestTable:
         assert len(table) == 0
         table.add_row(1)
         assert len(table) == 1
-
-
-class TestStats:
-    def test_summarize(self):
-        s = summarize([1.0, 2.0, 3.0, 4.0])
-        assert s.n == 4
-        assert s.mean == pytest.approx(2.5)
-        assert s.minimum == 1.0
-        assert s.maximum == 4.0
-        assert s.stddev == pytest.approx(1.118, rel=0.01)
-
-    def test_summarize_empty_rejected(self):
-        with pytest.raises(ValueError):
-            summarize([])
-
-    def test_confidence_interval_contains_mean(self):
-        lo, hi = confidence_interval([1.0, 2.0, 3.0, 4.0, 5.0])
-        assert lo < 3.0 < hi
-
-    def test_confidence_interval_single_sample(self):
-        assert confidence_interval([2.0]) == (2.0, 2.0)
-
-    def test_geometric_mean(self):
-        assert geometric_mean([1.0, 4.0]) == pytest.approx(2.0)
-        with pytest.raises(ValueError):
-            geometric_mean([0.0, 1.0])
-        with pytest.raises(ValueError):
-            geometric_mean([])
-
-    def test_ratio(self):
-        assert ratio(4.0, 2.0) == 2.0
-        assert ratio(1.0, 0.0) == float("inf")
-
-
-class TestSweep:
-    def test_sweep_collects_pairs(self):
-        result = sweep([1, 2, 3], lambda x: x * 10)
-        assert result == [(1, 10), (2, 20), (3, 30)]
-
-    def test_cross_product_deterministic(self):
-        combos = cross(b=["x"], a=[1, 2])
-        assert combos == [{"a": 1, "b": "x"}, {"a": 2, "b": "x"}]
-
-    def test_cross_empty(self):
-        assert cross() == [{}]
-
-    def test_cross_orders_by_sorted_key_not_call_order(self):
-        """Locks the docstring's promise: axes expand in sorted-key
-        order, so two call sites spelling the kwargs differently get the
-        same (cacheable, diffable) point sequence."""
-        spelled_one_way = cross(b=[1, 2], a=["x", "y"])
-        spelled_other_way = cross(a=["x", "y"], b=[1, 2])
-        assert spelled_one_way == spelled_other_way
-        assert spelled_one_way == [
-            {"a": "x", "b": 1},
-            {"a": "x", "b": 2},
-            {"a": "y", "b": 1},
-            {"a": "y", "b": 2},
-        ]
-
-    def test_cross_is_exported_from_the_package(self):
-        import repro.analysis
-
-        assert repro.analysis.cross is cross
-        assert "cross" in repro.analysis.__all__
-
-
-class TestAvailability:
-    def _meter(self):
-        meter = AvailabilityMeter(slo=1.0)
-        for r in [0.1, 0.5, 1.5, 3.0, None]:
-            meter.record(r)
-        return meter
-
-    def test_curve_monotone(self):
-        curve = availability_curve(self._meter(), [0.2, 1.0, 5.0])
-        values = [a for __, a in curve]
-        assert values == sorted(values)
-        assert curve[0] == (0.2, pytest.approx(0.2))
-        assert curve[-1] == (5.0, pytest.approx(0.8))
-
-    def test_curve_validation(self):
-        with pytest.raises(ValueError):
-            availability_curve(self._meter(), [])
-        with pytest.raises(ValueError):
-            availability_curve(self._meter(), [0.0])
-
-    def test_nines(self):
-        assert unavailability_nines(0.999) == pytest.approx(3.0)
-        assert unavailability_nines(1.0) == float("inf")
-        assert unavailability_nines(0.0) == 0.0
-        with pytest.raises(ValueError):
-            unavailability_nines(1.5)

@@ -13,7 +13,6 @@ import math
 import random
 
 from repro.sim.engine import Simulator
-from repro.sim.metrics import AvailabilityMeter
 from repro.storage.badblocks import BadBlockMap
 from repro.storage.disk import Disk, DiskParams
 from repro.storage.geometry import Zone, ZoneGeometry, zoned_geometry
@@ -165,17 +164,3 @@ class TestRemapCountEquivalence:
             nblocks = rng.randint(1, 500)
             assert bmap.remapped_in_range(lba, nblocks) == \
                 bmap.remapped_in_range_reference(lba, nblocks)
-
-
-class TestStreamingMetricEquivalence:
-    def test_availability_at_cached_equals_rescan(self):
-        """The cached bisect answers exactly what the old linear rescan
-        answered, across interleaved records and queries."""
-        rng = random.Random(161)
-        meter = AvailabilityMeter(slo=0.5)
-        for i in range(2000):
-            meter.record(None if rng.random() < 0.02 else rng.expovariate(2.0))
-            if i % 50 == 0:
-                slo = rng.uniform(0.01, 3.0)
-                rescan = sum(1 for r in meter.response_times if r <= slo) / meter.offered
-                assert meter.availability_at(slo) == rescan

@@ -1,4 +1,4 @@
-"""Unit tests for the online moments, the P² estimator and cached availability."""
+"""Unit tests for the online moments, the P² estimator and the latency recorder."""
 
 import math
 import random
@@ -6,7 +6,6 @@ import random
 import pytest
 
 from repro.sim.metrics import (
-    AvailabilityMeter,
     LatencyRecorder,
     P2Quantile,
     StreamingMoments,
@@ -92,15 +91,3 @@ class TestStreamingLatencyRecorder:
         with pytest.raises(ValueError):
             recorder.record_many([0.2, -0.1])
         assert recorder.samples == []  # a rejected batch stores nothing
-
-
-class TestExactModeCachedAvailability:
-    def test_cache_invalidated_on_record(self):
-        meter = AvailabilityMeter(slo=1.0)
-        meter.record(0.4)
-        assert meter.availability_at(0.5) == 1.0
-        meter.record(0.9)  # must invalidate the sorted view
-        assert meter.availability_at(0.5) == 0.5
-        meter.record(None)
-        assert meter.availability_at(0.5) == pytest.approx(1 / 3)
-        assert meter.availability_at(float("inf")) == 1.0

@@ -4,14 +4,10 @@ import pytest
 
 from repro.sim import (
     AvailabilityMeter,
-    Counter,
     LatencyRecorder,
-    ThroughputMeter,
-    TimeSeries,
     TraceRecord,
     Tracer,
     Simulator,
-    UtilizationMeter,
 )
 
 
@@ -64,113 +60,6 @@ class TestTracer:
         assert len(tracer) == 0
 
 
-class TestTimeSeries:
-    def _series(self):
-        sim = Simulator()
-        ts = TimeSeries(sim, "rate")
-
-        def proc():
-            ts.record(10.0)
-            yield sim.timeout(5.0)
-            ts.record(2.0)
-            yield sim.timeout(5.0)
-            ts.record(6.0)
-            yield sim.timeout(2.0)
-
-        sim.process(proc())
-        sim.run()
-        return ts
-
-    def test_at_returns_holding_value(self):
-        ts = self._series()
-        assert ts.at(0.0) == 10.0
-        assert ts.at(4.999) == 10.0
-        assert ts.at(5.0) == 2.0
-        assert ts.at(100.0) == 6.0
-
-    def test_at_before_first_record_is_none(self):
-        sim = Simulator()
-        ts = TimeSeries(sim)
-        assert ts.at(0.0) is None
-
-    def test_time_average(self):
-        ts = self._series()
-        # 5s@10 + 5s@2 + 2s@6 over 12s = (50+10+12)/12 = 6.0
-        assert ts.time_average() == pytest.approx(6.0)
-
-    def test_time_average_subwindow(self):
-        ts = self._series()
-        # [5, 10): all at 2.0
-        assert ts.time_average(5.0, 10.0) == pytest.approx(2.0)
-
-    def test_window(self):
-        ts = self._series()
-        assert ts.window(0.0, 6.0) == [(0.0, 10.0), (5.0, 2.0)]
-
-
-class TestCounter:
-    def test_incr_and_get(self):
-        c = Counter()
-        c.incr("timeouts")
-        c.incr("timeouts", 4)
-        assert c.get("timeouts") == 5
-        assert c["timeouts"] == 5
-
-    def test_missing_is_zero(self):
-        assert Counter().get("nope") == 0
-
-    def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            Counter().incr("x", -1)
-
-    def test_as_dict_snapshot(self):
-        c = Counter()
-        c.incr("a")
-        snap = c.as_dict()
-        c.incr("a")
-        assert snap == {"a": 1}
-
-
-class TestThroughputMeter:
-    def test_rate_over_elapsed(self):
-        sim = Simulator()
-        meter = ThroughputMeter(sim)
-
-        def proc():
-            yield sim.timeout(10.0)
-            meter.record(50.0)
-
-        sim.process(proc())
-        sim.run()
-        assert meter.rate() == pytest.approx(5.0)
-        assert meter.job_rate() == pytest.approx(0.1)
-
-    def test_reset_restarts_window(self):
-        sim = Simulator()
-        meter = ThroughputMeter(sim)
-
-        def proc():
-            yield sim.timeout(5.0)
-            meter.record(100.0)
-            meter.reset()
-            yield sim.timeout(5.0)
-            meter.record(10.0)
-
-        sim.process(proc())
-        sim.run()
-        assert meter.rate() == pytest.approx(2.0)
-
-    def test_zero_elapsed_rate_is_zero(self):
-        sim = Simulator()
-        meter = ThroughputMeter(sim)
-        assert meter.rate() == 0.0
-
-    def test_negative_work_rejected(self):
-        sim = Simulator()
-        with pytest.raises(ValueError):
-            ThroughputMeter(sim).record(-1.0)
-
-
 class TestLatencyRecorder:
     def test_summary_basic(self):
         rec = LatencyRecorder()
@@ -201,31 +90,6 @@ class TestLatencyRecorder:
             rec.quantile(1.5)
 
 
-class TestUtilizationMeter:
-    def test_half_busy(self):
-        sim = Simulator()
-        meter = UtilizationMeter(sim)
-
-        def proc():
-            meter.set_busy()
-            yield sim.timeout(5.0)
-            meter.set_idle()
-            yield sim.timeout(5.0)
-
-        sim.process(proc())
-        sim.run()
-        assert meter.utilization() == pytest.approx(0.5)
-
-    def test_idempotent_marks(self):
-        sim = Simulator()
-        meter = UtilizationMeter(sim)
-        meter.set_busy()
-        meter.set_busy()
-        meter.set_idle()
-        meter.set_idle()
-        assert meter.utilization() == 0.0  # zero elapsed
-
-
 class TestAvailabilityMeter:
     def test_fraction_within_slo(self):
         meter = AvailabilityMeter(slo=1.0)
@@ -237,13 +101,6 @@ class TestAvailabilityMeter:
 
     def test_empty_is_fully_available(self):
         assert AvailabilityMeter(slo=1.0).availability() == 1.0
-
-    def test_monotone_in_slo(self):
-        meter = AvailabilityMeter(slo=1.0)
-        for r in [0.1, 0.5, 1.5, 3.0, None]:
-            meter.record(r)
-        values = [meter.availability_at(s) for s in [0.05, 0.2, 1.0, 2.0, 10.0]]
-        assert values == sorted(values)
 
     def test_bad_slo_rejected(self):
         with pytest.raises(ValueError):

@@ -44,6 +44,18 @@ class TestCli:
         assert out.count("## ") == len(ALL_EXPERIMENTS)
         assert "Paper:" in out and "Measured:" in out
 
+    def test_report_flags_are_shared_with_the_module_cli(self, capsys):
+        from repro.experiments import report
+
+        option_blocks = []
+        for run, argv in ((main, ["report", "--help"]), (report.main, ["--help"])):
+            with pytest.raises(SystemExit):
+                run(argv)
+            option_blocks.append(capsys.readouterr().out.rsplit("\n\n", 1)[-1])
+        assert option_blocks[0] == option_blocks[1]
+        for flag in ("--workers N", "--no-cache", "--cache-dir PATH"):
+            assert flag in option_blocks[0]
+
     def test_campaign_prints_scorecard_and_digest(self, capsys):
         argv = [
             "campaign", "--seed", "7", "--scenarios", "1",

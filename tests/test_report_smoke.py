@@ -6,8 +6,11 @@ output byte-identical across cache states, worker counts, and the plain
 serial path.
 """
 
+import multiprocessing
+import os
+
 from repro.analysis.cache import ResultCache
-from repro.experiments import ALL_EXPERIMENTS
+from repro.experiments import ALL_EXPERIMENTS, runner
 from repro.experiments.report import generate
 from repro.experiments.runner import run_suite
 
@@ -37,9 +40,47 @@ class TestRunnerCaching:
         plain = generate(SUBSET)                   # serial, uncached
         assert cold == warm == plain
 
-    def test_parallel_generate_matches_serial(self, tmp_path):
+    def test_parallel_generate_matches_serial(self, tmp_path, monkeypatch):
+        # Two cores, whatever the host has, so a real two-process pool runs.
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        pools = []
+        real_run_pool = runner._run_pool
+
+        def spy(misses, size):
+            pools.append((list(misses), size))
+            return real_run_pool(misses, size)
+
+        monkeypatch.setattr(runner, "_run_pool", spy)
         parallel = generate(SUBSET, workers=2, cache=ResultCache(tmp_path / "c2"))
+        assert pools == [(SUBSET, 2)]
         assert parallel == generate(SUBSET)
+
+    def test_one_core_never_starts_a_pool(self, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 1)
+
+        def boom(misses, size):
+            raise AssertionError("a pool must not start on one core")
+
+        monkeypatch.setattr(runner, "_run_pool", boom)
+        pooled = run_suite(SUBSET, workers=4)
+        serial = run_suite(SUBSET)
+        assert [r.table.render() for r in pooled] == [r.table.render() for r in serial]
+
+    def test_pool_is_pinned_fork_first(self, monkeypatch):
+        # Pinned rather than inherited from the platform default: fork
+        # wherever the platform offers it, else spawn.
+        methods = []
+        real_get_context = multiprocessing.get_context
+
+        def spy(method=None):
+            methods.append(method)
+            return real_get_context(method)
+
+        monkeypatch.setattr(multiprocessing, "get_context", spy)
+        [(payload, _)] = runner._run_pool(["e05"], 1)
+        available = multiprocessing.get_all_start_methods()
+        assert methods == ["fork" if "fork" in available else "spawn"]
+        assert payload == runner._timed_run("e05")[0]
 
     def test_suite_order_is_preserved_for_any_subset(self):
         runs = run_suite(["a5", "e05"])
