@@ -252,13 +252,14 @@ class DetectorBinding:
         if record.kind != COMPLETION:
             return
         work, duration = record.detail
-        was_faulty = self.detector.faulty
-        self.detector.observe(work, duration)
-        if self.detector.faulty and not was_faulty:
+        detector = self.detector
+        was_faulty = detector.faulty
+        detector.observe(work, duration)
+        if detector.faulty and not was_faulty:
             self.violations += 1
             spec = self.component.spec
             threshold = spec.fault_threshold_rate if spec is not None else float("nan")
-            observed = getattr(self.detector, "estimated_rate", None)
+            observed = getattr(detector, "estimated_rate", None)
             self.bus.spec_violation(
                 self.component.name,
                 observed if observed is not None else work / duration,

@@ -57,7 +57,10 @@ class ThresholdDetector(Detector):
     """Flags when the estimated rate underruns the spec's tolerance band.
 
     ``min_samples`` observations are required before any verdict, so a
-    cold start is never a fault.
+    cold start is never a fault.  The verdict and the rate estimate only
+    change in :meth:`observe`, so that is where they are computed, once
+    per observation; :attr:`faulty` and :attr:`estimated_rate` read the
+    stored values.  Feed the estimator through :meth:`observe` only.
     """
 
     def __init__(
@@ -72,24 +75,28 @@ class ThresholdDetector(Detector):
         self.estimator = estimator or WindowedRateEstimator(window=8)
         self.min_samples = min_samples
         self._observations = 0
+        self._rate = self.estimator.rate()
+        self._faulty = False
 
     def observe(self, work: float, duration: float) -> None:
-        self.estimator.observe(work, duration)
+        estimator = self.estimator
+        estimator.observe(work, duration)
         self._observations += 1
+        rate = self._rate = estimator.rate()
+        self._faulty = (
+            self._observations >= self.min_samples
+            and rate is not None
+            and self.spec.is_performance_fault(rate)
+        )
 
     @property
     def faulty(self) -> bool:
-        if self._observations < self.min_samples:
-            return False
-        rate = self.estimator.rate()
-        if rate is None:
-            return False
-        return self.spec.is_performance_fault(rate)
+        return self._faulty
 
     @property
     def estimated_rate(self) -> Optional[float]:
         """Current rate estimate feeding the verdict."""
-        return self.estimator.rate()
+        return self._rate
 
 
 class EwmaDetector(Detector):

@@ -245,20 +245,20 @@ def _split_ramps(segments, n: int):
 
 @contextmanager
 def _zero_queue_probe(engine):
-    """Temporarily shadow ``engine.queue_depth`` with the steady-state zero.
+    """Set ``engine.route_probe``: every backlog reads as the steady-state zero.
 
     Route probing asks the policy to pick as if every queue were empty
     (transient residuals at a window close are gone before any fluid
-    arrival lands).  The shadow must never outlive the probe: if a
-    policy ``pick`` raises, a leaked instance attribute would silently
-    zero every later routing decision in the run -- so it is removed in
-    a ``finally`` regardless of how the probe exits.
+    arrival lands).  The flag must never outlive the probe: if a policy
+    ``pick`` raises, a flag left set would silently zero every later
+    routing decision in the run -- so it is cleared in a ``finally``
+    regardless of how the probe exits.
     """
-    engine.queue_depth = lambda name: 0  # instance attr shadows the method
+    engine.route_probe = True
     try:
         yield
     finally:
-        del engine.queue_depth
+        engine.route_probe = False
 
 
 class HybridRunner:
@@ -566,7 +566,7 @@ class HybridRunner:
         """True when the group has exactly one live member (fixed route)."""
         live = 0
         for name in self.engine.groups[group_index]:
-            if not self.system.components.get(name).stopped:
+            if not self.members[self.index_of[name]].stopped:
                 live += 1
         return live == 1
 
@@ -731,7 +731,7 @@ class HybridRunner:
             for g, group in enumerate(self.engine.groups):
                 live = [
                     name for name in group
-                    if not self.system.components.get(name).stopped
+                    if not self.members[self.index_of[name]].stopped
                 ]
                 if len(live) == 1:
                     relaxed.add(live[0])
@@ -848,15 +848,16 @@ class HybridRunner:
         so the policy's choice is the same for every arrival; probing
         once per group captures it exactly.  Residual jobs still
         draining at a window close would show as transient depth, so the
-        probe shadows ``queue_depth`` with the steady-state value (zero)
-        -- the close condition guarantees the residual is gone before
-        any fluid arrival actually reaches the member.
+        probe reads every backlog as the steady-state value (zero) --
+        the close condition guarantees the residual is gone before any
+        fluid arrival actually reaches the member.
         """
         engine = self.engine
+        members, index_of = self.members, self.index_of
         with _zero_queue_probe(engine):
             routes: List[Optional[str]] = []
             for group in engine.groups:
-                if all(self.system.components.get(m).stopped for m in group):
+                if all(members[index_of[m]].stopped for m in group):
                     routes.append(None)
                     continue
                 probe = campaign.Request(
@@ -889,7 +890,7 @@ class HybridRunner:
         server_work = {}
         for k, name in enumerate(self.names):
             server_work[name] = (
-                self.system.components.get(name).work_completed
+                self.members[k].work_completed
                 + int(self.member_jobs[k]) * w.work
                 # Fluid-era share of jobs handed over mid-service.
                 + engine.preseed_served.get(name, 0.0)

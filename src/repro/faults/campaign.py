@@ -379,6 +379,12 @@ class CampaignEngine:
         self._members: Dict[str, DegradableServer] = {
             name: components.get(name) for name in self.component_names()
         }
+        #: True while :class:`~repro.core.hybrid.HybridRunner` probes
+        #: fluid routes: every member's backlog then reads as zero, in
+        #: :meth:`queue_depth` and :meth:`pick_candidate` alike.
+        self.route_probe = False
+        #: ``call_later(delay, fn, *args)``: the System's own timer.
+        self.call_later = system.call_later
         policy.bind(self)
 
     # -- surface the policies program against --------------------------------------
@@ -395,35 +401,38 @@ class CampaignEngine:
     def nominal_rate(self) -> float:
         return self.workload.rate
 
-    def call_later(self, delay: float, fn, *args) -> None:
-        self.sim.call_later(delay, fn, *args)
-
     def component_names(self) -> List[str]:
         return [name for group in self.groups for name in group]
 
     def queue_depth(self, name: str) -> int:
-        """Backlog on one member: queued jobs plus the one in service."""
+        """Backlog on one member: queued jobs plus the one in service.
+
+        Zero for every member while :attr:`route_probe` is set.
+        """
+        if self.route_probe:
+            return 0
         return self._members[name].backlog
 
     def live_candidates(self, request: Request) -> List[str]:
         members = self._members
-        return [name for name in request.group if not members[name].stopped]
+        return [name for name in request.group if not members[name]._stopped]
 
     def pick_candidate(self, request: Request) -> Optional[str]:
         """Default routing: untried first, then shortest queue, then name.
 
         The first live member with the smallest ``(tried, depth, name)``
-        wins.  Depth comes from :meth:`queue_depth`, looked up on the
-        instance, so a shadow of it (the hybrid route probe) applies.
+        wins.  Depth is the member's backlog, or zero for every member
+        while :attr:`route_probe` is set, as in :meth:`queue_depth`.
         """
         members = self._members
         tried = request.tried
-        queue_depth = self.queue_depth
+        probing = self.route_probe
         best = best_key = None
         for name in request.group:
-            if members[name].stopped:
+            member = members[name]
+            if member._stopped:
                 continue
-            key = (tried.get(name, 0), queue_depth(name), name)
+            key = (tried.get(name, 0), 0 if probing else member.backlog, name)
             if best_key is None or key < best_key:
                 best, best_key = name, key
         return best
@@ -431,7 +440,7 @@ class CampaignEngine:
     def attempt(self, request: Request, name: str) -> bool:
         """Issue one attempt on ``name``; False if it already fail-stopped."""
         component = self._members[name]
-        if component.stopped:
+        if component._stopped:
             return False
         request.attempts += 1
         request.outstanding += 1
@@ -534,12 +543,23 @@ class CampaignEngine:
         self.completed_work += request.work
         claimed = not request.resolved
         if claimed:
-            self._resolve(request, now - request.submitted_at)
+            # _resolve(request, latency), inlined: this runs per request.
+            latency = now - request.submitted_at
+            request.resolved = True
+            request.latency = latency
+            self.claimed_work += request.work
+            self.recorder.record(latency)
+            if self.on_request_resolved is not None:
+                self.on_request_resolved(request)
         else:
             self.wasted_work += request.work
         self.policy.on_attempt_completed(request, name, elapsed, claimed)
 
     def _resolve(self, request: Request, latency: float) -> None:
+        """Resolve ``request`` as claimed with ``latency``.
+
+        :meth:`_on_attempt` carries the same steps inline.
+        """
         request.resolved = True
         request.latency = latency
         self.claimed_work += request.work

@@ -24,10 +24,12 @@ class DegradableServer(DegradableMixin):
     """A FIFO work server with the full fail-stutter fault surface.
 
     ``submit(size)`` behaves like :meth:`RateServer.submit` while the
-    component is alive.  After :meth:`stop` (fail-stop), submission raises
-    :class:`ComponentStopped` immediately -- the detectable-halt semantics
-    of Schneider's definition -- and any queued jobs are failed with the
-    same exception so waiters learn of the failure.
+    component is alive: it returns the job, an event that succeeds with
+    the job's :class:`~repro.sim.resources.JobStats`.  After :meth:`stop`
+    (fail-stop), submission raises :class:`ComponentStopped` immediately
+    -- the detectable-halt semantics of Schneider's definition -- and the
+    job in service and every queued job are failed with the same
+    exception so waiters learn of the failure.
     """
 
     def __init__(
@@ -38,11 +40,10 @@ class DegradableServer(DegradableMixin):
         spec: Optional[PerformanceSpec] = None,
     ):
         self.sim = sim
-        self._server = RateServer(sim, nominal_rate, name=name)
+        # The mixin validates the nominal rate first, so a bad one raises
+        # the same ValueError whatever is wrong with it.
         self._init_degradable(name, nominal_rate)
-        #: Unsettled submissions, in submission order (a dict for O(1)
-        #: removal; the order is the order :meth:`stop` fails them in).
-        self._inflight: dict[Event, None] = {}
+        self._server = RateServer(sim, nominal_rate, name=name)
         self.attach_spec(spec if spec is not None else PerformanceSpec(nominal_rate))
         register_component(sim, self)
 
@@ -61,11 +62,9 @@ class DegradableServer(DegradableMixin):
 
         Raises :class:`ComponentStopped` if the component has fail-stopped.
         """
-        if self.stopped:
+        if self._stopped:
             raise ComponentStopped(self.name)
-        event = self._server.submit(size, tag=tag)
-        self._inflight[event] = None
-        event.callbacks.append(self._forget)
+        job = self._server.submit(size, tag=tag)
         # Completion telemetry is pay-for-what-you-use: the callback is
         # only attached when a bus is bound AND someone listens to us.
         telemetry = self._telemetry
@@ -74,8 +73,8 @@ class DegradableServer(DegradableMixin):
             and telemetry.active
             and telemetry.wants(self.name)
         ):
-            event.callbacks.append(self._report_completion)
-        return event
+            job.callbacks.append(self._report_completion)
+        return job
 
     def _report_completion(self, event: Event) -> None:
         """Publish (work, duration) for one finished job on the bus."""
@@ -84,25 +83,29 @@ class DegradableServer(DegradableMixin):
         stats = event._value
         self._telemetry.completion(self.name, stats.size, stats.service_time)
 
-    def _forget(self, event: Event) -> None:
-        """Drop a settled job from the in-flight set (idempotent)."""
-        self._inflight.pop(event, None)
-
     def stop(self, cause: str = "fail-stop") -> None:
-        """Fail-stop: halt, fail all in-flight work detectably."""
-        already = self.stopped
+        """Fail-stop: halt, fail all in-flight work detectably.
+
+        The wrapped server's unfinished jobs are its in-service job and
+        its queue, so they are failed in that order: submission order.
+        A job that completed at this instant is no longer among them.
+        """
+        already = self._stopped
         super().stop(cause)
         if already:
             return
-        # Fail queued/in-service jobs so waiters detect the failure rather
+        # Fail in-service/queued jobs so waiters detect the failure rather
         # than hanging forever on a rate-0 server.
-        for event in list(self._inflight):
-            if not event.triggered:
-                event.fail(ComponentStopped(self.name))
+        server = self._server
+        unfinished = list(server._queue)
+        if server._current is not None:
+            unfinished.insert(0, server._current)
+        for job in unfinished:
+            if not job.triggered:
+                job.fail(ComponentStopped(self.name))
                 # Pre-defuse: waiters still receive the exception, but a
                 # fire-and-forget write does not crash the simulation.
-                event._defused = True
-        self._inflight.clear()
+                job._defused = True
 
     def drain(self) -> Event:
         """Event firing when the server next goes idle."""

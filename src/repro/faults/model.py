@@ -152,8 +152,8 @@ class DegradableMixin:
     _telemetry = None
 
     def _init_degradable(self, name: str, nominal_rate: float) -> None:
-        if nominal_rate <= 0:
-            raise ValueError(f"nominal rate must be > 0, got {nominal_rate}")
+        if not 0 < nominal_rate < math.inf:  # also rejects NaN
+            raise ValueError(f"nominal rate must be finite and > 0, got {nominal_rate}")
         self.name = name
         self.nominal_rate = float(nominal_rate)
         self._slowdowns: Dict[str, float] = {}

@@ -46,8 +46,10 @@ class PerformanceSpec:
     correctness_timeout: Optional[float] = None
 
     def __post_init__(self):
-        if self.nominal_rate <= 0:
-            raise ValueError(f"nominal_rate must be > 0, got {self.nominal_rate}")
+        if not 0 < self.nominal_rate < float("inf"):  # also rejects NaN
+            raise ValueError(
+                f"nominal_rate must be finite and > 0, got {self.nominal_rate}"
+            )
         if not 0.0 <= self.tolerance < 1.0:
             raise ValueError(f"tolerance must be in [0, 1), got {self.tolerance}")
         if self.correctness_timeout is not None and self.correctness_timeout <= 0:

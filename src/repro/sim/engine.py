@@ -272,22 +272,21 @@ class _Series(Event):
         self._index = 0
         self._armed = [self._fire]
         sim._seq += count  # the sequence numbers the call_at loop consumed
-        self._push()
-
-    def _push(self) -> None:
-        # call_at(i * spacing)'s key: created at t = 0, its delay is the
-        # time itself.
-        i = self._index
+        # call_at(i * spacing)'s key is (i * spacing, PRIORITY_NORMAL,
+        # base + i + 1): created at t = 0, its delay is the time itself.
         self.callbacks = self._armed
-        _heappush(self.sim._queue,
-                  (i * self._spacing, PRIORITY_NORMAL, self._base + i + 1, self))
+        _heappush(sim._queue, (0 * spacing, PRIORITY_NORMAL, self._base + 1, self))
 
     def _fire(self, _event: Event) -> None:
         i = self._index
-        if i + 1 < self._count:
-            # Re-arm first: if fn raises, the rest of the series stays live.
-            self._index = i + 1
-            self._push()
+        j = i + 1
+        if j < self._count:
+            # Re-arm with call i + 1's key first: if fn raises, the rest
+            # of the series stays live.
+            self._index = j
+            self.callbacks = self._armed
+            _heappush(self.sim._queue,
+                      (j * self._spacing, PRIORITY_NORMAL, self._base + j + 1, self))
         self._fn(i)
 
 
@@ -605,7 +604,11 @@ class Simulator:
     def step(self) -> None:
         """Process exactly one live event.  Raises IndexError if queue empty.
 
-        Cancelled entries are skipped without advancing the clock.
+        Cancelled entries are skipped without advancing the clock.  A
+        :class:`~repro.sim.resources.RateServer` completion step also runs
+        its job's callbacks when nothing else is due at that instant: the
+        job is delivered in place instead of taking a heap entry of its
+        own.
         """
         queue = self._queue
         while True:

@@ -20,12 +20,15 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Any, Deque, Optional
 
-from .engine import Callback, Event, SimulationError, Simulator
+from .engine import Event, SimulationError, Simulator, Timeout
 
 __all__ = ["Resource", "Store", "RateServer", "JobStats"]
 
 #: Tolerance for floating-point work accounting.
 _EPSILON = 1e-9
+
+_INF = float("inf")
+_PENDING = Event._PENDING
 
 
 class Resource:
@@ -164,12 +167,26 @@ class JobStats:
         return self.completed_at - self.submitted_at
 
 
-@dataclass(slots=True)
-class _Job:
-    size: float
-    remaining: float
-    event: Event
-    stats: JobStats
+class _Job(Event):
+    """One submitted job, which is also the event its submitter waits on.
+
+    :meth:`RateServer.submit` returns it; it succeeds with its
+    :class:`JobStats` when the last unit of work is served, so a
+    submission allocates the job and its stats and nothing else.
+    """
+
+    __slots__ = ("size", "remaining", "stats")
+
+    def __init__(self, sim: Simulator, size: float, stats: JobStats):
+        # Event.__init__ inlined: one of these is built per submission.
+        self.sim = sim
+        self.callbacks = []
+        self._value = _PENDING
+        self._ok = None
+        self._defused = False
+        self.size = size
+        self.remaining = float(size)
+        self.stats = stats
 
 
 class RateServer:
@@ -183,14 +200,25 @@ class RateServer:
     (thermal recalibration, bus reset, GC pause): the job is frozen until
     the rate becomes positive again.
 
+    :meth:`submit` returns the job itself, an :class:`Event` that succeeds
+    with the job's :class:`JobStats`.  A finished job is *delivered in
+    place*: when nothing else is due at its completion instant, its
+    callbacks run at the end of the completion step (after the next job
+    has started and drain waiters are enqueued) instead of from a heap
+    entry of their own -- the order an enqueued delivery would give,
+    since that entry would have been the very next one processed.  When
+    something else is due at that instant, :meth:`Event.succeed`
+    enqueues the job and it takes its turn.  Sizes must be finite and
+    ``> 0``, rates finite and ``>= 0``; a rejected call changes nothing.
+
     This is the mechanism by which *performance faults* act on simulated
     components, and the mechanism by which adaptive policies observe them
     (through job response times).
     """
 
     def __init__(self, sim: Simulator, rate: float, name: str = "server"):
-        if rate < 0:
-            raise SimulationError(f"rate must be >= 0, got {rate}")
+        if not 0 <= rate < _INF:  # also rejects NaN
+            raise SimulationError(f"rate must be finite and >= 0, got {rate}")
         self.sim = sim
         self.name = name
         self._rate = float(rate)
@@ -201,7 +229,10 @@ class RateServer:
         #: idle or frozen at rate 0).  Exactly one live timer exists at a
         #: time; a rate change cancels and re-arms it instead of leaving a
         #: stale ghost entry in the heap.
-        self._timer: Optional[Callback] = None
+        self._timer: Optional[Timeout] = None
+        #: Every completion timer's callback list: the timer calls
+        #: :meth:`_complete` directly, with no trampoline.
+        self._armed = [self._complete]
         self._drain_waiters: list = []
         # Metrics.
         self.jobs_completed = 0
@@ -227,21 +258,33 @@ class RateServer:
         return self._current is not None
 
     def submit(self, size: float, tag: Any = None) -> Event:
-        """Enqueue ``size`` units of work; event fires with :class:`JobStats`."""
-        if size <= 0:
-            raise SimulationError(f"job size must be > 0, got {size}")
+        """Enqueue ``size`` units of work; event fires with :class:`JobStats`.
+
+        The returned event is the job itself.  An idle server starts it
+        at once.
+        """
+        if not 0 < size < _INF:  # also rejects NaN
+            raise SimulationError(f"job size must be finite and > 0, got {size}")
         sim = self.sim
-        stats = JobStats(size=size, submitted_at=sim._now, tag=tag)
-        job = _Job(size=size, remaining=float(size), event=Event(sim), stats=stats)
-        self._queue.append(job)
-        if self._current is None:
-            self._start_next()
-        return job.event
+        now = sim._now
+        job = _Job(sim, size, JobStats(size=size, submitted_at=now, tag=tag))
+        if self._current is not None:
+            self._queue.append(job)
+            return job
+        # Idle: the queue is empty and no timer is armed.
+        job.stats.started_at = now
+        self._current = job
+        self._last_update = now
+        self._busy_since = now
+        if self._rate > 0:
+            timer = self._timer = Timeout(sim, job.remaining / self._rate)
+            timer.callbacks = self._armed
+        return job
 
     def set_rate(self, rate: float) -> None:
         """Change the service rate, rescaling any in-flight job."""
-        if rate < 0:
-            raise SimulationError(f"rate must be >= 0, got {rate}")
+        if not 0 <= rate < _INF:  # also rejects NaN
+            raise SimulationError(f"rate must be finite and >= 0, got {rate}")
         self._accrue()
         self._rate = float(rate)
         if self._current is not None:
@@ -310,23 +353,45 @@ class RateServer:
             self._timer = None
         if self._rate <= 0:
             return  # frozen: completion rescheduled when rate rises
-        eta = self._current.remaining / self._rate
-        self._timer = Callback(self.sim, eta, self._complete, ())
+        timer = self._timer = Timeout(self.sim, self._current.remaining / self._rate)
+        timer.callbacks = self._armed
 
-    def _complete(self) -> None:
+    def _complete(self, _timer: Event) -> None:
         self._timer = None
-        self._accrue()
+        sim = self.sim
+        now = sim._now
+        # _accrue() inlined: a timer is only armed for a job in service
+        # at a positive rate.
         job = self._current
+        job.remaining -= (now - self._last_update) * self._rate
+        if job.remaining < 0:
+            job.remaining = 0.0
+        self._last_update = now
         if job.remaining > _EPSILON:
             # Floating-point residue from accrual: finish it off.
             self._schedule_completion()
             return
         self._current = None
-        now = self.sim._now
-        job.stats.completed_at = now
+        stats = job.stats
+        stats.completed_at = now
         self.jobs_completed += 1
         self.work_completed += job.size
-        job.event.succeed(job.stats)
+        heap = sim._queue
+        if heap and heap[0][0] <= now:
+            # Something else is due at this instant and goes first: the
+            # job takes its turn on the heap.
+            job.succeed(stats)
+            deliver = None
+        else:
+            # The job's heap entry would be the very next one processed:
+            # deliver it in place, below, once this step's other work is
+            # done.  Later entries lose one sequence number each, which
+            # keeps their relative order.
+            if job._value is not _PENDING:
+                raise SimulationError(f"{job!r} already triggered")
+            job._ok = True
+            job._value = stats
+            deliver = job.callbacks
         if self._queue:
             self._start_next()
         else:
@@ -338,6 +403,10 @@ class RateServer:
                 self._drain_waiters = []
                 for waiter in waiters:
                     waiter.succeed(None)
+        if deliver is not None:
+            job.callbacks = None
+            for callback in deliver:
+                callback(job)
 
     def utilization(self, elapsed: Optional[float] = None) -> float:
         """Fraction of time busy since t=0 (or over ``elapsed``)."""

@@ -164,12 +164,13 @@ class TestSaturatedEquivalence:
 
 class TestRouteProbeShadow:
     def test_raising_policy_does_not_leak_queue_depth_shadow(self):
-        """The route probe's queue_depth shadow must die with the probe.
+        """The route probe's flag must die with the probe.
 
-        ``_compute_routes`` shadows ``engine.queue_depth`` with a
-        steady-state zero for the duration of the policy ``pick`` probe.
-        If a policy raises mid-probe and the shadow leaked, every later
-        routing decision in the run would silently see empty queues.
+        ``_compute_routes`` sets ``engine.route_probe`` for the duration
+        of the policy ``pick`` probe, so every backlog reads as the
+        steady-state zero.  If a policy raises mid-probe and the flag
+        stayed set, every later routing decision in the run would
+        silently see empty queues.
         """
 
         class Boom(RuntimeError):
@@ -183,24 +184,31 @@ class TestRouteProbeShadow:
         scenario = campaign.generate_scenario(workload, "magnitude", 7, 0)
         runner = HybridRunner(workload, scenario, "stutter-aware")
         engine = runner.engine
-        original = engine.queue_depth
+        stutter_aware = runner.policy
+        first, second = sorted(engine.groups[0])
+        for __ in range(3):  # backlog on the member that wins name ties
+            runner.system.components.get(first).submit(workload.work)
         runner.policy = RaisingPolicy()
         with pytest.raises(Boom):
             runner._compute_routes()
-        # The instance-attribute shadow is gone: the name resolves back
-        # to the class method, which reads real queue state again.
-        assert "queue_depth" not in vars(engine)
-        assert engine.queue_depth == original
+        # The flag is clear again: later picks see the real backlog.
+        assert engine.route_probe is False
+        assert engine.queue_depth(first) == 3
+        request = campaign.Request(index=0, work=workload.work,
+                                   group=engine.groups[0], submitted_at=0.0)
+        assert engine.pick_candidate(request) == second
+        assert stutter_aware.pick(request) == second
 
     @pytest.mark.parametrize("policy", ["no-mitigation", "stutter-aware"])
     def test_probe_hides_real_backlog_from_picks(self, policy):
         """Inside the probe every member looks idle; outside, backlog shows.
 
-        Both the engine's default ``pick_candidate`` and the
-        stutter-aware ``pick`` must read depth through the instance's
-        ``queue_depth`` -- reading a member's backlog directly would make
-        fluid routes depend on transient residuals, which changes e28's
-        and the 10^6-client digests.
+        Both the engine's default ``pick_candidate`` (which reads the
+        ``route_probe`` flag itself) and the stutter-aware ``pick``
+        (which reads depth through ``engine.queue_depth``) must see the
+        probe -- a pick that read a member's real backlog while probing
+        would make fluid routes depend on transient residuals, which
+        changes e28's and the 10^6-client digests.
         """
         workload = campaign.WORKLOADS["raid10"]
         scenario = campaign.generate_scenario(workload, "magnitude", 7, 0)

@@ -10,7 +10,7 @@ from repro.faults import (
     FaultModel,
     PerformanceFault,
 )
-from repro.sim import Simulator
+from repro.sim import SimulationError, Simulator
 
 
 class TestFaultModel:
@@ -138,6 +138,51 @@ class TestFailStop:
         sim.run()
         assert caught == ["disk0"]
 
+    @staticmethod
+    def _logged_jobs(sim, server, labels):
+        """Submit one unit job per label; returns the outcome log and jobs."""
+        log, jobs = [], []
+        for label in labels:
+            job = server.submit(1.0)
+            job.callbacks.append(
+                lambda ev, label=label: log.append(
+                    (sim.now, label, "ok" if ev.ok else type(ev.value).__name__)
+                )
+            )
+            jobs.append(job)
+        return log, jobs
+
+    def test_stop_fails_in_service_job_then_queue_in_submission_order(self):
+        sim = Simulator()
+        server = DegradableServer(sim, "disk0", 1.0)
+        sim.call_at(1.0, server.stop)  # armed before a's completion timer
+        log, __ = self._logged_jobs(sim, server, "abc")
+        sim.run()
+        assert log == [(1.0, label, "ComponentStopped") for label in "abc"]
+        assert server.jobs_completed == 0
+
+    def test_stop_spares_a_job_completed_at_the_same_instant(self):
+        # The stop is armed after a's completion timer, so a completes
+        # first; b, now in service, and c, queued, are failed in order.
+        sim = Simulator()
+        server = DegradableServer(sim, "disk0", 1.0)
+        log, __ = self._logged_jobs(sim, server, "abc")
+        sim.call_at(1.0, server.stop)
+        sim.run()
+        assert log == [(1.0, "a", "ok"), (1.0, "b", "ComponentStopped"),
+                       (1.0, "c", "ComponentStopped")]
+        assert server.jobs_completed == 1
+
+    def test_stop_from_a_completion_callback_fails_the_next_job(self):
+        # a is delivered in place, after b has started: b and c fail.
+        sim = Simulator()
+        server = DegradableServer(sim, "disk0", 1.0)
+        log, jobs = self._logged_jobs(sim, server, "abc")
+        jobs[0].callbacks.append(lambda ev: server.stop())
+        sim.run()
+        assert log == [(1.0, "a", "ok"), (1.0, "b", "ComponentStopped"),
+                       (1.0, "c", "ComponentStopped")]
+
     def test_double_stop_is_idempotent(self):
         sim = Simulator()
         server = DegradableServer(sim, "disk0", 10.0)
@@ -232,3 +277,17 @@ class TestDegradableServerService:
         server = DegradableServer(sim, "disk0", 2.0)
         assert "disk0" in repr(server)
         assert "ok" in repr(server)
+
+    @pytest.mark.parametrize("rate", [float("nan"), float("inf")])
+    def test_non_finite_nominal_rate_rejected(self, rate):
+        with pytest.raises(ValueError, match="finite"):
+            DegradableServer(Simulator(), "disk0", rate)
+
+    def test_nan_size_leaves_the_server_usable(self):
+        sim = Simulator()
+        server = DegradableServer(sim, "disk0", 2.0)
+        with pytest.raises(SimulationError, match="finite"):
+            server.submit(float("nan"))
+        assert server.backlog == 0
+        stats = sim.run(until=server.submit(1.0))
+        assert stats.completed_at == 0.5

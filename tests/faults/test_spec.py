@@ -45,6 +45,11 @@ class TestPerformanceSpec:
         with pytest.raises(ValueError):
             PerformanceSpec(nominal_rate=1.0).expected_latency(-1.0)
 
+    @pytest.mark.parametrize("rate", [float("nan"), float("inf")])
+    def test_non_finite_nominal_rate_rejected(self, rate):
+        with pytest.raises(ValueError, match="finite"):
+            PerformanceSpec(nominal_rate=rate)
+
 
 class TestBandedSpec:
     def test_expected_rate_interpolates_with_load(self):

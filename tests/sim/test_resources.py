@@ -327,6 +327,65 @@ class TestRateServer:
         assert stats.tag == {"block": 7}
 
 
+NAN, INF = float("nan"), float("inf")
+
+
+class TestRateServerRejectsNonFinite:
+    """A NaN or infinite size or rate is refused before anything changes.
+
+    A NaN size used to pass the ``size <= 0`` check, become the job in
+    service and then fail to arm its timer, leaving the server busy for
+    good; a NaN ``set_rate`` left the rate NaN and no timer armed.
+    """
+
+    @pytest.mark.parametrize("size", [NAN, INF, -INF])
+    def test_bad_size_on_an_idle_server(self, size):
+        sim = Simulator()
+        server = RateServer(sim, rate=2.0)
+        with pytest.raises(SimulationError, match="finite"):
+            server.submit(size)
+        assert not server.busy and server.queue_length == 0
+        stats = sim.run(until=server.submit(1.0))
+        assert (stats.started_at, stats.completed_at) == (0.0, 0.5)
+        assert server.jobs_completed == 1
+
+    @pytest.mark.parametrize("size", [NAN, INF])
+    def test_bad_size_behind_a_busy_server(self, size):
+        sim = Simulator()
+        server = RateServer(sim, rate=1.0)
+        first = server.submit(1.0)
+        with pytest.raises(SimulationError, match="finite"):
+            server.submit(size)
+        assert server.queue_length == 0
+        second = server.submit(1.0)
+        sim.run()
+        assert first.value.completed_at == 1.0
+        assert second.value.completed_at == 2.0
+
+    @pytest.mark.parametrize("rate", [NAN, INF])
+    def test_bad_rate_mid_job_changes_nothing(self, rate):
+        sim = Simulator()
+        server = RateServer(sim, rate=1.0)
+        done = server.submit(2.0)
+        refused = []
+
+        def poke():
+            with pytest.raises(SimulationError, match="finite"):
+                server.set_rate(rate)
+            refused.append(sim.now)
+
+        sim.call_at(1.0, poke)
+        stats = sim.run(until=done)
+        assert refused == [1.0]
+        assert server.rate == 1.0
+        assert stats.completed_at == 2.0
+
+    @pytest.mark.parametrize("rate", [NAN, INF])
+    def test_bad_initial_rate(self, rate):
+        with pytest.raises(SimulationError, match="finite"):
+            RateServer(Simulator(), rate)
+
+
 class TestHotRecordSlots:
     """The per-request records are slotted: one is allocated per job, so
     a stray attribute write (which __dict__ would silently absorb) is a
