@@ -56,7 +56,7 @@ Boundary invariants (the contract the equivalence suite in
   the fault-free response time.  Violations -- at bind time or
   per-era -- raise :class:`HybridInfeasible`, which
   :func:`repro.faults.campaign.run_scenario` turns into a full
-  discrete fallback.
+  discrete fallback, its message kept as the outcome's ``fallback``.
 
 Policy state stays honest across the fluid stretches: the analytic
 completions are replayed into the policy via
@@ -266,7 +266,10 @@ class HybridRunner:
 
     Produces the same :class:`~repro.faults.campaign.ScenarioOutcome`
     shape as the discrete engine, so the invariant oracle, the digest
-    machinery and the scorecard aggregation all apply unchanged.
+    machinery and the scorecard aggregation all apply unchanged.  The
+    constructor raises :class:`HybridInfeasible` for a pair outside the
+    exact regime at bind time; :meth:`run` raises it for a per-era
+    refusal.
     """
 
     def __init__(self, workload: "CampaignWorkload", scenario: "Scenario",
@@ -279,6 +282,13 @@ class HybridRunner:
         self.engine = campaign.CampaignEngine(
             self.system, workload, self.groups, self.policy
         )
+        # Bind-time feasibility, settled once the policy has bound and
+        # before a caller can attach an observer (a trace sink) to
+        # ``system``: an infeasible pair never yields a runner.
+        self._action_delay = self.policy.hybrid_action_delay()
+        reason = feasibility_reason(workload, self.policy)
+        if reason is not None:
+            raise HybridInfeasible(reason)
         self.names = self.engine.component_names()
         self.index_of = {name: k for k, name in enumerate(self.names)}
         self.members = [self.system.components.get(name) for name in self.names]
@@ -303,7 +313,6 @@ class HybridRunner:
         self.windows_run = 0
         self._in_window = False
         self._signal = None
-        self._action_delay: Optional[float] = None
         #: Unresolved requests, by index -- the close condition inspects
         #: these without scanning the full request list.
         self._open: dict = {}
@@ -332,28 +341,9 @@ class HybridRunner:
             return
         self._signal = record
 
-    # -- feasibility ---------------------------------------------------------------
-
-    def _require_feasible(self) -> None:
-        self._action_delay = self.policy.hybrid_action_delay()
-        reason = feasibility_reason(self.workload, self.policy)
-        if reason is not None:
-            raise HybridInfeasible(reason)
-
-    def check_feasible(self) -> None:
-        """Raise :class:`HybridInfeasible` now if this run cannot be exact.
-
-        Public so callers that attach observers to :attr:`system` (trace
-        sinks) can settle feasibility *first* -- an attempt that will
-        fall back to discrete must not leave records from the abandoned
-        runner.  Idempotent; :meth:`run` performs the same check.
-        """
-        self._require_feasible()
-
     # -- the run loop --------------------------------------------------------------
 
     def run(self) -> "ScenarioOutcome":
-        self._require_feasible()
         for tag, fault in enumerate(self.scenario.events):
             self.engine._apply_event(tag, fault)
         windows = self._plan_windows()
@@ -913,6 +903,7 @@ class HybridRunner:
             unresolved_requests=sum(1 for r in engine.requests if not r.resolved),
             failed_requests=engine.failed_requests + self.fluid_failed,
             server_work=server_work,
+            engine="hybrid",
         )
 
 
@@ -922,14 +913,13 @@ def run_scenario_hybrid(workload: "CampaignWorkload", scenario: "Scenario",
     """One hybrid (scenario, policy) run on a fresh System; oracle-audited.
 
     Raises :class:`HybridInfeasible` when the workload/policy pair is
-    outside the exact fluid regime (callers fall back to discrete).
-    ``on_system`` (the trace-sink attachment hook, see
-    :func:`repro.faults.campaign.run_scenario`) is invoked with the
-    runner's system only after feasibility is settled.
+    outside the exact fluid regime (:func:`repro.faults.campaign.run_scenario`
+    falls back to discrete and names the reason).  ``on_system`` (the
+    trace-sink attachment hook) is invoked with the runner's system,
+    which exists only once bind-time feasibility is settled.
     """
     runner = HybridRunner(workload, scenario, policy)
     if on_system is not None:
-        runner.check_feasible()
         on_system(runner.system)
     outcome = runner.run()
     if check:

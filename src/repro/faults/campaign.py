@@ -41,12 +41,7 @@ import numpy as np
 from ..analysis.report import Table
 from ..core.system import System
 from ..policy import POLICIES, MitigationPolicy, make_policy
-from ..sim.metrics import (
-    ExactQuantile,
-    LatencyRecorder,
-    StreamingMoments,
-    quantile_from_dict,
-)
+from ..sim.metrics import ExactQuantile, LatencyRecorder, StreamingMoments
 from .component import DegradableServer
 from .spec import PerformanceSpec
 
@@ -272,6 +267,11 @@ class ScenarioOutcome:
 
     ``latencies`` holds one response time per resolved request, in
     resolution order, as a C-contiguous float64 array on both engines.
+    ``engine`` names the engine that ran (``"discrete"`` or
+    ``"hybrid"``); ``fallback`` is the
+    :class:`~repro.core.hybrid.HybridInfeasible` message when a hybrid
+    request ran discrete instead, else None.  Neither enters
+    :meth:`digest`: the two engines' outcomes of one run digest alike.
     """
 
     workload: str
@@ -292,6 +292,8 @@ class ScenarioOutcome:
     failed_requests: int
     server_work: Dict[str, float]
     violations: List[str] = field(default_factory=list)
+    engine: str = "discrete"
+    fallback: Optional[str] = None
 
     @property
     def ok(self) -> bool:
@@ -729,7 +731,9 @@ def run_scenario(workload: CampaignWorkload, scenario: Scenario,
     stretches analytically via :class:`~repro.core.hybrid.HybridRunner`
     and drops to discrete simulation inside stutter/fail-stop windows.
     A workload outside the hybrid engine's exactness preconditions
-    falls back to a full discrete run.
+    falls back to a full discrete run, named in the outcome:
+    ``outcome.engine`` says which engine ran and ``outcome.fallback``
+    holds the :class:`~repro.core.hybrid.HybridInfeasible` message.
 
     ``on_system`` is invoked with the run's freshly built
     :class:`~repro.core.system.System` before the first event executes
@@ -740,20 +744,23 @@ def run_scenario(workload: CampaignWorkload, scenario: Scenario,
     """
     if engine not in ("discrete", "hybrid"):
         raise ValueError(f"engine must be 'discrete' or 'hybrid', got {engine!r}")
+    fallback = None
     if engine == "hybrid":
         from ..core.hybrid import HybridInfeasible, run_scenario_hybrid
 
         try:
             return run_scenario_hybrid(workload, scenario, policy, check=check,
                                        on_system=on_system)
-        except HybridInfeasible:
-            pass  # outside the exact regime: the discrete oracle takes over
+        except HybridInfeasible as exc:
+            # Outside the exact regime: the discrete oracle takes over.
+            fallback = str(exc)
     system = System()
     groups = workload.build(system)
     campaign_engine = CampaignEngine(system, workload, groups, _fresh_policy(policy))
     if on_system is not None:
         on_system(system)
     outcome = campaign_engine.run(scenario)
+    outcome.fallback = fallback
     if check:
         outcome.violations.extend(InvariantOracle().check(outcome))
     return outcome
@@ -957,9 +964,7 @@ class SoakWindow:
     :class:`~repro.sim.metrics.ExactQuantile`); the ``rolling_*`` fields
     cover the last ``rolling`` windows' samples together (mean and
     ``np.quantile`` p99 over their concatenation), which is what a
-    production dashboard would alert on.  A window replayed from a
-    schema-1 trace carries P² estimates in ``p50``/``p99`` instead; both
-    answer ``.value()``.
+    production dashboard would alert on.
     """
 
     index: int
@@ -1035,8 +1040,8 @@ class SoakWindow:
             issued_work=float(payload["issued_work"]),
             wasted_work=float(payload["wasted_work"]),
             moments=StreamingMoments.from_dict(payload["moments"]),
-            p50=quantile_from_dict(payload["p50"]),
-            p99=quantile_from_dict(payload["p99"]),
+            p50=ExactQuantile.from_dict(payload["p50"]),
+            p99=ExactQuantile.from_dict(payload["p99"]),
             rolling_windows=int(rolling["windows"]),
             rolling_requests=int(rolling["requests"]),
             rolling_slo_violations=int(rolling["slo_violations"]),

@@ -14,8 +14,10 @@ reruns.
 With ``engine="hybrid"`` each scenario first attempts the hybrid
 fluid/discrete path; a scenario outside the exact regime (at bind time
 or per-era) falls back to the discrete oracle *by name*: the
-:class:`~repro.core.hybrid.HybridInfeasible` reason is recorded in
-``SweepResult.fallbacks`` rather than silently swallowed.
+:class:`~repro.core.hybrid.HybridInfeasible` reason, which
+:func:`~repro.faults.campaign.run_scenario` keeps as the outcome's
+``fallback``, is recorded in ``SweepResult.fallbacks`` rather than
+silently swallowed.
 """
 
 from __future__ import annotations
@@ -138,27 +140,6 @@ class SweepResult:
         return table
 
 
-def _run_once(workload, scenario, policy: str, engine: str, check: bool):
-    """One run under the requested engine; (outcome, engine_used, reason)."""
-    from ..faults.campaign import run_scenario
-
-    if engine == "hybrid":
-        from ..core.hybrid import HybridInfeasible, run_scenario_hybrid
-
-        try:
-            outcome = run_scenario_hybrid(workload, scenario, policy,
-                                          check=check)
-            return outcome, "hybrid", None
-        except HybridInfeasible as exc:
-            reason = str(exc)
-            outcome = run_scenario(workload, scenario, policy, check=check,
-                                   engine="discrete")
-            return outcome, "discrete", reason
-    outcome = run_scenario(workload, scenario, policy, check=check,
-                           engine="discrete")
-    return outcome, "discrete", None
-
-
 def run_sweep(
     seed: int = 7,
     count: int = 25,
@@ -177,7 +158,7 @@ def run_sweep(
         raise ValueError(
             f"engine must be 'discrete' or 'hybrid', got {engine!r}"
         )
-    from ..faults.campaign import InvariantOracle
+    from ..faults.campaign import InvariantOracle, run_scenario
 
     oracle = InvariantOracle()
     runs: List[SweepRun] = []
@@ -187,20 +168,18 @@ def run_sweep(
         compiled = compile_spec(spec)
         scenario = compiled.scenario(seed=seed, index=index)
         policy = spec.policy
-        outcome, engine_used, reason = _run_once(
-            compiled.workload, scenario, policy, engine, check=True
-        )
-        if reason is not None:
-            fallbacks.append((spec.name, reason))
+        outcome = run_scenario(compiled.workload, scenario, policy,
+                               engine=engine)
+        if outcome.fallback is not None:
+            fallbacks.append((spec.name, outcome.fallback))
         violations = list(outcome.violations)
         if verify_determinism:
-            rerun, rerun_engine, _ = _run_once(
-                compiled.workload, scenario, policy, engine, check=False
-            )
-            if rerun_engine != engine_used:
+            rerun = run_scenario(compiled.workload, scenario, policy,
+                                 check=False, engine=engine)
+            if rerun.engine != outcome.engine:
                 violations.append(
-                    f"determinism: rerun took the {rerun_engine} engine "
-                    f"after a {engine_used} first run"
+                    f"determinism: rerun took the {rerun.engine} engine "
+                    f"after a {outcome.engine} first run"
                 )
             else:
                 violations.extend(oracle.check_determinism(outcome, rerun))
@@ -209,7 +188,7 @@ def run_sweep(
             spec_name=spec.name,
             spec_digest=spec.digest(),
             policy=policy,
-            engine_used=engine_used,
+            engine_used=outcome.engine,
             outcome_digest=outcome.digest(),
             n_requests=outcome.n_requests,
             failed_requests=outcome.failed_requests,

@@ -24,7 +24,6 @@ from .metrics import (
     ExactQuantile,
     LatencyRecorder,
     LatencySummary,
-    P2Quantile,
     StreamingMoments,
 )
 from .fluid import FluidRamp, fifo_completions, fifo_uniform_ramps
@@ -57,6 +56,5 @@ __all__ = [
     "LatencySummary",
     "AvailabilityMeter",
     "StreamingMoments",
-    "P2Quantile",
     "ExactQuantile",
 ]

@@ -16,17 +16,16 @@ every number in EXPERIMENTS.md is reproducible bit for bit.
 
 Whole sample arrays (campaign outcomes, soak windows) are folded in one
 numpy pass: :meth:`StreamingMoments.of` builds the Welford state from
-every sample, and :class:`ExactQuantile` has the read surface of the
-online :class:`P2Quantile` (the Jain & Chlamtac P² estimator,
-approximate).  P² remains for the trace sink's per-subject rollups and
-for reading schema-1 traces.
+every sample, and :class:`ExactQuantile` is one ``np.quantile`` over
+every sample.  Nothing here estimates: a statistic is exact, or the
+program does not report it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Union
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -35,9 +34,7 @@ __all__ = [
     "AvailabilityMeter",
     "LatencySummary",
     "StreamingMoments",
-    "P2Quantile",
     "ExactQuantile",
-    "quantile_from_dict",
 ]
 
 
@@ -165,128 +162,16 @@ class StreamingMoments:
         return math.sqrt(self.variance)
 
 
-class P2Quantile:
-    """The P² (piecewise-parabolic) single-quantile estimator.
-
-    Jain & Chlamtac 1985: five markers track the running q-quantile
-    without storing observations.  Until five samples arrive the exact
-    order statistics are kept, so small streams report exact values;
-    beyond that the marker heights are adjusted with a parabolic
-    interpolation and the estimate is approximate (typically within a
-    percent or two for smooth distributions).
-    """
-
-    __slots__ = ("q", "_heights", "_positions", "_desired", "_increments")
-
-    def __init__(self, q: float):
-        if not 0.0 <= q <= 1.0:
-            raise ValueError(f"q must be in [0, 1], got {q}")
-        self.q = q
-        self._heights: List[float] = []
-        self._positions = [1.0, 2.0, 3.0, 4.0, 5.0]
-        self._desired = [1.0, 1.0 + 2.0 * q, 1.0 + 4.0 * q, 3.0 + 2.0 * q, 5.0]
-        self._increments = [0.0, q / 2.0, q, (1.0 + q) / 2.0, 1.0]
-
-    @property
-    def count(self) -> int:
-        """Observations folded in so far."""
-        if len(self._heights) < 5:
-            return len(self._heights)
-        return int(self._positions[4])
-
-    def push(self, x: float) -> None:
-        """Fold one observation into the estimator."""
-        heights = self._heights
-        if len(heights) < 5:
-            heights.append(x)
-            heights.sort()
-            return
-        # Locate the marker cell containing x, clamping the extremes.
-        if x < heights[0]:
-            heights[0] = x
-            k = 0
-        elif x >= heights[4]:
-            heights[4] = x
-            k = 3
-        else:
-            k = 0
-            while x >= heights[k + 1]:
-                k += 1
-        for i in range(k + 1, 5):
-            self._positions[i] += 1.0
-        for i in range(5):
-            self._desired[i] += self._increments[i]
-        # Nudge the three interior markers toward their desired positions.
-        for i in (1, 2, 3):
-            d = self._desired[i] - self._positions[i]
-            if (d >= 1.0 and self._positions[i + 1] - self._positions[i] > 1.0) or (
-                d <= -1.0 and self._positions[i - 1] - self._positions[i] < -1.0
-            ):
-                step = 1.0 if d >= 1.0 else -1.0
-                candidate = self._parabolic(i, step)
-                if heights[i - 1] < candidate < heights[i + 1]:
-                    heights[i] = candidate
-                else:
-                    heights[i] = self._linear(i, step)
-                self._positions[i] += step
-
-    def _parabolic(self, i: int, step: float) -> float:
-        n, h = self._positions, self._heights
-        return h[i] + step / (n[i + 1] - n[i - 1]) * (
-            (n[i] - n[i - 1] + step) * (h[i + 1] - h[i]) / (n[i + 1] - n[i])
-            + (n[i + 1] - n[i] - step) * (h[i] - h[i - 1]) / (n[i] - n[i - 1])
-        )
-
-    def _linear(self, i: int, step: float) -> float:
-        n, h = self._positions, self._heights
-        j = i + int(step)
-        return h[i] + step * (h[j] - h[i]) / (n[j] - n[i])
-
-    def value(self) -> float:
-        """Current estimate of the q-quantile (0.0 if no observations)."""
-        heights = self._heights
-        if not heights:
-            return 0.0
-        if len(heights) < 5:
-            # Exact small-sample quantile, same interpolation as the
-            # exact recorder.
-            if len(heights) == 1:
-                return heights[0]
-            pos = self.q * (len(heights) - 1)
-            lo = int(math.floor(pos))
-            hi = int(math.ceil(pos))
-            frac = pos - lo
-            return heights[lo] * (1 - frac) + heights[hi] * frac
-        return heights[2]
-
-    def to_dict(self) -> dict:
-        """Exact JSON-ready marker state; :meth:`from_dict` round-trips it."""
-        return {
-            "q": self.q,
-            "heights": list(self._heights),
-            "positions": list(self._positions),
-            "desired": list(self._desired),
-        }
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "P2Quantile":
-        """Rebuild an estimator serialized by :meth:`to_dict`."""
-        estimator = cls(float(payload["q"]))
-        estimator._heights = [float(x) for x in payload["heights"]]
-        estimator._positions = [float(x) for x in payload["positions"]]
-        estimator._desired = [float(x) for x in payload["desired"]]
-        return estimator
-
-
 class ExactQuantile:
     """One q-quantile computed from every sample with ``np.quantile``.
 
-    The exact counterpart of :class:`P2Quantile`'s read side (``q``,
-    :meth:`value`, :meth:`to_dict`), so scorecards and trace replay read
-    either form.  The definition is numpy's default ``"linear"`` method:
-    interpolate between the order statistics around position
-    ``q * (n - 1)`` -- the same point :meth:`LatencyRecorder.quantile`
-    interpolates at, with numpy's own rounding of the interpolation.
+    Scorecards read it with :meth:`value`; trace ``run-end`` and
+    ``window`` records carry :meth:`to_dict`, and replay rebuilds it
+    with :meth:`from_dict`.  The definition is numpy's default
+    ``"linear"`` method: interpolate between the order statistics around
+    position ``q * (n - 1)`` -- the same point
+    :meth:`LatencyRecorder.quantile` interpolates at, with numpy's own
+    rounding of the interpolation.
     """
 
     __slots__ = ("q", "_value")
@@ -301,8 +186,8 @@ class ExactQuantile:
     def of(cls, values, qs: Sequence[float]) -> List["ExactQuantile"]:
         """One exact quantile per entry of ``qs``, from one numpy pass.
 
-        An empty sample set reports 0.0 for every ``q`` (as
-        :meth:`P2Quantile.value` does with no observations).
+        An empty sample set reports 0.0 for every ``q``, as
+        :meth:`LatencyRecorder.quantile` does.
         """
         values = np.asarray(values, dtype=np.float64)
         if not values.size:
@@ -323,18 +208,6 @@ class ExactQuantile:
 
     def __repr__(self) -> str:
         return f"ExactQuantile(q={self.q!r}, value={self._value!r})"
-
-
-def quantile_from_dict(payload: dict) -> Union[ExactQuantile, P2Quantile]:
-    """Rebuild a serialized quantile of either form.
-
-    Schema-2 traces carry :class:`ExactQuantile` values (``q`` and
-    ``value``); schema-1 traces carry :class:`P2Quantile` marker state
-    (``heights`` and its companions), which replay still reads.
-    """
-    if "heights" in payload:
-        return P2Quantile.from_dict(payload)
-    return ExactQuantile.from_dict(payload)
 
 
 @dataclass(frozen=True)

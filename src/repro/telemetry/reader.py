@@ -16,12 +16,15 @@ Two conditions are errors rather than crash artifacts, because silently
 
 * a complete, parseable first line that is not a ``repro-trace`` header
   (:class:`TraceError` -- the file is not a trace);
-* a header whose ``schema`` this reader does not know
+* a header whose ``schema`` is not an ``int`` this reader knows
   (:class:`TraceSchemaError`, naming the version -- the version gate).
+  ``2.0`` and ``true`` are not versions, however they compare.
 
-Every schema in :data:`READABLE_SCHEMAS` reads: schema 1 (outcome
-digest v1, P² run-end/window statistics) stays readable for replay,
-though only the current schema can be byte-verified.
+Every schema in :data:`READABLE_SCHEMAS` reads.  Schema 2 differs from
+schema 3 only in a footer key that replay never reads (a per-subject
+p99 estimate), so it replays like schema 3, though only the current
+schema can be byte-verified.  Schema 1 (outcome digest v1, estimated
+run-end/window quantiles) is refused like any unknown version.
 
 :func:`iter_trace` is the one parser.  It yields each record as it is
 parsed and fills a :class:`TraceSummary` (header, byte counts,
@@ -46,7 +49,7 @@ __all__ = ["READABLE_SCHEMAS", "TraceError", "TraceSchemaError",
            "TraceSummary", "TraceRead", "iter_trace", "read_trace"]
 
 #: Schema versions the reader accepts, oldest first.
-READABLE_SCHEMAS = (1, TRACE_SCHEMA_VERSION)
+READABLE_SCHEMAS = (2, TRACE_SCHEMA_VERSION)
 
 
 class TraceError(Exception):
@@ -145,7 +148,7 @@ def iter_trace(path, summary: TraceSummary) -> Iterator[Dict[str, Any]]:
                         f"{TRACE_FORMAT!r} header)"
                     )
                 version = obj.get("schema")
-                if version not in READABLE_SCHEMAS:
+                if type(version) is not int or version not in READABLE_SCHEMAS:
                     supported = ", ".join(str(v) for v in READABLE_SCHEMAS)
                     raise TraceSchemaError(
                         f"{path}: unsupported trace schema version {version!r} "

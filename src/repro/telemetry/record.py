@@ -21,10 +21,10 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..scenario.bundle import spec_paths
-from ..scenario.spec import ScenarioSpec, load_spec
+from ..scenario.spec import ScenarioSpec, SpecError, load_spec
 from .reader import TraceSummary, iter_trace
 from .sink import TRACE_SCHEMA_VERSION, StreamingTraceSink
 
@@ -60,7 +60,18 @@ def stock_spec_digests(names: Optional[Sequence[str]] = None) -> Dict[str, str]:
 
 #: The outcome digest version (``ScenarioOutcome.digest``) that each
 #: readable trace schema's run-end records carry.
-_SCHEMA_DIGESTS = {1: 1, 2: 2}
+_SCHEMA_DIGESTS = {2: 2, 3: 2}
+
+#: The ``meta`` keys each mode's recorder writes: exactly the keyword
+#: arguments :func:`verify_trace` regenerates a trace of that mode with.
+_META_KEYS = {
+    "campaign": ("seed", "workloads", "families", "policies",
+                 "scenarios_per_family", "n_requests", "engine"),
+    "soak": ("seed", "workload", "family", "policy", "n_windows",
+             "injectors_per_window", "n_requests", "engine", "rolling",
+             "extra_events", "check"),
+    "spec": ("spec", "policy", "seed", "index", "engine"),
+}
 
 
 def _require_policy_names(policies) -> None:
@@ -300,6 +311,39 @@ class VerifyResult:
         return "\n".join(lines)
 
 
+def _regenerator(mode, meta) -> Tuple[Optional[Callable[[Path], Any]], List[str]]:
+    """The call that re-records a trace of ``mode`` from ``meta``, or why not.
+
+    ``meta`` must hold exactly the keys the mode's recorder writes
+    (:data:`_META_KEYS`), and a spec run's ``spec`` must parse.  Each
+    problem is one reason naming the mode and the key.
+    """
+    keys = _META_KEYS.get(mode)
+    if keys is None:
+        return None, [f"unknown trace mode {mode!r}; cannot regenerate"]
+    if not isinstance(meta, dict):
+        return None, [f"{mode} meta is not an object: {meta!r}"]
+    reasons = [f"{mode} meta has unexpected key {key!r}"
+               for key in sorted(set(meta) - set(keys))]
+    reasons += [f"{mode} meta is missing key {key!r}"
+                for key in keys if key not in meta]
+    if reasons:
+        return None, reasons
+    if mode == "campaign":
+        return lambda regen: record_campaign(regen, **meta), []
+    if mode == "soak":
+        return lambda regen: record_soak(regen, **meta), []
+    kwargs = dict(meta)
+    payload = kwargs.pop("spec")
+    try:
+        if not isinstance(payload, dict):
+            raise SpecError(f"expected an object, got {payload!r}")
+        spec = ScenarioSpec.parse(payload)
+    except SpecError as exc:
+        return None, [f"spec meta key 'spec' does not parse: {exc}"]
+    return lambda regen: record_spec_run(regen, spec, **kwargs), []
+
+
 #: Bytes per read when comparing a trace with its regeneration.
 _COMPARE_CHUNK = 1 << 16
 
@@ -334,9 +378,12 @@ def verify_trace(path, keep_regenerated: Optional[str] = None) -> VerifyResult:
     header's spec digests are checked against the *current* bundle, so
     "the spec changed since this was recorded" is reported as itself
     rather than as a mystifying byte diff.  So is an older schema: a
-    schema-1 trace still replays, but this build writes schema
+    schema-2 trace still replays, but this build writes schema
     ``TRACE_SCHEMA_VERSION``, so its regeneration could never match.
-    Neither file is ever held in memory whole.
+    The header comes from outside the program, so its ``meta`` is
+    checked too: keys that the mode's recorder does not write, or does
+    not find, and a spec that does not parse fail the verify by name
+    before anything runs.  Neither file is ever held in memory whole.
     """
     read = TraceSummary(path=str(path))
     # Walks the whole file for the integrity flags; raises on a
@@ -368,7 +415,10 @@ def verify_trace(path, keep_regenerated: Optional[str] = None) -> VerifyResult:
         return VerifyResult(path=str(path), ok=False, reasons=reasons,
                             original_bytes=read.file_bytes)
     mode = read.mode
-    meta = read.meta
+    regenerate, reasons = _regenerator(mode, read.header.get("meta"))
+    if reasons:
+        return VerifyResult(path=str(path), ok=False, reasons=reasons,
+                            original_bytes=read.file_bytes)
     if mode in ("campaign", "soak"):
         current = stock_spec_digests()
         for name, digest in sorted(read.specs.items()):
@@ -387,20 +437,7 @@ def verify_trace(path, keep_regenerated: Optional[str] = None) -> VerifyResult:
         Path(str(path) + ".regen")
     )
     try:
-        if mode == "campaign":
-            record_campaign(regen, **meta)
-        elif mode == "soak":
-            record_soak(regen, **meta)
-        elif mode == "spec":
-            meta = dict(meta)
-            spec = ScenarioSpec.parse(meta.pop("spec"))
-            record_spec_run(regen, spec, **meta)
-        else:
-            return VerifyResult(
-                path=str(path), ok=False,
-                reasons=[f"unknown trace mode {mode!r}; cannot regenerate"],
-                original_bytes=read.file_bytes,
-            )
+        regenerate(regen)
         original_bytes = os.path.getsize(path)
         regenerated_bytes = os.path.getsize(regen)
         diff = _first_diff(path, regen)

@@ -10,12 +10,11 @@ traces -- no simulator, no scenario registry, just the file:
   records;
 * a **scorecard** from the ``run-end`` / ``window`` summary records,
   whose latency statistics were serialized exactly and therefore
-  reproduce every mean/p50/p99 cell bit-for-bit (schema-1 traces carry
-  P² estimates there, which replay reads as they are);
+  reproduce every mean/p50/p99 cell bit-for-bit;
 * an **integrity report**: truncation point, clean-close flag, and a
-  cross-check of the streamed per-record counts against the footer
-  rollups (a trace whose footer disagrees with its own body is
-  flagged, never silently trusted).
+  cross-check of the streamed per-record counts against the footer's
+  per-subject ``kinds`` counts (a trace whose footer disagrees with its
+  own body is flagged, never silently trusted).
 
 Replay folds each record as the reader parses it and keeps none, so
 its memory is O(subjects + runs + windows + timeline entries) however
@@ -33,15 +32,10 @@ from __future__ import annotations
 
 from contextlib import closing
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple, Union
+from typing import Any, Dict, List, Optional, Tuple
 
 from ..analysis.report import Table
-from ..sim.metrics import (
-    ExactQuantile,
-    P2Quantile,
-    StreamingMoments,
-    quantile_from_dict,
-)
+from ..sim.metrics import ExactQuantile, StreamingMoments
 from ..sim.trace import COMPLETION, SPEC_VIOLATION, STATE_CHANGE
 from .reader import TraceSummary, iter_trace
 
@@ -67,11 +61,8 @@ class RunSummary:
     wasted_work: float = 0.0
     digest: str = ""
     moments: StreamingMoments = field(default_factory=StreamingMoments)
-    #: Exact in schema-2 traces, P² estimates in schema-1 ones.
-    p50: Union[ExactQuantile, P2Quantile] = field(
-        default_factory=lambda: ExactQuantile(0.5, 0.0))
-    p99: Union[ExactQuantile, P2Quantile] = field(
-        default_factory=lambda: ExactQuantile(0.99, 0.0))
+    p50: ExactQuantile = field(default_factory=lambda: ExactQuantile(0.5, 0.0))
+    p99: ExactQuantile = field(default_factory=lambda: ExactQuantile(0.99, 0.0))
     oracle_violations: List[str] = field(default_factory=list)
     complete: bool = False  # saw the run-end record
 
@@ -137,10 +128,10 @@ class TraceReplay:
             ],
             note=(
                 "Reconstructed from the trace alone: counters and the "
-                "serialized latency statistics in each run-end record "
-                "(exact; P2 estimates in schema-1 traces), digest = the "
-                "run's full-precision outcome identity.  Incomplete runs "
-                "(crash before run-end) show a '(partial)' digest."
+                "exact latency statistics in each run-end record, "
+                "digest = the run's full-precision outcome identity.  "
+                "Incomplete runs (crash before run-end) show a "
+                "'(partial)' digest."
             ),
         )
         for run in self.runs:
@@ -275,9 +266,9 @@ def replay_trace(path) -> TraceReplay:
                 if "moments" in record:
                     run.moments = StreamingMoments.from_dict(record["moments"])
                 if "p50" in record:
-                    run.p50 = quantile_from_dict(record["p50"])
+                    run.p50 = ExactQuantile.from_dict(record["p50"])
                 if "p99" in record:
-                    run.p99 = quantile_from_dict(record["p99"])
+                    run.p99 = ExactQuantile.from_dict(record["p99"])
                 run.oracle_violations = list(record.get("oracle_violations", []))
                 run.complete = True
             elif k == "window":

@@ -5,17 +5,18 @@ capturing a long campaign with a :class:`~repro.sim.trace.Tracer` means
 retaining every record in RAM.  :class:`StreamingTraceSink` is the
 production counterpart -- a bus tap (``System.attach_sink``) that writes
 each record to disk as one self-contained JSONL line and keeps only
-O(subjects) state in memory: per-subject record counts plus streaming
-statistics (:class:`~repro.sim.metrics.StreamingMoments` over
-completion durations and a :class:`~repro.sim.metrics.P2Quantile` p99
-*estimate*) rolled as records stream through, written out once in the
-trace footer.
+O(subjects) state in memory: per-subject record counts and the
+:class:`~repro.sim.metrics.StreamingMoments` of completion durations,
+rolled as records stream through and written out once in the trace
+footer.  The footer holds no quantile: the body records every
+completion, so a reader computes any quantile it wants exactly from the
+``rec`` lines.
 
-Trace format (schema version 2), one JSON object per line, keys
+Trace format (schema version 3), one JSON object per line, keys
 sorted, no whitespace -- fully deterministic, so a re-run of the same
 recording is byte-identical (what ``replay --verify`` checks):
 
-``{"k":"header","schema":2,"format":"repro-trace","mode":...,"meta":...,
+``{"k":"header","schema":3,"format":"repro-trace","mode":...,"meta":...,
 "specs":...}``
     First line.  ``meta`` holds every parameter needed to regenerate
     the trace; ``specs`` maps the bundled/embedded scenario-spec names
@@ -31,9 +32,10 @@ recording is byte-identical (what ``replay --verify`` checks):
     statistics: ``moments`` (``StreamingMoments`` state folded from
     every sample) and ``p50``/``p99`` as ``{"q":..,"value":..}``
     (``np.quantile``) -- what replay rebuilds scorecards from.
-    Schema 1 carried a v1 digest and P² marker state here instead.
 ``{"k":"end","records":N,"subjects":...}``
-    Footer: total record count and the per-subject rollups.  Its
+    Footer: total record count and, per subject, ``kinds`` (records per
+    kind) and, once the subject has completed work, ``completions``
+    (``StreamingMoments`` state over its completion durations).  Its
     presence marks a cleanly closed trace.
 
 Invariants (DESIGN.md section 1.11): the file is append-only; writes are
@@ -58,7 +60,7 @@ import json
 from json.encoder import encode_basestring_ascii
 from typing import Any, Dict, List, Optional, TextIO
 
-from ..sim.metrics import ExactQuantile, P2Quantile, StreamingMoments
+from ..sim.metrics import ExactQuantile, StreamingMoments
 from ..sim.trace import COMPLETION
 
 __all__ = ["TRACE_SCHEMA_VERSION", "TRACE_FORMAT", "StreamingTraceSink", "dumps_line"]
@@ -67,8 +69,10 @@ __all__ = ["TRACE_SCHEMA_VERSION", "TRACE_FORMAT", "StreamingTraceSink", "dumps_
 #: (``tests/telemetry/test_golden_schema.py``) fails if the bytes the
 #: sink produces change while this stays put, and the reader refuses
 #: versions it does not know by name.  Version 2: outcome digest v2 and
-#: exact run-end/window latency statistics.
-TRACE_SCHEMA_VERSION = 2
+#: exact run-end/window latency statistics.  Version 3: the footer's
+#: per-subject rollups no longer carry a P² ``p99`` estimate; ``kinds``
+#: and ``completions`` are unchanged.
+TRACE_SCHEMA_VERSION = 3
 
 #: Sanity tag in the header, so a random JSONL file is not mistaken for
 #: a trace.
@@ -89,6 +93,11 @@ def dumps_line(payload: Dict[str, Any]) -> str:
     the literals back unchanged.
     """
     return _ENCODER.encode(payload) + "\n"
+
+
+def _csv_quote(text: str) -> str:
+    """One CSV field, quoted: commas, quotes and newlines stay inside it."""
+    return '"' + text.replace('"', '""') + '"'
 
 
 _INF = float("inf")
@@ -116,27 +125,23 @@ def _completion_line(t: Any, subject: Any, detail: Any) -> Optional[str]:
 class _SubjectStats:
     """O(1)-memory rollup of one subject's record stream."""
 
-    __slots__ = ("kinds", "completions", "p99")
+    __slots__ = ("kinds", "completions")
 
     def __init__(self):
         self.kinds: Dict[str, int] = {}
         self.completions = StreamingMoments()
-        self.p99 = P2Quantile(0.99)
 
     def observe(self, kind: str, detail: Any) -> None:
         self.kinds[kind] = self.kinds.get(kind, 0) + 1
         if kind == COMPLETION:
             # Completion detail is (work, duration); the duration is
             # what detectors consume, so it is what the rollup tracks.
-            duration = float(detail[1])
-            self.completions.push(duration)
-            self.p99.push(duration)
+            self.completions.push(float(detail[1]))
 
     def to_dict(self) -> Dict[str, Any]:
         payload: Dict[str, Any] = {"kinds": self.kinds}
         if self.completions.count:
             payload["completions"] = self.completions.to_dict()
-            payload["p99"] = self.p99.to_dict()
         return payload
 
 
@@ -328,8 +333,8 @@ class StreamingTraceSink:
             stats = self._stats[subject] = _SubjectStats()
         stats.observe(kind, detail)
         if self._csv is not None:
-            quoted = '"' + _ENCODER.encode(detail).replace('"', '""') + '"'
-            self._csv.write(f"{t!r},{kind},{subject},{quoted}\n")
+            self._csv.write(f"{t!r},{kind},{_csv_quote(str(subject))},"
+                            f"{_csv_quote(_ENCODER.encode(detail))}\n")
 
     # -- lifecycle -------------------------------------------------------------
 

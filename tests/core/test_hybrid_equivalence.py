@@ -111,6 +111,36 @@ class TestScalePathProperties:
             run_scenario_hybrid(crowded, scenario, "fixed-timeout")
 
 
+class TestEngineRecord:
+    """``run_scenario`` names the engine that ran, and why it fell back."""
+
+    def test_infeasible_hybrid_request_runs_discrete_by_name(self):
+        workload = campaign.WORKLOADS["surge"]
+        scenario = campaign.generate_scenario(workload, "magnitude", 7, 0)
+        fell_back = campaign.run_scenario(workload, scenario, "fixed-timeout",
+                                          engine="hybrid")
+        discrete = campaign.run_scenario(workload, scenario, "fixed-timeout")
+        assert fell_back.engine == discrete.engine == "discrete"
+        assert "arrival spacing" in fell_back.fallback
+        assert discrete.fallback is None
+        assert fell_back.digest() == discrete.digest()
+        assert not fell_back.violations
+
+    def test_feasible_hybrid_request_runs_hybrid(self):
+        workload = campaign.WORKLOADS["surge"]
+        scenario = campaign.generate_scenario(workload, "magnitude", 7, 0)
+        outcome = campaign.run_scenario(workload, scenario, "no-mitigation",
+                                        engine="hybrid")
+        assert outcome.engine == "hybrid" and outcome.fallback is None
+        assert not outcome.violations
+
+    def test_runner_refuses_an_infeasible_pair_when_built(self):
+        workload = campaign.WORKLOADS["surge"]
+        scenario = campaign.generate_scenario(workload, "magnitude", 7, 0)
+        with pytest.raises(HybridInfeasible, match="arrival spacing"):
+            HybridRunner(workload, scenario, "fixed-timeout")
+
+
 class TestSaturatedEquivalence:
     """The saturated regime: 'surge' arrivals outpace service by ~25%.
 

@@ -4,14 +4,12 @@
 engines, the outcome digest hashes a canonical-JSON header plus the
 latencies' little-endian bytes, and every soak latency statistic is an
 exact numpy fold over the samples it summarizes -- live and replayed
-from the trace.  Memory of a soak stays flat as the horizon grows, and
-schema-1 traces still replay but refuse byte-verification by name.
+from the trace.  Memory of a soak stays flat as the horizon grows.
 """
 
 import gc
 import tracemalloc
 from dataclasses import replace
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,9 +23,7 @@ from repro.faults.campaign import (
     run_soak,
 )
 from repro.sim.metrics import LatencyRecorder
-from repro.telemetry import record_soak, replay_trace, verify_trace
-
-GOLDEN_V1 = Path(__file__).parent.parent / "telemetry" / "data" / "golden_trace_v1.jsonl"
+from repro.telemetry import record_soak, replay_trace
 
 FAST = CampaignWorkload(
     name="raid10", substrate="storage", prefix="d",
@@ -164,20 +160,3 @@ class TestExactSoakStatistics:
 
         run_soak(seed=7, n_windows=1, rolling=2, retain_windows=False, **params)
         assert peak(24) <= 1.1 * peak(6)
-
-
-class TestSchemaOneTraces:
-    def test_v1_golden_still_replays_clean(self):
-        replay = replay_trace(GOLDEN_V1)
-        assert replay.read.header["schema"] == 1
-        assert replay.read.clean_close and replay.consistent
-        (run,) = replay.runs
-        assert run.complete and run.requests == 4
-        # P² marker state, read as it is.
-        assert run.p99.value() == pytest.approx(0.0909, abs=1e-4)
-
-    def test_v1_golden_refuses_verify_by_name(self):
-        result = verify_trace(GOLDEN_V1)
-        assert not result.ok and result.first_diff is None
-        assert "schema 1 / outcome digest v1: re-record" in result.reasons[0]
-        assert not GOLDEN_V1.with_name(GOLDEN_V1.name + ".regen").exists()

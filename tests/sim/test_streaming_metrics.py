@@ -1,15 +1,11 @@
-"""Unit tests for the online moments, the P² estimator and the latency recorder."""
+"""Unit tests for the online moments and the latency recorder."""
 
 import math
 import random
 
 import pytest
 
-from repro.sim.metrics import (
-    LatencyRecorder,
-    P2Quantile,
-    StreamingMoments,
-)
+from repro.sim.metrics import LatencyRecorder, StreamingMoments
 
 
 class TestStreamingMoments:
@@ -49,36 +45,6 @@ class TestStreamingMoments:
 
     def test_no_dict(self):
         assert not hasattr(StreamingMoments(), "__dict__")
-
-
-class TestP2Quantile:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            P2Quantile(1.5)
-
-    def test_small_samples_exact(self):
-        est = P2Quantile(0.5)
-        assert est.value() == 0.0
-        for x in (3.0, 1.0, 2.0):
-            est.push(x)
-        assert est.value() == 2.0
-        assert est.count == 3
-
-    def test_converges_on_uniform(self):
-        rng = random.Random(42)
-        for q in (0.5, 0.9, 0.99):
-            est = P2Quantile(q)
-            for _ in range(50_000):
-                est.push(rng.random())
-            assert abs(est.value() - q) < 0.02
-            assert est.count == 50_000
-
-    def test_monotone_marker_order(self):
-        rng = random.Random(9)
-        est = P2Quantile(0.9)
-        for _ in range(5000):
-            est.push(rng.expovariate(1.0))
-        assert est._heights == sorted(est._heights)
 
 
 class TestStreamingLatencyRecorder:

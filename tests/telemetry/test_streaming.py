@@ -12,6 +12,8 @@ its divergence report is pinned to the exact byte.
 import csv
 import gc
 import json
+import sys
+import tempfile
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -36,7 +38,7 @@ from repro.telemetry import (
 from repro.telemetry import record as record_module
 from repro.telemetry.sink import _completion_line
 
-GOLDEN = Path(__file__).parent / "data" / "golden_trace_v2.jsonl"
+GOLDEN = Path(__file__).parent / "data" / "golden_trace_v3.jsonl"
 
 #: A small campaign whose trace holds every record kind, dict details
 #: (commas and quotes for the CSV) included.
@@ -50,6 +52,9 @@ floats = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
     EDGE_FLOATS)
 subjects = st.text() | st.sampled_from(
     ['d"0', "d\\0", "dé", "d\u2028", "d\x00", "\ud800", "节点"])
+#: ``csv.reader`` refuses a NUL in any field before Python 3.11.
+csv_subjects = st.text() if sys.version_info >= (3, 11) else st.text(
+    st.characters(exclude_characters="\x00"))
 
 
 def _payload(t, subject, detail, kind=COMPLETION):
@@ -126,6 +131,26 @@ class TestCsvExport:
             assert (float(time), kind, subject) == (
                 rec["t"], rec["kind"], rec["subject"])
             assert json.loads(detail) == rec["detail"]
+
+    @given(subject=csv_subjects, t=floats, work=floats, duration=floats)
+    def test_any_subject_round_trips_through_csv_reader(self, subject, t,
+                                                        work, duration):
+        records = [TraceRecord(t, COMPLETION, subject, (work, duration)),
+                   TraceRecord(t, STATE_CHANGE, subject, {"state": 'a,"b"'})]
+        with tempfile.TemporaryDirectory() as tmp:
+            csv_path = Path(tmp) / "t.csv"
+            with StreamingTraceSink(Path(tmp) / "t.jsonl",
+                                    csv_path=csv_path) as sink:
+                for record in records:
+                    sink.on_record(record)
+            with open(csv_path, newline="", encoding="utf-8") as fh:
+                header, *rows = csv.reader(fh)
+        assert header == ["time", "kind", "subject", "detail"]
+        assert [(float(time), kind, subj, json.loads(detail))
+                for time, kind, subj, detail in rows] == [
+            (t, COMPLETION, subject, [work, duration]),
+            (t, STATE_CHANGE, subject, {"state": 'a,"b"'}),
+        ]
 
     def test_failed_csv_open_closes_the_trace_file(self, tmp_path):
         with warnings.catch_warnings(record=True) as caught:
