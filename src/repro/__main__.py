@@ -199,17 +199,11 @@ def _cmd_soak(args, engine: str) -> int:
 
 
 def _cmd_replay(args) -> int:
-    from .telemetry import TraceError, TraceSchemaError, replay_trace, verify_trace
+    from .telemetry import TraceError, replay_trace, verify_trace
 
     try:
         replay = replay_trace(args.trace)
-    except TraceSchemaError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except TraceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (TraceError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     print(replay.render())

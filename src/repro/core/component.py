@@ -21,11 +21,11 @@ Three pieces unify the surface:
   :class:`~repro.faults.injector.FaultInjector` can attach to any
   component *by name* and any detector can watch any component's
   telemetry without per-experiment glue.
-* :class:`TelemetryBus` -- the structured event stream.  Components emit
-  :class:`~repro.sim.trace.TraceRecord` instances (kinds listed in
-  :data:`TELEMETRY_KINDS`); subscribers and an optional
-  :class:`~repro.sim.trace.Tracer` receive them.  Like the disabled
-  tracer, the bus is pay-for-what-you-use: with no tracer and no
+* :class:`TelemetryBus` -- the one structured event stream.  Components
+  emit :class:`~repro.sim.trace.TraceRecord` instances (kinds listed in
+  :data:`TELEMETRY_KINDS`) and subscribers receive them: detectors and
+  policies per subject, taps (a run's trace sink, a hybrid runner) every
+  record.  The bus is pay-for-what-you-use: with no tap and no
   subscriber for a subject, :meth:`TelemetryBus.wants` is False and
   components skip record construction entirely.
 
@@ -48,7 +48,6 @@ from ..sim.trace import (
     SPEC_VIOLATION,
     STATE_CHANGE,
     TraceRecord,
-    Tracer,
 )
 
 __all__ = [
@@ -66,8 +65,7 @@ __all__ = [
 #: hardware substrate).
 SUBSTRATES = ("storage", "network", "processor", "cluster", "core")
 
-#: Telemetry record kinds emitted through the bus (and, when a tracer is
-#: attached, into :class:`~repro.sim.trace.Tracer.records`).
+#: Telemetry record kinds emitted through the bus.
 TELEMETRY_KINDS = (COMPLETION, SPEC_VIOLATION, STATE_CHANGE, INJECTOR_EVENT)
 
 
@@ -122,19 +120,19 @@ class TelemetryBus:
 
     Components call :meth:`emit` (guarded by :meth:`wants`, so the idle
     bus costs one set lookup); detectors subscribe per component name
-    with :meth:`subscribe`; an optional :class:`Tracer` captures every
-    record for post-run queries (``tracer.select(kind="spec-violation")``).
+    with :meth:`subscribe`; taps such as a run's trace sink receive
+    every record through :meth:`subscribe_all`.  Every run builds a
+    fresh bus, so a subscription lasts as long as its run.
     """
 
-    def __init__(self, sim, tracer: Optional[Tracer] = None):
+    def __init__(self, sim):
         self.sim = sim
-        self.tracer = tracer
         self._subscribers: Dict[str, List[Any]] = {}
         self._taps: List[Any] = []
         #: False until anyone could possibly listen.  Hot emitters check
         #: this single attribute before calling :meth:`wants`, so a
         #: telemetry-free run pays one load per event, not a method call.
-        self.active = tracer is not None
+        self.active = False
 
     # -- routing ---------------------------------------------------------------
 
@@ -142,9 +140,7 @@ class TelemetryBus:
         """True when a record about ``subject`` would reach anyone."""
         if not self.active:
             return False
-        if self._taps or subject in self._subscribers:
-            return True
-        return self.tracer is not None and self.tracer.enabled
+        return subject in self._subscribers or bool(self._taps)
 
     def subscribe(self, subject: str, callback) -> None:
         """Deliver every record about ``subject`` to ``callback``."""
@@ -152,45 +148,15 @@ class TelemetryBus:
         self.active = True
 
     def subscribe_all(self, callback) -> None:
-        """Deliver every record on the bus to ``callback``.
-
-        The callback itself is the subscription handle: pass it to
-        :meth:`unsubscribe_all` to detach again.
-        """
+        """Deliver every record on the bus to ``callback``."""
         self._taps.append(callback)
         self.active = True
-
-    def unsubscribe_all(self, callback) -> None:
-        """Detach a :meth:`subscribe_all` tap, restoring pay-for-use gating.
-
-        Without this, a transient tap (a streaming trace sink attached
-        for one recorded run) would leave :attr:`active` latched True
-        forever and every later emitter on the same bus would keep
-        paying the full record-construction cost for records nobody
-        reads.  Detaching recomputes :attr:`active` from what is still
-        listening, so a drained bus goes back to the one-attribute-load
-        idle cost.
-        """
-        self._taps.remove(callback)
-        self._recompute_active()
-
-    def set_tracer(self, tracer: Optional[Tracer]) -> None:
-        """Attach (or detach) the tracer capturing every record."""
-        self.tracer = tracer
-        self._recompute_active()
-
-    def _recompute_active(self) -> None:
-        self.active = bool(
-            self.tracer is not None or self._taps or self._subscribers
-        )
 
     def emit(self, kind: str, subject: str, detail: Any = None) -> Optional[TraceRecord]:
         """Emit one record (dropped cheaply when nobody listens)."""
         if not self.wants(subject):
             return None
         record = TraceRecord(self.sim.now, kind, subject, detail)
-        if self.tracer is not None and self.tracer.enabled:
-            self.tracer.emit_record(record)
         for callback in self._subscribers.get(subject, ()):
             callback(record)
         for callback in self._taps:

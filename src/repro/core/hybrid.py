@@ -909,18 +909,18 @@ class HybridRunner:
 
 def run_scenario_hybrid(workload: "CampaignWorkload", scenario: "Scenario",
                         policy, check: bool = True,
-                        on_system=None) -> "ScenarioOutcome":
+                        sink=None) -> "ScenarioOutcome":
     """One hybrid (scenario, policy) run on a fresh System; oracle-audited.
 
     Raises :class:`HybridInfeasible` when the workload/policy pair is
     outside the exact fluid regime (:func:`repro.faults.campaign.run_scenario`
-    falls back to discrete and names the reason).  ``on_system`` (the
-    trace-sink attachment hook) is invoked with the runner's system,
-    which exists only once bind-time feasibility is settled.
+    falls back to discrete and names the reason).  ``sink`` (a trace
+    sink) is subscribed to the runner's telemetry bus, which exists
+    only once bind-time feasibility is settled.
     """
     runner = HybridRunner(workload, scenario, policy)
-    if on_system is not None:
-        on_system(runner.system)
+    if sink is not None:
+        runner.system.telemetry.subscribe_all(sink.on_record)
     outcome = runner.run()
     if check:
         outcome.violations.extend(campaign.InvariantOracle().check(outcome))

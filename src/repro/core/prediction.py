@@ -89,10 +89,6 @@ class StutterTrendPredictor:
         """When ``component`` tripped (None if it never did)."""
         return self._flagged_at.get(component)
 
-    def flagged_components(self) -> List[str]:
-        """All tripped components, sorted by name."""
-        return sorted(self._flagged_at)
-
 
 @dataclass(frozen=True)
 class PredictionOutcome:

@@ -32,7 +32,6 @@ from ..faults.component import DegradableServer
 from ..faults.model import ComponentState, ComponentStopped
 from ..faults.spec import PerformanceSpec
 from ..sim.engine import Event, Simulator
-from ..sim.trace import Tracer
 from .component import ComponentRegistry, DetectorBinding, TelemetryBus
 from .detection import CorrectnessWatchdog, ThresholdDetector
 from .estimator import WindowedRateEstimator
@@ -64,47 +63,15 @@ class System(Simulator):
         sim.run(until=100.0)
         assert binding.faulty
 
-    Pass ``tracer=Tracer(...)`` (or set :attr:`trace` later) to capture
-    the structured telemetry stream (``completion`` / ``spec-violation``
-    / ``state-change`` records) for post-run queries.
+    The structured telemetry stream (``completion`` / ``spec-violation``
+    / ``state-change`` / ``injector-event`` records) is
+    :attr:`telemetry`; subscribe to it to observe a run.
     """
 
-    def __init__(self, tracer: Optional[Tracer] = None):
+    def __init__(self):
         super().__init__()
-        self.telemetry = TelemetryBus(self, tracer)
+        self.telemetry = TelemetryBus(self)
         self.components = ComponentRegistry(self, self.telemetry)
-        self._sinks: List[object] = []
-
-    def attach_sink(self, sink) -> None:
-        """Stream every telemetry record into ``sink`` (``on_record``).
-
-        ``sink`` is any object with an ``on_record(record)`` method --
-        in practice a :class:`repro.telemetry.StreamingTraceSink`.  The
-        sink outlives the system (a soak campaign attaches one sink to
-        a fresh ``System`` per window), so attachment is just a bus
-        tap; :meth:`detach_sink` restores the bus's pay-for-use gating.
-        """
-        if sink in self._sinks:
-            raise ValueError(f"sink {sink!r} is already attached")
-        self.telemetry.subscribe_all(sink.on_record)
-        self._sinks.append(sink)
-
-    def detach_sink(self, sink) -> None:
-        """Stop streaming records into ``sink``."""
-        try:
-            self._sinks.remove(sink)
-        except ValueError:
-            raise ValueError(f"sink {sink!r} is not attached") from None
-        self.telemetry.unsubscribe_all(sink.on_record)
-
-    @property
-    def trace(self) -> Optional[Tracer]:
-        """The tracer capturing telemetry records (None by default)."""
-        return self.telemetry.tracer
-
-    @trace.setter
-    def trace(self, tracer: Optional[Tracer]) -> None:
-        self.telemetry.set_tracer(tracer)
 
     def inject(self, name: str, injector, rng=None):
         """Attach ``injector`` to the component registered as ``name``."""

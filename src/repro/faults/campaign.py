@@ -114,14 +114,6 @@ class Scenario:
     seed: int
     events: Tuple[FaultEvent, ...]
 
-    def describe(self) -> str:
-        parts = ", ".join(
-            f"{e.component}:{e.kind}@{e.onset:.2f}"
-            + (f"x{e.factor:.2f}/{e.duration:.2f}s" if e.kind == "stutter" else "")
-            for e in self.events
-        )
-        return f"{self.family}[{self.index}] {parts}"
-
 
 # ---------------------------------------------------------------------------
 # Workloads
@@ -716,9 +708,7 @@ def _fresh_policy(policy: PolicyLike) -> MitigationPolicy:
 
 def run_scenario(workload: CampaignWorkload, scenario: Scenario,
                  policy: PolicyLike, check: bool = True,
-                 engine: str = "discrete",
-                 on_system: Optional[Callable[[System], None]] = None,
-                 ) -> ScenarioOutcome:
+                 engine: str = "discrete", sink=None) -> ScenarioOutcome:
     """One (scenario, policy) run on a fresh System; oracle-audited.
 
     ``policy`` is a roster name, a factory, or a ready instance.  The
@@ -735,12 +725,15 @@ def run_scenario(workload: CampaignWorkload, scenario: Scenario,
     ``outcome.engine`` says which engine ran and ``outcome.fallback``
     holds the :class:`~repro.core.hybrid.HybridInfeasible` message.
 
-    ``on_system`` is invoked with the run's freshly built
-    :class:`~repro.core.system.System` before the first event executes
-    -- the attachment point for streaming trace sinks
-    (``on_system=lambda s: s.attach_sink(sink)``).  On a hybrid run it
-    only fires once feasibility is settled, so an attempt that falls
-    back to discrete leaves no records from the abandoned runner.
+    ``sink`` (a :class:`~repro.telemetry.StreamingTraceSink`) receives
+    every record on the run's telemetry bus from the first event on;
+    the caller writes the trace's run-start and run-end lines around
+    the call.  A hybrid pair that
+    :class:`~repro.core.hybrid.HybridRunner` refuses when it is built
+    leaves no records: the sink is subscribed only to the discrete
+    run that replaces it.  A refusal raised while the hybrid run is
+    under way comes after the sink is subscribed, so any records the
+    abandoned run emitted stay in the trace.
     """
     if engine not in ("discrete", "hybrid"):
         raise ValueError(f"engine must be 'discrete' or 'hybrid', got {engine!r}")
@@ -750,15 +743,15 @@ def run_scenario(workload: CampaignWorkload, scenario: Scenario,
 
         try:
             return run_scenario_hybrid(workload, scenario, policy, check=check,
-                                       on_system=on_system)
+                                       sink=sink)
         except HybridInfeasible as exc:
             # Outside the exact regime: the discrete oracle takes over.
             fallback = str(exc)
     system = System()
     groups = workload.build(system)
     campaign_engine = CampaignEngine(system, workload, groups, _fresh_policy(policy))
-    if on_system is not None:
-        on_system(system)
+    if sink is not None:
+        system.telemetry.subscribe_all(sink.on_record)
     outcome = campaign_engine.run(scenario)
     outcome.fallback = fallback
     if check:
@@ -884,7 +877,7 @@ def run_campaign(
     n_requests: Optional[int] = None,
     verify_determinism: bool = True,
     engine: str = "discrete",
-    recorder=None,
+    sink=None,
 ) -> CampaignResult:
     """The full sweep: workloads x families x scenarios x policies.
 
@@ -897,13 +890,12 @@ def run_campaign(
     discrete (exact) or hybrid (fluid between fault windows) execution
     for every run, rerun included.
 
-    ``recorder`` (a :class:`repro.telemetry.TraceRecorder`-shaped
-    object) streams the campaign to disk: ``begin_run(workload,
-    scenario, policy, engine)`` is called before every primary run and
-    returns the ``on_system`` sink hook (or None), ``end_run(outcome)``
-    after it.  Determinism reruns are *not* recorded -- they exist to
-    check the primary run, and recording them would double every
-    record in the trace.
+    ``sink`` (a :class:`~repro.telemetry.StreamingTraceSink`) streams
+    the campaign to disk: every primary run is written as a run-start
+    line, its records and a run-end line, numbered in recording order.
+    Determinism reruns are *not* recorded -- they exist to check the
+    primary run, and recording them would double every record in the
+    trace.
     """
     if policies is None:
         policies = list(POLICIES)
@@ -919,15 +911,18 @@ def run_campaign(
             by_policy: Dict[str, List[ScenarioOutcome]] = {p: [] for p in policies}
             for scenario in scenarios:
                 for policy_name in policies:
-                    on_system = None
-                    if recorder is not None:
-                        on_system = recorder.begin_run(
-                            workload, scenario, policy_name, engine
+                    run = len(outcomes)
+                    if sink is not None:
+                        sink.write_run_start(
+                            run=run, workload=workload.name,
+                            family=scenario.family, index=scenario.index,
+                            seed=scenario.seed, policy=policy_name,
+                            engine=engine, events=scenario.events,
                         )
                     outcome = run_scenario(workload, scenario, policy_name,
-                                           engine=engine, on_system=on_system)
-                    if recorder is not None:
-                        recorder.end_run(outcome)
+                                           engine=engine, sink=sink)
+                    if sink is not None:
+                        sink.write_run_end(run, outcome)
                     if verify_determinism:
                         rerun = run_scenario(workload, scenario, policy_name,
                                              check=False, engine=engine)
@@ -1245,7 +1240,6 @@ def run_soak(
         ]
         events = merge_soak_events(draws, extras.get(w, ()))
         scenario = Scenario(family=family, index=w, seed=seed, events=events)
-        on_system = None
         if sink is not None:
             sink.time_offset = start
             sink.write_run_start(
@@ -1253,9 +1247,8 @@ def run_soak(
                 seed=seed, policy=policy_name, engine=engine, events=events,
                 start=start,
             )
-            on_system = lambda system: system.attach_sink(sink)  # noqa: E731
         outcome = run_scenario(scaled, scenario, policy, check=check,
-                               engine=engine, on_system=on_system)
+                               engine=engine, sink=sink)
         latencies = outcome.latencies
         moments = StreamingMoments.of(latencies)
         p50, p99 = ExactQuantile.of(latencies, (0.5, 0.99))

@@ -18,7 +18,6 @@ import random
 from typing import List, Optional, Sequence
 
 from ..sim.engine import Process, Simulator
-from ..sim.trace import Tracer
 from .model import DegradableMixin
 
 __all__ = ["FaultInjector", "InjectorHandle", "CompositeInjector"]
@@ -88,12 +87,11 @@ class FaultInjector:
         sim: Simulator,
         target: DegradableMixin,
         rng: Optional[random.Random] = None,
-        tracer: Optional[Tracer] = None,
     ) -> InjectorHandle:
         """Start injecting faults into ``target``; returns a handle."""
         rng = rng or random.Random(0)
         handle = InjectorHandle(self, [], [target])
-        process = sim.process(self._drive(sim, target, rng, tracer, handle))
+        process = sim.process(self._drive(sim, target, rng, handle))
         handle.processes.append(process)
         self._announce(target, "attach")
         return handle
@@ -103,23 +101,18 @@ class FaultInjector:
         sim: Simulator,
         targets: Sequence[DegradableMixin],
         rng: Optional[random.Random] = None,
-        tracer: Optional[Tracer] = None,
     ) -> List[InjectorHandle]:
         """Attach an independent copy of this fault process to each target."""
-        return [self.attach(sim, t, rng, tracer) for t in targets]
+        return [self.attach(sim, t, rng) for t in targets]
 
     # -- subclass hook ---------------------------------------------------------
 
-    def _drive(self, sim, target, rng, tracer, handle):
+    def _drive(self, sim, target, rng, handle):
         """Generator driving the fault process (subclass responsibility)."""
         raise NotImplementedError
         yield  # pragma: no cover
 
     # -- helpers for subclasses --------------------------------------------------
-
-    def _emit(self, tracer: Optional[Tracer], event: str, target: DegradableMixin, detail=None):
-        if tracer is not None:
-            tracer.emit(f"fault.{self.kind}.{event}", target.name, detail)
 
     def _announce(self, target: DegradableMixin, action: str, **detail) -> None:
         """Publish an ``injector-event`` record on the target's bus.
@@ -148,13 +141,13 @@ class CompositeInjector(FaultInjector):
             raise ValueError("composite needs at least one injector")
         self.injectors = list(injectors)
 
-    def attach(self, sim, target, rng=None, tracer=None) -> InjectorHandle:
+    def attach(self, sim, target, rng=None) -> InjectorHandle:
         handle = InjectorHandle(self, [], [target])
         for injector in self.injectors:
-            child = injector.attach(sim, target, rng, tracer)
+            child = injector.attach(sim, target, rng)
             handle.children.append(child)
             handle.processes.extend(child.processes)
         return handle
 
-    def _drive(self, sim, target, rng, tracer, handle):  # pragma: no cover
+    def _drive(self, sim, target, rng, handle):  # pragma: no cover
         raise NotImplementedError("composite delegates to children")

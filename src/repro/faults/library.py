@@ -63,13 +63,12 @@ class StaticSkew(FaultInjector):
         self.factor = factor
         self.at = at
 
-    def _drive(self, sim, target, rng, tracer, handle):
+    def _drive(self, sim, target, rng, handle):
         if self.at > 0:
             yield sim.timeout(self.at)
         if handle.cancelled or target.stopped:
             return
         target.set_slowdown(self.source, self.factor)
-        self._emit(tracer, "applied", target, {"factor": self.factor})
 
 
 class TransientStutter(FaultInjector):
@@ -94,17 +93,15 @@ class TransientStutter(FaultInjector):
         self.duration = duration
         self.factor = factor
 
-    def _drive(self, sim, target, rng, tracer, handle):
+    def _drive(self, sim, target, rng, handle):
         while not handle.cancelled and not target.stopped:
             yield sim.timeout(self.interarrival.sample(rng))
             if handle.cancelled or target.stopped:
                 return
             factor = self.factor.sample(rng)
             target.set_slowdown(self.source, factor)
-            self._emit(tracer, "start", target, {"factor": factor})
             yield sim.timeout(self.duration.sample(rng))
             target.clear_slowdown(self.source)
-            self._emit(tracer, "end", target)
 
 
 class PeriodicBackground(FaultInjector):
@@ -140,14 +137,12 @@ class PeriodicBackground(FaultInjector):
         self.factor = factor
         self.phase = phase
 
-    def _drive(self, sim, target, rng, tracer, handle):
+    def _drive(self, sim, target, rng, handle):
         yield sim.timeout(self.phase + (self.period - self.duration))
         while not handle.cancelled and not target.stopped:
             target.set_slowdown(self.source, self.factor)
-            self._emit(tracer, "start", target, {"factor": self.factor})
             yield sim.timeout(self.duration)
             target.clear_slowdown(self.source)
-            self._emit(tracer, "end", target)
             if handle.cancelled or target.stopped:
                 return
             yield sim.timeout(self.period - self.duration)
@@ -197,21 +192,20 @@ class CorrelatedGroupFault(FaultInjector):
         sim: Simulator,
         targets: Sequence[DegradableMixin],
         rng: Optional[random.Random] = None,
-        tracer=None,
     ) -> InjectorHandle:
         """Start one shared fault process over all ``targets``."""
         if not targets:
             raise ValueError("need at least one target")
         rng = rng or random.Random(0)
         handle = InjectorHandle(self, [], list(targets))
-        process = sim.process(self._drive_group(sim, list(targets), rng, tracer, handle))
+        process = sim.process(self._drive_group(sim, list(targets), rng, handle))
         handle.processes.append(process)
         return handle
 
-    def _drive(self, sim, target, rng, tracer, handle):
-        yield from self._drive_group(sim, [target], rng, tracer, handle)
+    def _drive(self, sim, target, rng, handle):
+        yield from self._drive_group(sim, [target], rng, handle)
 
-    def _drive_group(self, sim, targets, rng, tracer, handle):
+    def _drive_group(self, sim, targets, rng, handle):
         while not handle.cancelled:
             yield sim.timeout(self.interarrival.sample(rng))
             if handle.cancelled:
@@ -220,11 +214,9 @@ class CorrelatedGroupFault(FaultInjector):
             for target in targets:
                 if not target.stopped:
                     target.set_slowdown(self.source, self.factor)
-                    self._emit(tracer, "start", target, {"factor": self.factor})
             yield sim.timeout(duration)
             for target in targets:
                 target.clear_slowdown(self.source)
-                self._emit(tracer, "end", target)
 
 
 class InterferenceLoad(FaultInjector):
@@ -256,18 +248,16 @@ class InterferenceLoad(FaultInjector):
         self.at = at
         self.duration = duration
 
-    def _drive(self, sim, target, rng, tracer, handle):
+    def _drive(self, sim, target, rng, handle):
         if self.at > 0:
             yield sim.timeout(self.at)
         if handle.cancelled or target.stopped:
             return
         target.set_slowdown(self.source, 1.0 - self.share)
-        self._emit(tracer, "start", target, {"share": self.share})
         if self.duration is None:
             return
         yield sim.timeout(self.duration)
         target.clear_slowdown(self.source)
-        self._emit(tracer, "end", target)
 
 
 class FailStopAt(FaultInjector):
@@ -281,12 +271,11 @@ class FailStopAt(FaultInjector):
             raise ValueError(f"at must be >= 0, got {at}")
         self.at = at
 
-    def _drive(self, sim, target, rng, tracer, handle):
+    def _drive(self, sim, target, rng, handle):
         yield sim.timeout(self.at)
         if handle.cancelled:
             return
         target.stop(cause=self.source)
-        self._emit(tracer, "stopped", target)
 
 
 class RandomFailStop(FaultInjector):
@@ -300,9 +289,8 @@ class RandomFailStop(FaultInjector):
             raise ValueError(f"mttf must be > 0, got {mttf}")
         self.mttf = mttf
 
-    def _drive(self, sim, target, rng, tracer, handle):
+    def _drive(self, sim, target, rng, handle):
         yield sim.timeout(Exponential(self.mttf).sample(rng))
         if handle.cancelled:
             return
         target.stop(cause=self.source)
-        self._emit(tracer, "stopped", target)

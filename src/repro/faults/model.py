@@ -283,10 +283,6 @@ class DegradableMixin:
         if self._telemetry is not None:
             self._emit_telemetry_state()
 
-    def active_slowdowns(self) -> Dict[str, float]:
-        """Snapshot of the active slowdown channels."""
-        return dict(self._slowdowns)
-
     # -- internals ---------------------------------------------------------------
 
     def _close_episode(self, source: str) -> None:

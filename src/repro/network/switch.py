@@ -34,7 +34,6 @@ from ..core.component import CompositeComponent
 from ..faults.component import DegradableServer
 from ..faults.spec import PerformanceSpec
 from ..sim.engine import Event, Simulator
-from ..sim.trace import Tracer
 
 __all__ = ["SwitchConfig", "Switch"]
 
@@ -107,7 +106,6 @@ class Switch(CompositeComponent):
         sim: Simulator,
         config: SwitchConfig = SwitchConfig(),
         favored_ports: Optional[Set[int]] = None,
-        tracer: Optional[Tracer] = None,
         name: str = "switch",
     ):
         self.sim = sim
@@ -115,7 +113,6 @@ class Switch(CompositeComponent):
         self.favored_ports = set(favored_ports or ())
         if any(not 0 <= p < config.n_ports for p in self.favored_ports):
             raise ValueError("favored port out of range")
-        self.tracer = tracer
         self.core = DegradableServer(sim, f"{name}.core", config.core_rate)
         self.ports: List[DegradableServer] = [
             DegradableServer(sim, f"{name}.port{i}", config.port_rate)
@@ -256,8 +253,6 @@ class Switch(CompositeComponent):
             return
         # The detector fired: halt all switch traffic for the recovery.
         self.deadlock_events += 1
-        if self.tracer is not None:
-            self.tracer.emit("switch.deadlock", "switch", {"message": message_id})
         source = f"deadlock#{self.deadlock_events}"
         targets = [self.core] + self.ports
         for target in targets:

@@ -2,10 +2,10 @@
 
 The kernel (:mod:`repro.sim.engine`), shared resources
 (:mod:`repro.sim.resources`), deterministic randomness
-(:mod:`repro.sim.random`), tracing (:mod:`repro.sim.trace`) and metrics
-(:mod:`repro.sim.metrics`) on which every simulated component is built,
-plus the closed-form FIFO response times (:mod:`repro.sim.fluid`) behind
-the hybrid engine.
+(:mod:`repro.sim.random`), telemetry records (:mod:`repro.sim.trace`) and
+metrics (:mod:`repro.sim.metrics`) on which every simulated component
+is built, plus the closed-form FIFO response times
+(:mod:`repro.sim.fluid`) behind the hybrid engine.
 """
 
 from .engine import (
@@ -13,7 +13,6 @@ from .engine import (
     AnyOf,
     Callback,
     Event,
-    Interrupt,
     Process,
     SimulationError,
     Simulator,
@@ -28,8 +27,8 @@ from .metrics import (
 )
 from .fluid import FluidRamp, fifo_completions, fifo_uniform_ramps
 from .random import RandomStreams, derive_seed
-from .resources import JobStats, RateServer, Resource, Store
-from .trace import TraceRecord, Tracer
+from .resources import JobStats, RateServer, Store
+from .trace import TraceRecord
 
 __all__ = [
     "Simulator",
@@ -39,9 +38,7 @@ __all__ = [
     "Process",
     "AllOf",
     "AnyOf",
-    "Interrupt",
     "SimulationError",
-    "Resource",
     "Store",
     "RateServer",
     "JobStats",
@@ -50,7 +47,6 @@ __all__ = [
     "fifo_uniform_ramps",
     "RandomStreams",
     "derive_seed",
-    "Tracer",
     "TraceRecord",
     "LatencyRecorder",
     "LatencySummary",

@@ -10,7 +10,6 @@ discrete-event kernel in the style of SimPy:
 * :class:`Callback` -- a cancellable timer that calls a plain function.
 * :class:`Process` -- a generator coroutine driven by the events it yields.
 * :class:`AllOf` / :class:`AnyOf` -- event combinators.
-* :class:`Interrupt` -- the exception thrown into an interrupted process.
 
 Determinism matters here: the fail-stutter experiments compare policies
 against each other under identical fault schedules, so two runs with the
@@ -47,7 +46,6 @@ __all__ = [
     "Process",
     "AllOf",
     "AnyOf",
-    "Interrupt",
     "SimulationError",
     "StopSimulation",
     "Simulator",
@@ -55,7 +53,8 @@ __all__ = [
     "PRIORITY_NORMAL",
 ]
 
-#: Scheduling priority for interrupts, which must preempt same-time events.
+#: Scheduling priority for process start-up: a process created at time
+#: t starts before every normal-priority event due at t.
 PRIORITY_URGENT = 0
 #: Default scheduling priority.
 PRIORITY_NORMAL = 1
@@ -71,19 +70,6 @@ class StopSimulation(Exception):
     def __init__(self, value: Any = None):
         super().__init__(value)
         self.value = value
-
-
-class Interrupt(Exception):
-    """Thrown into a :class:`Process` by :meth:`Process.interrupt`.
-
-    The interrupted process may catch it and continue; ``cause`` carries
-    whatever object the interrupter supplied (e.g. a fault record).
-    """
-
-    @property
-    def cause(self) -> Any:
-        """The object passed to :meth:`Process.interrupt`."""
-        return self.args[0]
 
 
 class Event:
@@ -317,51 +303,17 @@ class Process(Event):
     with ordinary ``try/except``.
     """
 
-    __slots__ = ("_generator", "_target")
+    __slots__ = ("_generator",)
 
     def __init__(self, sim: "Simulator", generator: Generator):
         if not hasattr(generator, "throw"):
             raise SimulationError(f"{generator!r} is not a generator")
         super().__init__(sim)
         self._generator = generator
-        #: The event this process is currently waiting on (None when it is
-        #: scheduled to run or finished).
-        self._target: Optional[Event] = None
         _Initialize(sim, self)
-
-    @property
-    def is_alive(self) -> bool:
-        """True while the generator has not finished."""
-        return not self.triggered
-
-    def interrupt(self, cause: Any = None) -> None:
-        """Throw :class:`Interrupt` into the process at its yield point.
-
-        The interrupt is delivered at the current simulation time with
-        urgent priority.  Interrupting a finished process is an error;
-        interrupting a process waiting on an event simply abandons that
-        wait (the event may still fire later and is ignored by this
-        process).
-        """
-        if self.triggered:
-            raise SimulationError(f"cannot interrupt finished {self!r}")
-        if self._target is None:
-            raise SimulationError(f"{self!r} is not waiting; cannot interrupt")
-        # Detach from the event we were waiting on.
-        target = self._target
-        if target.callbacks is not None and self._resume in target.callbacks:
-            target.callbacks.remove(self._resume)
-        self._target = None
-        interrupt_event = Event(self.sim)
-        interrupt_event._ok = False
-        interrupt_event._value = Interrupt(cause)
-        interrupt_event._defused = True
-        interrupt_event.callbacks.append(self._resume)
-        self.sim._enqueue(interrupt_event, PRIORITY_URGENT, 0.0)
 
     def _resume(self, event: Event) -> None:
         """Advance the generator with ``event``'s outcome."""
-        self._target = None
         generator = self._generator
         send = generator.send
         while True:
@@ -394,7 +346,6 @@ class Process(Event):
             if callbacks is not None:
                 # Not yet processed: park until it fires.
                 callbacks.append(self._resume)
-                self._target = next_event
                 return
             # Already processed: feed its outcome straight back in.
             event = next_event

@@ -1,9 +1,7 @@
 """Shared resources for simulated components.
 
-Three primitives cover every component model in the library:
+Two primitives cover every component model in the library:
 
-* :class:`Resource` -- a counted FIFO semaphore (SCSI bus ownership, switch
-  ports, memory frames).
 * :class:`Store` -- a producer/consumer buffer (task queues, switch buffer
   pools).
 * :class:`RateServer` -- a FIFO work server whose service *rate* can change
@@ -22,64 +20,13 @@ from typing import Any, Deque, Optional
 
 from .engine import Event, SimulationError, Simulator, Timeout
 
-__all__ = ["Resource", "Store", "RateServer", "JobStats"]
+__all__ = ["Store", "RateServer", "JobStats"]
 
 #: Tolerance for floating-point work accounting.
 _EPSILON = 1e-9
 
 _INF = float("inf")
 _PENDING = Event._PENDING
-
-
-class Resource:
-    """A counted FIFO semaphore.
-
-    ``capacity`` slots; :meth:`request` returns an event that succeeds when
-    a slot is granted (immediately if one is free), and :meth:`release`
-    frees a slot, granting it to the oldest waiter.
-    """
-
-    def __init__(self, sim: Simulator, capacity: int = 1):
-        if capacity < 1:
-            raise SimulationError(f"capacity must be >= 1, got {capacity}")
-        self.sim = sim
-        self.capacity = capacity
-        self._in_use = 0
-        self._waiters: Deque[Event] = deque()
-        #: Total number of grants ever issued (for tests/metrics).
-        self.grants = 0
-
-    @property
-    def in_use(self) -> int:
-        """Number of currently held slots."""
-        return self._in_use
-
-    @property
-    def queue_length(self) -> int:
-        """Number of requests waiting for a slot."""
-        return len(self._waiters)
-
-    def request(self) -> Event:
-        """Ask for a slot; the returned event fires when it is granted."""
-        event = self.sim.event()
-        if self._in_use < self.capacity:
-            self._in_use += 1
-            self.grants += 1
-            event.succeed(self)
-        else:
-            self._waiters.append(event)
-        return event
-
-    def release(self) -> None:
-        """Free a held slot, waking the oldest waiter if any."""
-        if self._in_use <= 0:
-            raise SimulationError("release() without matching request()")
-        if self._waiters:
-            waiter = self._waiters.popleft()
-            self.grants += 1
-            waiter.succeed(self)
-        else:
-            self._in_use -= 1
 
 
 class Store:

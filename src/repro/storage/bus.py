@@ -24,7 +24,6 @@ from ..core.component import CompositeComponent
 from ..faults.distributions import Distribution, Exponential, Fixed
 from ..faults.spec import PerformanceSpec
 from ..sim.engine import Simulator
-from ..sim.trace import Tracer
 from .disk import Disk
 
 __all__ = ["ErrorMix", "BusError", "ScsiBus", "TALAGALA_MIX"]
@@ -110,7 +109,6 @@ class ScsiBus(CompositeComponent):
         reset_duration: Distribution = Fixed(2.0),
         mix: ErrorMix = TALAGALA_MIX,
         rng: Optional[random.Random] = None,
-        tracer: Optional[Tracer] = None,
         name: str = "",
     ):
         if not disks:
@@ -127,7 +125,6 @@ class ScsiBus(CompositeComponent):
         self.reset_duration = reset_duration
         self.mix = mix
         self.rng = rng or random.Random(0)
-        self.tracer = tracer
         self.errors: List[BusError] = []
         self._source = f"scsi-reset@{id(self):x}"
         self._running = False
@@ -148,8 +145,6 @@ class ScsiBus(CompositeComponent):
             resets = kind in ("timeout", "parity")
             duration = self.reset_duration.sample(self.rng) if resets else 0.0
             self.errors.append(BusError(self.sim.now, kind, resets, duration))
-            if self.tracer is not None:
-                self.tracer.emit("scsi.error", kind, {"reset": resets})
             if not resets:
                 continue
             for disk in self.disks:

@@ -184,10 +184,6 @@ class Disk(DegradableServer):
             * self.params.effective_remap_penalty
         return time
 
-    def _zone_end(self, lba: int) -> int:
-        """First block past the zone containing ``lba``."""
-        return self.geometry.span_end(lba)
-
     def _zone_end_reference(self, lba: int) -> int:
         """Linear-scan forebear of :meth:`ZoneGeometry.span_end` (spec for
         the property tests and the benchmark baseline)."""

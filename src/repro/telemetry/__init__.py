@@ -1,15 +1,15 @@
 """Production observability: streaming trace export, replay, verify.
 
-The in-memory :class:`~repro.sim.trace.Tracer` answers "what happened
-in this process"; this package answers the production questions --
-"what happened last night" (:class:`StreamingTraceSink` streams every
-TelemetryBus record to schema-versioned JSONL with O(subjects) memory),
-"reconstruct it from the file alone" (:func:`replay_trace`), "is this
-damaged file salvageable" (:func:`iter_trace` and :func:`read_trace`
-recover the valid prefix of a crash-truncated trace, never raising),
-and "is this trace honest" (:func:`verify_trace` re-runs the embedded
-parameters and demands byte-for-byte identity).  Replay and verify
-stream the file and keep no record.
+This package answers the production questions about a run -- "what
+happened last night" (:class:`StreamingTraceSink`, passed to a run as
+its ``sink=``, streams every TelemetryBus record to schema-versioned
+JSONL with O(subjects) memory), "reconstruct it from the file alone"
+(:func:`replay_trace`), "is this damaged file salvageable"
+(:func:`iter_trace` and :func:`read_trace` recover the valid prefix of
+a crash-truncated trace, never raising), and "is this trace honest"
+(:func:`verify_trace` re-runs the embedded parameters and demands
+byte-for-byte identity).  Replay and verify stream the file and keep
+no record.
 
 Entry points: ``python -m repro replay <trace>`` and the ``--trace`` /
 ``--soak`` flags on ``python -m repro campaign``.
@@ -24,7 +24,6 @@ from .reader import (
     read_trace,
 )
 from .record import (
-    TraceRecorder,
     VerifyResult,
     record_campaign,
     record_soak,
@@ -49,7 +48,6 @@ __all__ = [
     "RunSummary",
     "TraceReplay",
     "replay_trace",
-    "TraceRecorder",
     "VerifyResult",
     "record_campaign",
     "record_soak",

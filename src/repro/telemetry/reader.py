@@ -11,14 +11,17 @@ is returned, the byte offset where validity ended is reported, and the
 reader **never raises** on truncation or garbage (the PR-5 ResultCache
 rule, applied to traces).
 
-Two conditions are errors rather than crash artifacts, because silently
+Three conditions are errors rather than crash artifacts, because silently
 "recovering" from them would mis-read intact files:
 
 * a complete, parseable first line that is not a ``repro-trace`` header
   (:class:`TraceError` -- the file is not a trace);
 * a header whose ``schema`` is not an ``int`` this reader knows
   (:class:`TraceSchemaError`, naming the version -- the version gate).
-  ``2.0`` and ``true`` are not versions, however they compare.
+  ``2.0`` and ``true`` are not versions, however they compare;
+* a header whose ``meta`` or ``specs`` is not a JSON object
+  (:class:`TraceError`, naming the key): every consumer reads both as
+  mappings.
 
 Every schema in :data:`READABLE_SCHEMAS` reads.  Schema 2 differs from
 schema 3 only in a footer key that replay never reads (a per-subject
@@ -87,11 +90,11 @@ class TraceSummary:
 
     @property
     def meta(self) -> Dict[str, Any]:
-        return dict(self.header.get("meta", {})) if self.header else {}
+        return dict(self.header["meta"]) if self.header else {}
 
     @property
     def specs(self) -> Dict[str, str]:
-        return dict(self.header.get("specs", {})) if self.header else {}
+        return dict(self.header["specs"]) if self.header else {}
 
 
 @dataclass
@@ -155,6 +158,12 @@ def iter_trace(path, summary: TraceSummary) -> Iterator[Dict[str, Any]]:
                         f"(this reader supports versions {supported}); "
                         "refusing to guess at an unknown format"
                     )
+                for key in ("meta", "specs"):
+                    if not isinstance(obj.get(key), dict):
+                        raise TraceError(
+                            f"{path}: not a repro trace (header {key!r} is "
+                            f"not a JSON object: {obj.get(key)!r})"
+                        )
                 summary.header = obj
                 continue
             last_kind = obj["k"]
@@ -170,7 +179,8 @@ def read_trace(path) -> TraceRead:
 
     Raises :class:`TraceSchemaError` when the header is intact but its
     ``schema`` is unknown, and :class:`TraceError` when the first line
-    is intact but not a trace header.  Truncation and garbage never
+    is intact but not a trace header, or a header whose ``meta`` or
+    ``specs`` is not a JSON object.  Truncation and garbage never
     raise; see the module docstring for the exact recovery rule.
     """
     result = TraceRead(path=str(path))

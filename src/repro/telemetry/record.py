@@ -29,7 +29,6 @@ from .reader import TraceSummary, iter_trace
 from .sink import TRACE_SCHEMA_VERSION, StreamingTraceSink
 
 __all__ = [
-    "TraceRecorder",
     "VerifyResult",
     "record_campaign",
     "record_soak",
@@ -83,38 +82,6 @@ def _require_policy_names(policies) -> None:
             )
 
 
-class TraceRecorder:
-    """The ``recorder`` hook :func:`repro.faults.campaign.run_campaign` takes.
-
-    ``begin_run`` writes the run-start line and returns the
-    ``on_system`` callback that attaches the sink to the run's fresh
-    System; ``end_run`` writes the run-end line.  The run counter is
-    the recorder's own -- trace run numbering is the order runs were
-    recorded, independent of sweep nesting.
-    """
-
-    def __init__(self, sink: StreamingTraceSink):
-        self.sink = sink
-        self.runs = 0
-
-    def begin_run(self, workload, scenario, policy: str, engine: str):
-        self.sink.write_run_start(
-            run=self.runs,
-            workload=workload.name,
-            family=scenario.family,
-            index=scenario.index,
-            seed=scenario.seed,
-            policy=policy,
-            engine=engine,
-            events=scenario.events,
-        )
-        return lambda system: system.attach_sink(self.sink)
-
-    def end_run(self, outcome) -> None:
-        self.sink.write_run_end(self.runs, outcome)
-        self.runs += 1
-
-
 def record_campaign(
     path,
     csv_path=None,
@@ -163,7 +130,7 @@ def record_campaign(
             n_requests=n_requests,
             verify_determinism=verify_determinism,
             engine=engine,
-            recorder=TraceRecorder(sink),
+            sink=sink,
         )
         sink.write_end()
     return result
@@ -279,11 +246,14 @@ def record_spec_run(
             meta=meta,
             specs={spec.name: spec.digest()},
         )
-        recorder = TraceRecorder(sink)
-        on_system = recorder.begin_run(compiled.workload, scenario, chosen, engine)
+        sink.write_run_start(
+            run=0, workload=compiled.workload.name, family=scenario.family,
+            index=scenario.index, seed=scenario.seed, policy=chosen,
+            engine=engine, events=scenario.events,
+        )
         outcome = run_scenario(compiled.workload, scenario, chosen,
-                               engine=engine, on_system=on_system)
-        recorder.end_run(outcome)
+                               engine=engine, sink=sink)
+        sink.write_run_end(0, outcome)
         sink.write_end()
     return outcome
 
@@ -321,8 +291,6 @@ def _regenerator(mode, meta) -> Tuple[Optional[Callable[[Path], Any]], List[str]
     keys = _META_KEYS.get(mode)
     if keys is None:
         return None, [f"unknown trace mode {mode!r}; cannot regenerate"]
-    if not isinstance(meta, dict):
-        return None, [f"{mode} meta is not an object: {meta!r}"]
     reasons = [f"{mode} meta has unexpected key {key!r}"
                for key in sorted(set(meta) - set(keys))]
     reasons += [f"{mode} meta is missing key {key!r}"
@@ -415,7 +383,7 @@ def verify_trace(path, keep_regenerated: Optional[str] = None) -> VerifyResult:
         return VerifyResult(path=str(path), ok=False, reasons=reasons,
                             original_bytes=read.file_bytes)
     mode = read.mode
-    regenerate, reasons = _regenerator(mode, read.header.get("meta"))
+    regenerate, reasons = _regenerator(mode, read.header["meta"])
     if reasons:
         return VerifyResult(path=str(path), ok=False, reasons=reasons,
                             original_bytes=read.file_bytes)

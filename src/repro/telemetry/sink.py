@@ -1,9 +1,9 @@
 """Bounded streaming trace export for the TelemetryBus.
 
-The TelemetryBus is an in-memory fan-out: nothing survives the run, and
-capturing a long campaign with a :class:`~repro.sim.trace.Tracer` means
-retaining every record in RAM.  :class:`StreamingTraceSink` is the
-production counterpart -- a bus tap (``System.attach_sink``) that writes
+The TelemetryBus is an in-memory fan-out: nothing survives the run.
+:class:`StreamingTraceSink` is what keeps it -- a bus tap, attached by
+passing the sink as a run's ``sink=`` (``run_scenario``,
+``run_scenario_hybrid``, ``run_campaign``, ``run_soak``), that writes
 each record to disk as one self-contained JSONL line and keeps only
 O(subjects) state in memory: per-subject record counts and the
 :class:`~repro.sim.metrics.StreamingMoments` of completion durations,
@@ -148,12 +148,13 @@ class _SubjectStats:
 class StreamingTraceSink:
     """A TelemetryBus tap streaming schema-versioned JSONL (and CSV).
 
-    Attach with ``system.attach_sink(sink)``; one sink instance may be
-    attached to many systems over its life (a soak campaign attaches it
-    to a fresh system per window, bumping :attr:`time_offset` so the
-    trace keeps one global time axis).  Memory is bounded: records go
-    straight to the line buffer (flushed every ``flush_lines`` complete
-    lines) and only the per-subject streaming rollups are retained.
+    Pass it to a run as ``sink=``; the run subscribes :meth:`on_record`
+    to its fresh system's bus.  One sink serves many runs over its life
+    (a soak campaign passes it to every window, bumping
+    :attr:`time_offset` so the trace keeps one global time axis).
+    Memory is bounded: records go straight to the line buffer (flushed
+    every ``flush_lines`` complete lines) and only the per-subject
+    streaming rollups are retained.
 
     Usable as a context manager; :meth:`close` flushes the buffer.  The
     caller owns the record/footer protocol (see

@@ -16,7 +16,7 @@ from repro.faults import (
     PerformanceSpec,
     StaticSkew,
 )
-from repro.sim import Simulator, Tracer
+from repro.sim import Simulator
 from repro.sim.trace import (COMPLETION, INJECTOR_EVENT, SPEC_VIOLATION,
                              STATE_CHANGE)
 
@@ -49,12 +49,6 @@ class TestTelemetryBus:
         sim.telemetry.spec_violation("b", observed=1.0, threshold=8.0)
         assert [r.kind for r in seen] == [COMPLETION, SPEC_VIOLATION]
         assert seen[1].detail["threshold"] == 8.0
-
-    def test_tracer_captures_records(self):
-        sim = System()
-        sim.trace = Tracer(sim)
-        sim.telemetry.completion("a", 1.0, 1.0)
-        assert sim.trace.count(kind=COMPLETION) == 1
 
     def test_kinds_are_the_public_tuple(self):
         assert set(TELEMETRY_KINDS) == {COMPLETION, SPEC_VIOLATION, STATE_CHANGE,
@@ -234,9 +228,10 @@ class TestSystem:
     def test_trace_attaches_later(self):
         sim = System()
         DegradableServer(sim, "s0", 10.0, spec=SPEC)
-        sim.trace = Tracer(sim)
+        seen = []
+        sim.telemetry.subscribe_all(seen.append)
         sim.components.get("s0").stop()
-        assert sim.trace.count(kind=STATE_CHANGE) == 1
+        assert [r.kind for r in seen].count(STATE_CHANGE) == 1
 
     def test_end_to_end_inject_and_watch_by_name(self):
         """The README story: one name, any fault, any detector."""

@@ -20,7 +20,7 @@ from repro.faults import (
     TransientStutter,
     Uniform,
 )
-from repro.sim import Simulator, Tracer
+from repro.sim import Simulator
 
 
 def make_target(rate=10.0, name="disk0"):
@@ -76,17 +76,6 @@ class TestTransientStutter:
         # Episodes at [10, 12) and [22, 24).
         assert [(e.start, e.end) for e in episodes] == [(10.0, 12.0), (22.0, 24.0)]
         assert all(e.factor == 0.25 for e in episodes)
-
-    def test_tracer_sees_start_and_end(self):
-        sim, target = make_target()
-        tracer = Tracer(sim)
-        TransientStutter(Fixed(1.0), Fixed(1.0), Fixed(0.5)).attach(
-            sim, target, random.Random(0), tracer
-        )
-        sim.run(until=10.0)
-        starts = tracer.count(kind="fault.transient-stutter.start")
-        ends = tracer.count(kind="fault.transient-stutter.end")
-        assert starts >= 4 and abs(starts - ends) <= 1
 
     def test_stops_after_target_fail_stop(self):
         sim, target = make_target()

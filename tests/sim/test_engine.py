@@ -4,7 +4,6 @@ import pytest
 
 from repro.sim import (
     AnyOf,
-    Interrupt,
     SimulationError,
     Simulator,
 )
@@ -257,86 +256,6 @@ class TestProcesses:
         ev = sim.event()
         with pytest.raises(SimulationError, match="drained"):
             sim.run(until=ev)
-
-
-class TestInterrupt:
-    def test_interrupt_delivers_cause(self):
-        sim = Simulator()
-        causes = []
-
-        def victim():
-            try:
-                yield sim.timeout(100.0)
-            except Interrupt as intr:
-                causes.append((sim.now, intr.cause))
-
-        p = sim.process(victim())
-
-        def attacker():
-            yield sim.timeout(3.0)
-            p.interrupt("fault!")
-
-        sim.process(attacker())
-        sim.run()
-        assert causes == [(3.0, "fault!")]
-
-    def test_interrupted_process_can_continue(self):
-        sim = Simulator()
-        log = []
-
-        def victim():
-            try:
-                yield sim.timeout(100.0)
-            except Interrupt:
-                pass
-            yield sim.timeout(1.0)
-            log.append(sim.now)
-
-        p = sim.process(victim())
-        sim.schedule(5.0, p.interrupt)
-        sim.run()
-        assert log == [6.0]
-
-    def test_interrupt_finished_process_rejected(self):
-        sim = Simulator()
-
-        def quick():
-            yield sim.timeout(1.0)
-
-        p = sim.process(quick())
-        sim.run()
-        with pytest.raises(SimulationError):
-            p.interrupt()
-
-    def test_uncaught_interrupt_fails_process(self):
-        sim = Simulator()
-
-        def victim():
-            yield sim.timeout(100.0)
-
-        p = sim.process(victim())
-        sim.schedule(1.0, p.interrupt, "cause")
-        with pytest.raises(Interrupt):
-            sim.run()
-
-    def test_abandoned_event_does_not_resume_interrupted_process(self):
-        sim = Simulator()
-        resumed = []
-
-        def victim():
-            try:
-                yield sim.timeout(10.0)
-                resumed.append("timeout")
-            except Interrupt:
-                yield sim.timeout(50.0)
-                resumed.append("post-interrupt")
-
-        p = sim.process(victim())
-        sim.schedule(1.0, p.interrupt)
-        sim.run()
-        # The 10.0 timeout must not re-resume the process after interrupt.
-        assert resumed == ["post-interrupt"]
-        assert sim.now == 51.0
 
 
 class TestCombinators:

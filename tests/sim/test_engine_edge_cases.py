@@ -7,8 +7,6 @@ import pytest
 from repro.sim import (
     AllOf,
     AnyOf,
-    Interrupt,
-    Resource,
     SimulationError,
     Simulator,
     Store,
@@ -78,86 +76,7 @@ class TestConditionEdgeCases:
             AllOf(sim_a, [sim_a.timeout(1.0), sim_b.timeout(1.0)])
 
 
-class TestInterruptEdgeCases:
-    def test_interrupt_process_waiting_on_condition(self):
-        sim = Simulator()
-        caught = []
-
-        def victim():
-            try:
-                yield sim.all_of([sim.timeout(50.0), sim.timeout(60.0)])
-            except Interrupt as intr:
-                caught.append(intr.cause)
-
-        p = sim.process(victim())
-        sim.schedule(1.0, p.interrupt, "cut")
-        sim.run()
-        assert caught == ["cut"]
-
-    def test_interrupt_then_wait_again_on_same_event(self):
-        sim = Simulator()
-        shared = sim.event()
-        values = []
-
-        def victim():
-            try:
-                yield shared
-            except Interrupt:
-                value = yield shared  # re-arm on the same event
-                values.append(value)
-
-        p = sim.process(victim())
-        sim.schedule(1.0, p.interrupt)
-        sim.schedule(2.0, shared.succeed, "late")
-        sim.run()
-        assert values == ["late"]
-
-    def test_double_interrupt_same_instant(self):
-        sim = Simulator()
-        hits = []
-
-        def victim():
-            for __ in range(2):
-                try:
-                    yield sim.timeout(100.0)
-                except Interrupt as intr:
-                    hits.append(intr.cause)
-
-        p = sim.process(victim())
-
-        def attacker():
-            yield sim.timeout(1.0)
-            p.interrupt("first")
-            # Second interrupt arrives while the first is still queued;
-            # the victim is not waiting yet, so this must be rejected.
-            with pytest.raises(SimulationError):
-                p.interrupt("second")
-
-        sim.process(attacker())
-        sim.run()
-        assert hits == ["first"]
-
-
 class TestResourceStoreStress:
-    def test_resource_heavy_contention_conserves_grants(self):
-        sim = Simulator()
-        resource = Resource(sim, capacity=3)
-        completions = []
-
-        def user(idx):
-            req = resource.request()
-            yield req
-            yield sim.timeout(1.0)
-            resource.release()
-            completions.append(idx)
-
-        for i in range(30):
-            sim.process(user(i))
-        sim.run()
-        assert sorted(completions) == list(range(30))
-        assert resource.in_use == 0
-        assert sim.now == pytest.approx(10.0)  # 30 users / 3 slots / 1s
-
     def test_store_interleaved_producers_consumers(self):
         sim = Simulator()
         store = Store(sim, capacity=2)

@@ -1,56 +1,8 @@
-"""Unit tests for Resource, Store and RateServer."""
+"""Unit tests for Store and RateServer."""
 
 import pytest
 
-from repro.sim import JobStats, RateServer, Resource, SimulationError, Simulator, Store
-
-
-class TestResource:
-    def test_immediate_grant_under_capacity(self):
-        sim = Simulator()
-        res = Resource(sim, capacity=2)
-        r1, r2 = res.request(), res.request()
-        assert r1.triggered and r2.triggered
-        assert res.in_use == 2
-
-    def test_waiters_queue_fifo(self):
-        sim = Simulator()
-        res = Resource(sim, capacity=1)
-        order = []
-
-        def user(label, hold):
-            req = res.request()
-            yield req
-            order.append(("start", label, sim.now))
-            yield sim.timeout(hold)
-            res.release()
-            order.append(("end", label, sim.now))
-
-        sim.process(user("a", 2.0))
-        sim.process(user("b", 1.0))
-        sim.process(user("c", 1.0))
-        sim.run()
-        starts = [(label, t) for kind, label, t in order if kind == "start"]
-        assert starts == [("a", 0.0), ("b", 2.0), ("c", 3.0)]
-
-    def test_release_without_request_rejected(self):
-        sim = Simulator()
-        res = Resource(sim)
-        with pytest.raises(SimulationError):
-            res.release()
-
-    def test_queue_length_counts_waiters(self):
-        sim = Simulator()
-        res = Resource(sim, capacity=1)
-        res.request()
-        res.request()
-        res.request()
-        assert res.queue_length == 2
-
-    def test_bad_capacity_rejected(self):
-        sim = Simulator()
-        with pytest.raises(SimulationError):
-            Resource(sim, capacity=0)
+from repro.sim import JobStats, RateServer, SimulationError, Simulator, Store
 
 
 class TestStore:

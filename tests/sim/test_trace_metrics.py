@@ -1,63 +1,8 @@
-"""Unit tests for tracing and metrics."""
+"""Unit tests for telemetry records and metrics."""
 
 import pytest
 
-from repro.sim import (
-    AvailabilityMeter,
-    LatencyRecorder,
-    TraceRecord,
-    Tracer,
-    Simulator,
-)
-
-
-class TestTracer:
-    def test_emit_records_time_kind_subject(self):
-        sim = Simulator()
-        tracer = Tracer(sim)
-
-        def proc():
-            yield sim.timeout(2.0)
-            tracer.emit("fault", "disk0", {"factor": 0.5})
-
-        sim.process(proc())
-        sim.run()
-        [rec] = tracer.records
-        assert rec.time == 2.0
-        assert rec.kind == "fault"
-        assert rec.subject == "disk0"
-        assert rec.detail == {"factor": 0.5}
-
-    def test_select_filters(self):
-        sim = Simulator()
-        tracer = Tracer(sim)
-        tracer.emit("fault", "disk0")
-        tracer.emit("fault", "disk1")
-        tracer.emit("repair", "disk0")
-        assert tracer.count(kind="fault") == 2
-        assert tracer.count(subject="disk0") == 2
-        assert tracer.count(kind="fault", subject="disk0") == 1
-        assert tracer.count(kind="nothing") == 0
-
-    def test_select_predicate(self):
-        sim = Simulator()
-        tracer = Tracer(sim)
-        tracer.emit("x", "s", 1)
-        tracer.emit("x", "s", 5)
-        assert len(tracer.select(predicate=lambda r: r.detail > 3)) == 1
-
-    def test_disabled_tracer_drops_records(self):
-        sim = Simulator()
-        tracer = Tracer(sim, enabled=False)
-        tracer.emit("fault", "disk0")
-        assert len(tracer) == 0
-
-    def test_clear(self):
-        sim = Simulator()
-        tracer = Tracer(sim)
-        tracer.emit("a", "b")
-        tracer.clear()
-        assert len(tracer) == 0
+from repro.sim import AvailabilityMeter, LatencyRecorder, TraceRecord
 
 
 class TestLatencyRecorder:

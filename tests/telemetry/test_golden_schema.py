@@ -1,10 +1,12 @@
 """The trace schema is version-gated: bytes may not drift under version 3.
 
 ``tests/telemetry/data/golden_trace_v3.jsonl`` is a committed schema-v3
-trace (a tiny deterministic campaign).  Regenerating the same campaign
-today must reproduce it *byte-for-byte*: any change to the line shapes,
-key names, float formatting, or record ordering is a schema change and
-must come with a ``TRACE_SCHEMA_VERSION`` bump plus a new golden file.
+trace (a tiny deterministic campaign); ``golden_soak_v3.jsonl`` and
+``golden_spec_v3.jsonl`` pin the other two recorders, a two-window
+hybrid soak and one spec run.  Regenerating each today must reproduce
+it *byte-for-byte*: any change to the line shapes, key names, float
+formatting, or record ordering is a schema change and must come with a
+``TRACE_SCHEMA_VERSION`` bump plus new golden files.
 The flip side of the gate is also pinned here: a reader handed a
 version it does not know -- schema 1, a future version, or a header
 whose version is not an integer -- must refuse it by name, through the
@@ -12,7 +14,9 @@ API and through the ``replay`` CLI (exit code 2).  The previous golden,
 ``golden_trace_v2.jsonl``, stays as the read-compatibility fixture: it
 replays, and ``--verify`` refuses it by name.  The verifier also reads
 its regeneration parameters from the header, so a header whose
-``meta`` does not fit its mode fails verify by name instead of raising.
+``meta`` does not fit its mode fails verify by name instead of raising;
+a ``meta`` or ``specs`` that is not a JSON object is refused by the
+reader, like any other file that is not a trace.
 """
 
 import json
@@ -20,14 +24,17 @@ from pathlib import Path
 
 import pytest
 
+from repro.scenario.spec import ScenarioSpec
 from repro.sim.metrics import ExactQuantile, StreamingMoments
 from repro.sim.trace import COMPLETION
 from repro.telemetry import (
     TRACE_SCHEMA_VERSION,
+    TraceError,
     TraceSchemaError,
     read_trace,
     record_campaign,
     record_soak,
+    record_spec_run,
     replay_trace,
     verify_trace,
 )
@@ -37,10 +44,36 @@ DATA = Path(__file__).parent / "data"
 GOLDEN = DATA / "golden_trace_v3.jsonl"
 GOLDEN_V2 = DATA / "golden_trace_v2.jsonl"
 
-#: The exact parameters both golden files were recorded with.
+#: The exact parameters both golden campaign files were recorded with.
 GOLDEN_PARAMS = dict(seed=3, workloads=("raid10",), families=("failstop",),
                      policies=("fixed-timeout",), scenarios_per_family=1,
                      n_requests=4)
+
+#: The golden soak: two hybrid windows of one stutter each.
+GOLDEN_SOAK_PARAMS = dict(seed=3, workload="raid10", family="magnitude",
+                          policy="stutter-aware", n_windows=2,
+                          injectors_per_window=1, n_requests=6)
+
+#: The golden spec run: a small raid10-shaped spec with one pinned stutter.
+GOLDEN_SPEC = {
+    "kind": "scenario", "name": "golden-spec",
+    "groups": {"substrate": "storage", "prefix": "d", "count": 2,
+               "size": 2, "rate": 5.5},
+    "arrivals": {"work": 0.5, "gap": 0.03, "requests": 6},
+    "faults": {"events": [{"component": "d1", "fault": "stutter",
+                           "onset": 0.05, "duration": 0.1, "factor": 0.25}]},
+    "policy": "stutter-aware",
+}
+
+#: Each golden file and the call that re-records it.
+GOLDEN_RECORDINGS = (
+    (GOLDEN, lambda path: record_campaign(path, **GOLDEN_PARAMS)),
+    (DATA / "golden_soak_v3.jsonl",
+     lambda path: record_soak(path, **GOLDEN_SOAK_PARAMS)),
+    (DATA / "golden_spec_v3.jsonl",
+     lambda path: record_spec_run(path, ScenarioSpec.parse(GOLDEN_SPEC),
+                                  seed=3)),
+)
 
 
 def _with_header(tmp_path, name, **changes):
@@ -63,15 +96,16 @@ class TestGoldenBytes:
         assert READABLE_SCHEMAS == (2, 3)
 
     def test_regenerated_trace_matches_golden_byte_for_byte(self, tmp_path):
-        out = tmp_path / "regen.jsonl"
-        record_campaign(out, **GOLDEN_PARAMS)
-        regenerated, golden = out.read_bytes(), GOLDEN.read_bytes()
-        assert regenerated == golden, (
-            "the sink's output changed while TRACE_SCHEMA_VERSION stayed "
-            f"at {TRACE_SCHEMA_VERSION} -- bump the version in "
-            "src/repro/telemetry/sink.py and commit a regenerated golden "
-            "trace (schema changes must be versioned, never silent)"
-        )
+        for golden, record in GOLDEN_RECORDINGS:
+            out = tmp_path / golden.name
+            record(out)
+            assert out.read_bytes() == golden.read_bytes(), (
+                f"{golden.name}: the sink's output changed while "
+                f"TRACE_SCHEMA_VERSION stayed at {TRACE_SCHEMA_VERSION} -- "
+                "bump the version in src/repro/telemetry/sink.py and commit "
+                "regenerated golden traces (schema changes must be "
+                "versioned, never silent)"
+            )
 
     def test_golden_replays_clean(self):
         replay = replay_trace(GOLDEN)
@@ -169,6 +203,23 @@ class TestVersionGate:
         assert main(["replay", str(path)]) == 2
         assert f"unsupported trace schema version {shown}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", [[1, 2], "x", None],
+                             ids=["list", "string", "null"])
+    @pytest.mark.parametrize("mode, key", [("soak", "meta"),
+                                           ("campaign", "specs")])
+    def test_header_meta_and_specs_must_be_objects(self, tmp_path, capsys,
+                                                   mode, key, value):
+        from repro.__main__ import main
+
+        path = _with_header(tmp_path, "bad.jsonl", mode=mode, **{key: value})
+        message = f"header {key!r} is not a JSON object"
+        with pytest.raises(TraceError, match=message):
+            read_trace(path)
+        assert main(["replay", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert "Traceback" not in err
+
 
 class TestVerifyChecksTheHeaderMeta:
     """``meta`` comes from the file, so a bad one fails verify by name."""
@@ -222,8 +273,15 @@ class TestVerifyChecksTheHeaderMeta:
         self._verify_fails(path, capsys, reason)
 
     def test_meta_that_is_not_an_object(self, tmp_path, capsys):
+        """The reader refuses it before verify can run."""
+        from repro.__main__ import main
+
         path = _with_header(tmp_path, "list.jsonl", meta=[3])
-        self._verify_fails(path, capsys, "campaign meta is not an object: [3]")
+        with pytest.raises(TraceError, match="header 'meta' is not a JSON object"):
+            verify_trace(path)
+        assert main(["replay", str(path), "--verify"]) == 2
+        assert "header 'meta' is not a JSON object" in capsys.readouterr().err
+        assert not path.with_name(path.name + ".regen").exists()
 
 
 class TestFooterRollups:

@@ -1,16 +1,12 @@
 """The sink must not break the TelemetryBus's pay-for-use contract.
 
 The bus's ``active`` flag is what lets every component skip telemetry
-formatting entirely when nobody listens.  Before this PR,
-``subscribe_all`` could switch the flag on but nothing could switch it
-off again -- a sink attached once would tax every later run in the
-process.  These tests pin the fix: attach/detach round-trips the flag
-(and ``wants()``), a detached system emits nothing, and simulation
-*results* are byte-identical with the sink attached, detached, or never
-present (telemetry is an observer, not a participant).
+formatting entirely when nobody listens.  A sink is one run's ``sink=``
+and every run builds a fresh System, so no tap outlives its run: a
+fresh bus is idle, and simulation *results* are byte-identical with a
+sink passed or never present (telemetry is an observer, not a
+participant).
 """
-
-import pytest
 
 from repro.core.system import System
 from repro.faults.campaign import WORKLOADS, generate_scenario, run_scenario
@@ -27,49 +23,6 @@ class TestBusGating:
     def test_fresh_system_bus_is_inactive(self):
         assert System().telemetry.active is False
 
-    def test_attach_activates_detach_deactivates(self, tmp_path):
-        system = System()
-        with StreamingTraceSink(tmp_path / "t.jsonl") as sink:
-            system.attach_sink(sink)
-            assert system.telemetry.active is True
-            assert system.telemetry.wants("anything") is True
-            system.detach_sink(sink)
-        assert system.telemetry.active is False
-        assert system.telemetry.wants("anything") is False
-
-    def test_detach_restores_preexisting_listeners(self, tmp_path):
-        system = System()
-        records = []
-        system.telemetry.subscribe("d0", records.append)
-        with StreamingTraceSink(tmp_path / "t.jsonl") as sink:
-            system.attach_sink(sink)
-            system.detach_sink(sink)
-        # The per-subject subscriber still counts as a listener.
-        assert system.telemetry.active is True
-        assert system.telemetry.wants("d0") is True
-
-    def test_double_attach_rejected(self, tmp_path):
-        system = System()
-        with StreamingTraceSink(tmp_path / "t.jsonl") as sink:
-            system.attach_sink(sink)
-            with pytest.raises(ValueError):
-                system.attach_sink(sink)
-
-    def test_detach_of_unattached_rejected(self, tmp_path):
-        system = System()
-        with StreamingTraceSink(tmp_path / "t.jsonl") as sink:
-            with pytest.raises(ValueError):
-                system.detach_sink(sink)
-
-    def test_detached_sink_receives_nothing(self, tmp_path):
-        system = System()
-        with StreamingTraceSink(tmp_path / "t.jsonl") as sink:
-            system.attach_sink(sink)
-            system.telemetry.completion("d0", 1.0, 0.5)
-            system.detach_sink(sink)
-            system.telemetry.completion("d0", 1.0, 0.5)
-            assert sink.records_written == 1
-
 
 class TestResultsUnchangedBySink:
     """Recording a run must not change what the run computes."""
@@ -78,13 +31,13 @@ class TestResultsUnchangedBySink:
         workload = _small_workload()
         scenario = generate_scenario(workload, "magnitude", seed=5, index=0)
 
-        def digest(on_system=None):
+        def digest(sink=None):
             return run_scenario(workload, scenario, "fixed-timeout",
-                                on_system=on_system).digest()
+                                sink=sink).digest()
 
         bare_before = digest()
         with StreamingTraceSink(tmp_path / "t.jsonl") as sink:
-            recorded = digest(lambda system: system.attach_sink(sink))
+            recorded = digest(sink)
         bare_after = digest()
         assert bare_before == recorded == bare_after
 
@@ -92,10 +45,11 @@ class TestResultsUnchangedBySink:
         from repro.experiments import e01_raid10
 
         before = e01_raid10.run().render()
-        system = System()
+        workload = _small_workload()
+        scenario = generate_scenario(workload, "magnitude", seed=5, index=0)
         with StreamingTraceSink(tmp_path / "t.jsonl") as sink:
-            system.attach_sink(sink)
-            system.detach_sink(sink)
+            run_scenario(workload, scenario, "fixed-timeout", sink=sink)
+        assert sink.records_written > 0
         assert e01_raid10.run().render() == before
 
     def test_hybrid_and_discrete_recorded_digests_match_bare(self, tmp_path):
@@ -105,8 +59,6 @@ class TestResultsUnchangedBySink:
             bare = run_scenario(workload, scenario, "stutter-aware",
                                 engine=engine).digest()
             with StreamingTraceSink(tmp_path / f"{engine}.jsonl") as sink:
-                recorded = run_scenario(
-                    workload, scenario, "stutter-aware", engine=engine,
-                    on_system=lambda system: system.attach_sink(sink),
-                ).digest()
+                recorded = run_scenario(workload, scenario, "stutter-aware",
+                                        engine=engine, sink=sink).digest()
             assert recorded == bare
