@@ -90,6 +90,17 @@ def _cmd_campaign(args) -> int:
             file=sys.stderr,
         )
         return 2
+    if args.trace_csv is not None:
+        from .telemetry.sink import same_file
+
+        if args.trace is None:
+            print("error: --trace-csv needs --trace: the CSV is written "
+                  "beside a trace", file=sys.stderr)
+            return 2
+        if same_file(args.trace, args.trace_csv):
+            print(f"error: --trace-csv and --trace both name {args.trace}; "
+                  "the CSV would overwrite the trace", file=sys.stderr)
+            return 2
     # --engine defaults by mode: soak campaigns exist for long horizons,
     # where the hybrid engine is the only affordable path.
     engine = args.engine or ("hybrid" if args.soak else "discrete")

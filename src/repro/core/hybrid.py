@@ -904,6 +904,7 @@ class HybridRunner:
             failed_requests=engine.failed_requests + self.fluid_failed,
             server_work=server_work,
             engine="hybrid",
+            discrete_requests=len(engine.requests),
         )
 
 

@@ -262,8 +262,10 @@ class ScenarioOutcome:
     ``engine`` names the engine that ran (``"discrete"`` or
     ``"hybrid"``); ``fallback`` is the
     :class:`~repro.core.hybrid.HybridInfeasible` message when a hybrid
-    request ran discrete instead, else None.  Neither enters
-    :meth:`digest`: the two engines' outcomes of one run digest alike.
+    request ran discrete instead, else None; ``discrete_requests``
+    counts the requests the discrete engine simulated (all of them on
+    the discrete engine).  None of the three enters :meth:`digest`: the
+    two engines' outcomes of one run digest alike.
     """
 
     workload: str
@@ -286,10 +288,19 @@ class ScenarioOutcome:
     violations: List[str] = field(default_factory=list)
     engine: str = "discrete"
     fallback: Optional[str] = None
+    discrete_requests: int = 0
 
     @property
     def ok(self) -> bool:
         return not self.violations
+
+    def execution(self) -> Dict[str, object]:
+        """How the run executed: the trace's ``execution`` envelope."""
+        return {
+            "discrete_requests": self.discrete_requests,
+            "engine": self.engine,
+            "fallback": self.fallback,
+        }
 
     @property
     def waste_fraction(self) -> float:
@@ -370,12 +381,12 @@ class CampaignEngine:
         #: (before the policy binds) so routing and attempts skip the
         #: registry on every request.
         components = system.components
-        self._members: Dict[str, DegradableServer] = {
+        self.members: Dict[str, DegradableServer] = {
             name: components.get(name) for name in self.component_names()
         }
         #: True while :class:`~repro.core.hybrid.HybridRunner` probes
-        #: fluid routes: every member's backlog then reads as zero, in
-        #: :meth:`queue_depth` and :meth:`pick_candidate` alike.
+        #: fluid routes: every member's backlog then reads as zero to
+        #: :meth:`pick_candidate` and to any policy ``pick``.
         self.route_probe = False
         #: ``call_later(delay, fn, *args)``: the System's own timer.
         self.call_later = system.call_later
@@ -398,27 +409,14 @@ class CampaignEngine:
     def component_names(self) -> List[str]:
         return [name for group in self.groups for name in group]
 
-    def queue_depth(self, name: str) -> int:
-        """Backlog on one member: queued jobs plus the one in service.
-
-        Zero for every member while :attr:`route_probe` is set.
-        """
-        if self.route_probe:
-            return 0
-        return self._members[name].backlog
-
-    def live_candidates(self, request: Request) -> List[str]:
-        members = self._members
-        return [name for name in request.group if not members[name]._stopped]
-
     def pick_candidate(self, request: Request) -> Optional[str]:
         """Default routing: untried first, then shortest queue, then name.
 
         The first live member with the smallest ``(tried, depth, name)``
         wins.  Depth is the member's backlog, or zero for every member
-        while :attr:`route_probe` is set, as in :meth:`queue_depth`.
+        while :attr:`route_probe` is set.
         """
-        members = self._members
+        members = self.members
         tried = request.tried
         probing = self.route_probe
         best = best_key = None
@@ -433,7 +431,7 @@ class CampaignEngine:
 
     def attempt(self, request: Request, name: str) -> bool:
         """Issue one attempt on ``name``; False if it already fail-stopped."""
-        component = self._members[name]
+        component = self.members[name]
         if component._stopped:
             return False
         request.attempts += 1
@@ -475,7 +473,7 @@ class CampaignEngine:
             submitted_at=submitted_at,
         )
         self.requests.append(request)
-        component = self._members[name]
+        component = self.members[name]
         request.attempts += 1
         request.outstanding += 1
         request.tried[name] = request.tried.get(name, 0) + 1
@@ -631,8 +629,9 @@ class CampaignEngine:
             failed_requests=self.failed_requests,
             server_work={
                 name: member.work_completed
-                for name, member in self._members.items()
+                for name, member in self.members.items()
             },
+            discrete_requests=len(self.requests),
         )
         return outcome
 
@@ -959,7 +958,9 @@ class SoakWindow:
     :class:`~repro.sim.metrics.ExactQuantile`); the ``rolling_*`` fields
     cover the last ``rolling`` windows' samples together (mean and
     ``np.quantile`` p99 over their concatenation), which is what a
-    production dashboard would alert on.
+    production dashboard would alert on.  ``execution`` is the window
+    run's :meth:`ScenarioOutcome.execution` envelope; a window replayed
+    from a schema-3 trace has none.
     """
 
     index: int
@@ -980,6 +981,7 @@ class SoakWindow:
     rolling_mean: float
     rolling_p99: float
     violations: List[str] = field(default_factory=list)
+    execution: Optional[Dict[str, object]] = None
 
     @property
     def slo_fraction(self) -> float:
@@ -997,7 +999,7 @@ class SoakWindow:
 
     def to_dict(self) -> Dict[str, object]:
         """JSON-ready form, exact (trace window records embed this)."""
-        return {
+        payload: Dict[str, object] = {
             "index": self.index,
             "start": self.start,
             "end": self.end,
@@ -1019,6 +1021,9 @@ class SoakWindow:
             },
             "oracle_violations": list(self.violations),
         }
+        if self.execution is not None:
+            payload["execution"] = dict(self.execution)
+        return payload
 
     @classmethod
     def from_dict(cls, payload: Dict[str, object]) -> "SoakWindow":
@@ -1043,6 +1048,7 @@ class SoakWindow:
             rolling_mean=float(rolling["mean"]),
             rolling_p99=float(rolling["p99"]),
             violations=list(payload.get("oracle_violations", [])),
+            execution=payload.get("execution"),
         )
 
 
@@ -1281,6 +1287,7 @@ def run_soak(
             rolling_mean=rolling_mean,
             rolling_p99=rolling_p99,
             violations=window_violations,
+            execution=outcome.execution(),
         )
         if sink is not None:
             sink.write_window(score.to_dict())

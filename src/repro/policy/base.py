@@ -16,12 +16,16 @@ Engine surface available to policies (see
 ``engine.attempt(request, name) -> bool``
     Issue one attempt on the named component.  False (nothing issued)
     when that component has already fail-stopped.
-``engine.live_candidates(request)`` / ``engine.pick_candidate(request)``
-    The request's replica group filtered to live members; the default
-    pick prefers untried members, then the shortest queue, then name.
-``engine.queue_depth(name)`` / ``engine.expected_service``
-    Backlog (queued + in service) and the nominal one-request service
-    time, for load-aware routing and timeout scaling.
+``engine.pick_candidate(request)``
+    The default pick among the request's live replicas: untried
+    members first, then the shortest queue, then name.
+``engine.members`` / ``engine.route_probe``
+    Member name -> its component (``backlog``: queued + in service),
+    for load-aware routing; while ``route_probe`` is set, every backlog
+    must read as zero.
+``engine.nominal_rate`` / ``engine.expected_service``
+    The nominal member rate and one-request service time, for
+    rate-aware routing and timeout scaling.
 ``engine.give_up(request)``
     Resolve a request as failed (no live replica remains).
 """

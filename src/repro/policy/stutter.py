@@ -42,6 +42,8 @@ class StutterAwarePolicy(MitigationPolicy):
         #: spec-violation records and cleared when the detector recovers.
         self.degraded: Dict[str, bool] = {}
         self.violations_seen = 0
+        #: The workload's member rate, fixed for the run.
+        self.nominal_rate = engine.nominal_rate
         bus = engine.system.telemetry
         for name in engine.component_names():
             self.bindings[name] = engine.system.watch(name)
@@ -65,7 +67,7 @@ class StutterAwarePolicy(MitigationPolicy):
                 estimate = binding.detector.estimated_rate
                 if estimate is not None and estimate > 0:
                     return estimate
-        return self.engine.nominal_rate
+        return self.nominal_rate
 
     def hybrid_fast_forward(self, completions) -> None:
         # Feed each replica's detector binding the completions it would
@@ -81,14 +83,26 @@ class StutterAwarePolicy(MitigationPolicy):
                 binding._on_record(record)
 
     def pick(self, request: "Request") -> str:
-        candidates = self.engine.live_candidates(request)
-        if not candidates:
-            return request.group[0]
+        """The live member with the least expected delay, ties by name.
+
+        Expected delay is ``(backlog + 1) * work / believed rate``; the
+        backlog reads as zero while the engine's route probe is set, and
+        only a degraded member's rate needs :meth:`believed_rate`.
+        """
+        engine = self.engine
+        members = engine.members
+        probing = engine.route_probe
+        nominal = self.nominal_rate
+        degraded = self.degraded
         work = request.work
-        return min(
-            candidates,
-            key=lambda name: (
-                (self.engine.queue_depth(name) + 1) * work / self.believed_rate(name),
-                name,
-            ),
-        )
+        best = best_key = None
+        for name in request.group:
+            member = members[name]
+            if member._stopped:
+                continue
+            depth = 0 if probing else member.backlog
+            rate = self.believed_rate(name) if degraded[name] else nominal
+            key = ((depth + 1) * work / rate, name)
+            if best_key is None or key < best_key:
+                best, best_key = name, key
+        return request.group[0] if best is None else best

@@ -3,7 +3,8 @@
 This package answers the production questions about a run -- "what
 happened last night" (:class:`StreamingTraceSink`, passed to a run as
 its ``sink=``, streams every TelemetryBus record to schema-versioned
-JSONL with O(subjects) memory), "reconstruct it from the file alone"
+JSONL in ``recs`` blocks, with O(subjects) memory plus one block),
+"reconstruct it from the file alone"
 (:func:`replay_trace`), "is this damaged file salvageable"
 (:func:`iter_trace` and :func:`read_trace` recover the valid prefix of
 a crash-truncated trace, never raising), and "is this trace honest"

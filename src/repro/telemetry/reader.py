@@ -5,7 +5,8 @@ may hold half a line, a torn UTF-8 sequence, or arbitrary garbage from a
 reused block.  The reader therefore parses bytes, not lines: it
 walks newline-delimited segments from the start and accepts each one
 only if it decodes as UTF-8 AND parses as a JSON object carrying the
-``"k"`` discriminator.  The first segment that fails -- or a trailing
+``"k"`` discriminator (and, for a ``recs`` block, four columns that are
+lists of one length).  The first segment that fails -- or a trailing
 segment with no newline -- ends the valid prefix; everything before it
 is returned, the byte offset where validity ended is reported, and the
 reader **never raises** on truncation or garbage (the PR-5 ResultCache
@@ -18,25 +19,27 @@ Three conditions are errors rather than crash artifacts, because silently
   (:class:`TraceError` -- the file is not a trace);
 * a header whose ``schema`` is not an ``int`` this reader knows
   (:class:`TraceSchemaError`, naming the version -- the version gate).
-  ``2.0`` and ``true`` are not versions, however they compare;
+  ``3.0`` and ``true`` are not versions, however they compare;
 * a header whose ``meta`` or ``specs`` is not a JSON object
   (:class:`TraceError`, naming the key): every consumer reads both as
   mappings.
 
-Every schema in :data:`READABLE_SCHEMAS` reads.  Schema 2 differs from
-schema 3 only in a footer key that replay never reads (a per-subject
-p99 estimate), so it replays like schema 3, though only the current
-schema can be byte-verified.  Schema 1 (outcome digest v1, estimated
-run-end/window quantiles) is refused like any unknown version.
+Every schema in :data:`READABLE_SCHEMAS` reads.  Schema 3 writes one
+``rec`` line per telemetry record where schema 4 writes ``recs``
+blocks; :func:`line_records` reads both, so one fold serves both, and
+schema-3 ``run-end``/``window`` lines simply lack the ``execution``
+envelope.  Only the current schema can be byte-verified.  Schemas 1
+and 2 are refused like any unknown version.
 
-:func:`iter_trace` is the one parser.  It yields each record as it is
+:func:`iter_trace` is the one parser.  It yields each line as it is
 parsed and fills a :class:`TraceSummary` (header, byte counts,
 truncation point, clean close) as it walks, so a consumer that folds
-records and keeps none reads a trace in memory independent of its
-length: :func:`~repro.telemetry.replay.replay_trace` and
+lines and keeps none reads a trace in memory independent of its
+length (one block at a time):
+:func:`~repro.telemetry.replay.replay_trace` and
 :func:`~repro.telemetry.record.verify_trace` do.  :func:`read_trace` is
 the same walk collected into a list, for callers that want every
-record.
+line; :meth:`TraceRead.telemetry` unpacks their records.
 """
 
 from __future__ import annotations
@@ -44,15 +47,20 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterator, List, Optional
+from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple
 
+from ..sim.trace import TraceRecord
 from .sink import TRACE_FORMAT, TRACE_SCHEMA_VERSION
 
 __all__ = ["READABLE_SCHEMAS", "TraceError", "TraceSchemaError",
-           "TraceSummary", "TraceRead", "iter_trace", "read_trace"]
+           "TraceSummary", "TraceRead", "iter_trace", "line_records",
+           "read_trace"]
 
 #: Schema versions the reader accepts, oldest first.
-READABLE_SCHEMAS = (2, TRACE_SCHEMA_VERSION)
+READABLE_SCHEMAS = (3, TRACE_SCHEMA_VERSION)
+
+#: A ``recs`` block's columns; record i is the i-th entry of each.
+_COLUMNS = ("t", "kind", "subject", "detail")
 
 
 class TraceError(Exception):
@@ -99,17 +107,42 @@ class TraceSummary:
 
 @dataclass
 class TraceRead(TraceSummary):
-    """Everything recoverable from one trace file, records included.
+    """Everything recoverable from one trace file, lines included.
 
     ``records`` holds every parsed line after the header, in file
-    order, each the raw ``dict`` form keyed by ``"k"``.
+    order, each the raw ``dict`` form keyed by ``"k"``;
+    :meth:`telemetry` unpacks the telemetry records they carry.
     """
 
     records: List[Dict[str, Any]] = field(default_factory=list)
 
     def of_kind(self, kind: str) -> List[Dict[str, Any]]:
-        """All records with discriminator ``kind`` (``"rec"`` etc.)."""
+        """All lines with discriminator ``kind`` (``"run-end"`` etc.)."""
         return [r for r in self.records if r.get("k") == kind]
+
+    def telemetry(self) -> List[TraceRecord]:
+        """Every telemetry record in the trace, in file order.
+
+        ``time`` is the trace's global time; a detail reads back in its
+        JSON form (a tuple as a list).
+        """
+        return [TraceRecord(*fields) for line in self.records
+                for fields in line_records(line)]
+
+
+def line_records(line: Dict[str, Any]) -> Iterable[Tuple[Any, Any, Any, Any]]:
+    """The ``(t, kind, subject, detail)`` records one parsed line carries.
+
+    A schema-4 ``recs`` block carries its columns, zipped; a schema-3
+    ``rec`` line carries one record; any other line carries none.
+    """
+    k = line["k"]
+    if k == "recs":
+        return zip(line["t"], line["kind"], line["subject"], line["detail"])
+    if k == "rec":
+        return ((line.get("t", 0.0), line.get("kind"),
+                 line.get("subject", "?"), line.get("detail")),)
+    return ()
 
 
 def _parse_segment(segment: bytes) -> Optional[Dict[str, Any]]:
@@ -120,11 +153,16 @@ def _parse_segment(segment: bytes) -> Optional[Dict[str, Any]]:
         return None
     if not isinstance(obj, dict) or "k" not in obj:
         return None
+    if obj["k"] == "recs":
+        columns = [obj.get(key) for key in _COLUMNS]
+        if (not all(type(column) is list for column in columns)
+                or len({len(column) for column in columns}) != 1):
+            return None
     return obj
 
 
 def iter_trace(path, summary: TraceSummary) -> Iterator[Dict[str, Any]]:
-    """Yield each record after the header, in file order, as it is parsed.
+    """Yield each line after the header, in file order, as it is parsed.
 
     Fills the fresh ``summary`` as it walks: ``header`` from the first
     line, ``bytes_valid`` line by line, and ``file_bytes``,

@@ -26,7 +26,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 from ..scenario.bundle import spec_paths
 from ..scenario.spec import ScenarioSpec, SpecError, load_spec
 from .reader import TraceSummary, iter_trace
-from .sink import TRACE_SCHEMA_VERSION, StreamingTraceSink
+from .sink import TRACE_SCHEMA_VERSION, StreamingTraceSink, same_file
 
 __all__ = [
     "VerifyResult",
@@ -59,7 +59,7 @@ def stock_spec_digests(names: Optional[Sequence[str]] = None) -> Dict[str, str]:
 
 #: The outcome digest version (``ScenarioOutcome.digest``) that each
 #: readable trace schema's run-end records carry.
-_SCHEMA_DIGESTS = {2: 2, 3: 2}
+_SCHEMA_DIGESTS = {3: 2, 4: 2}
 
 #: The ``meta`` keys each mode's recorder writes: exactly the keyword
 #: arguments :func:`verify_trace` regenerates a trace of that mode with.
@@ -346,12 +346,14 @@ def verify_trace(path, keep_regenerated: Optional[str] = None) -> VerifyResult:
     header's spec digests are checked against the *current* bundle, so
     "the spec changed since this was recorded" is reported as itself
     rather than as a mystifying byte diff.  So is an older schema: a
-    schema-2 trace still replays, but this build writes schema
+    schema-3 trace still replays, but this build writes schema
     ``TRACE_SCHEMA_VERSION``, so its regeneration could never match.
     The header comes from outside the program, so its ``meta`` is
     checked too: keys that the mode's recorder does not write, or does
     not find, and a spec that does not parse fail the verify by name
-    before anything runs.  Neither file is ever held in memory whole.
+    before anything runs.  So does a ``keep_regenerated`` path that
+    names the trace itself, which the regeneration would overwrite.
+    Neither file is ever held in memory whole.
     """
     read = TraceSummary(path=str(path))
     # Walks the whole file for the integrity flags; raises on a
@@ -359,6 +361,15 @@ def verify_trace(path, keep_regenerated: Optional[str] = None) -> VerifyResult:
     for _record in iter_trace(path, read):
         pass
     reasons: List[str] = []
+    if keep_regenerated is not None and same_file(keep_regenerated, path):
+        return VerifyResult(
+            path=str(path), ok=False,
+            reasons=[
+                f"the keep-regenerated path {str(keep_regenerated)!r} is "
+                "the trace itself; regenerating there would overwrite it"
+            ],
+            original_bytes=read.file_bytes,
+        )
     schema = read.header.get("schema") if read.header else None
     if read.header is not None and schema != TRACE_SCHEMA_VERSION:
         return VerifyResult(

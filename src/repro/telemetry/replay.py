@@ -11,17 +11,22 @@ traces -- no simulator, no scenario registry, just the file:
 * a **scorecard** from the ``run-end`` / ``window`` summary records,
   whose latency statistics were serialized exactly and therefore
   reproduce every mean/p50/p99 cell bit-for-bit;
+* an **execution line**: how many runs ran hybrid, how many fell back,
+  and what share of the requests ran discrete, from each ``run-end``
+  or ``window`` line's ``execution`` envelope (schema 4);
 * an **integrity report**: truncation point, clean-close flag, and a
   cross-check of the streamed per-record counts against the footer's
   per-subject ``kinds`` counts (a trace whose footer disagrees with its
   own body is flagged, never silently trusted).
 
-Replay folds each record as the reader parses it and keeps none, so
-its memory is O(subjects + runs + windows + timeline entries) however
-long the trace: :attr:`TraceReplay.read` is a
+Replay folds each line as the reader parses it and keeps none, so its
+memory is O(subjects + runs + windows + timeline entries) plus one
+``recs`` block however long the trace: :attr:`TraceReplay.read` is a
 :class:`~repro.telemetry.reader.TraceSummary` (header, byte counts,
-truncation, clean close), not a record list.  Callers that want the
-records themselves use :func:`~repro.telemetry.reader.read_trace`.
+truncation, clean close), not a record list.  Records reach the fold
+through :func:`~repro.telemetry.reader.line_records`, which reads a
+schema-4 block and a schema-3 ``rec`` line alike.  Callers that want
+the records themselves use :func:`~repro.telemetry.reader.read_trace`.
 
 :func:`verify_trace` lives in :mod:`repro.telemetry.record` -- it needs
 the recording orchestrations to regenerate the trace for the
@@ -37,7 +42,7 @@ from typing import Any, Dict, List, Optional, Tuple
 from ..analysis.report import Table
 from ..sim.metrics import ExactQuantile, StreamingMoments
 from ..sim.trace import COMPLETION, SPEC_VIOLATION, STATE_CHANGE
-from .reader import TraceSummary, iter_trace
+from .reader import TraceSummary, iter_trace, line_records
 
 __all__ = ["RunSummary", "TraceReplay", "replay_trace"]
 
@@ -65,6 +70,8 @@ class RunSummary:
     p99: ExactQuantile = field(default_factory=lambda: ExactQuantile(0.99, 0.0))
     oracle_violations: List[str] = field(default_factory=list)
     complete: bool = False  # saw the run-end record
+    #: The run-end line's ``execution`` envelope (None before schema 4).
+    execution: Optional[Dict[str, Any]] = None
 
     @property
     def mean(self) -> float:
@@ -105,6 +112,26 @@ class TraceReplay:
     @property
     def consistent(self) -> bool:
         return not self.integrity
+
+    def execution_summary(self) -> str:
+        """One line: the engine mix and discrete share of the runs."""
+        recorded = [(run.execution, run.requests) for run in self.runs
+                    if run.execution is not None]
+        recorded += [(window.execution, window.requests)
+                     for window in self.windows
+                     if window.execution is not None]
+        if not recorded:
+            schema = self.read.header.get("schema") if self.read.header else None
+            why = f"schema {schema}" if schema == 3 else "no finished run"
+            return f"execution: not recorded ({why})"
+        hybrid = sum(1 for run, __ in recorded if run["engine"] == "hybrid")
+        fallbacks = sum(1 for run, __ in recorded if run["fallback"] is not None)
+        discrete = sum(run["discrete_requests"] for run, __ in recorded)
+        requests = sum(n for __, n in recorded)
+        share = 100.0 * discrete / requests if requests else 0.0
+        return (f"execution: {hybrid}/{len(recorded)} runs hybrid, "
+                f"{fallbacks} fallbacks; {discrete:,} of {requests:,} "
+                f"requests discrete ({share:.1f}%)")
 
     def scorecard(self) -> Table:
         """The per-run (or per-window) scorecard, from the trace alone."""
@@ -158,6 +185,7 @@ class TraceReplay:
             f"trace: {read.path}",
             f"  mode={self.mode} schema={read.header.get('schema') if read.header else '?'} "
             f"records={self.records} bytes={read.file_bytes}",
+            f"  {self.execution_summary()}",
         ]
         if read.truncated:
             lines.append(
@@ -205,84 +233,84 @@ def replay_trace(path) -> TraceReplay:
     :class:`~repro.telemetry.reader.TraceSchemaError` on unknown schema
     versions and :class:`~repro.telemetry.reader.TraceError` on
     non-trace files, exactly like :func:`~repro.telemetry.reader.read_trace`.
-    Records are folded as they are parsed; none is kept.
+    Lines are folded as they are parsed; none is kept.
     """
     read = TraceSummary(path=str(path))
     replay = TraceReplay(read=read)
     by_run: Dict[int, RunSummary] = {}
-    with closing(iter_trace(path, read)) as records:
-        for record in records:
-            k = record.get("k")
-            if k == "rec":
-                replay.records += 1
-                kind = record.get("kind")
-                subject = record.get("subject", "?")
-                t = record.get("t", 0.0)
-                detail = record.get("detail")
-                if kind == COMPLETION:
-                    replay.completions[subject] = replay.completions.get(subject, 0) + 1
-                elif kind == STATE_CHANGE:
-                    state = (detail or {}).get("state", "?")
-                    timeline = replay.state_timelines.setdefault(subject, [])
-                    if not timeline or timeline[-1][1] != state:
-                        timeline.append((t, state))
-                elif kind == SPEC_VIOLATION:
-                    detail = detail or {}
-                    replay.violation_timelines.setdefault(subject, []).append(
-                        (t, detail.get("observed", 0.0), detail.get("threshold", 0.0))
-                    )
+    with closing(iter_trace(path, read)) as lines:
+        for line in lines:
+            k = line["k"]
+            if k == "recs" or k == "rec":
+                completions = replay.completions
+                for t, kind, subject, detail in line_records(line):
+                    replay.records += 1
+                    if kind == COMPLETION:
+                        completions[subject] = completions.get(subject, 0) + 1
+                    elif kind == STATE_CHANGE:
+                        state = (detail or {}).get("state", "?")
+                        timeline = replay.state_timelines.setdefault(subject, [])
+                        if not timeline or timeline[-1][1] != state:
+                            timeline.append((t, state))
+                    elif kind == SPEC_VIOLATION:
+                        detail = detail or {}
+                        replay.violation_timelines.setdefault(subject, []).append(
+                            (t, detail.get("observed", 0.0),
+                             detail.get("threshold", 0.0))
+                        )
             elif k == "run-start":
                 run = RunSummary(
-                    run=record.get("run", -1),
-                    workload=record.get("workload", "?"),
-                    family=record.get("family", "?"),
-                    index=record.get("index", -1),
-                    policy=record.get("policy", "?"),
-                    engine=record.get("engine", "?"),
-                    events=list(record.get("events", [])),
+                    run=line.get("run", -1),
+                    workload=line.get("workload", "?"),
+                    family=line.get("family", "?"),
+                    index=line.get("index", -1),
+                    policy=line.get("policy", "?"),
+                    engine=line.get("engine", "?"),
+                    events=list(line.get("events", [])),
                 )
                 by_run[run.run] = run
                 replay.runs.append(run)
             elif k == "run-end":
-                run = by_run.get(record.get("run", -1))
+                run = by_run.get(line.get("run", -1))
                 if run is None:  # run-start lost to truncation upstream? keep it
                     run = RunSummary(
-                        run=record.get("run", -1),
-                        workload=record.get("workload", "?"),
-                        family=record.get("family", "?"),
-                        index=record.get("index", -1),
-                        policy=record.get("policy", "?"),
+                        run=line.get("run", -1),
+                        workload=line.get("workload", "?"),
+                        family=line.get("family", "?"),
+                        index=line.get("index", -1),
+                        policy=line.get("policy", "?"),
                         engine="?",
                         events=[],
                     )
                     replay.runs.append(run)
-                run.requests = record.get("requests", 0)
-                run.slo = record.get("slo", 0.0)
-                run.slo_violations = record.get("slo_violations", 0)
-                run.failed_requests = record.get("failed_requests", 0)
-                run.issued_work = record.get("issued_work", 0.0)
-                run.wasted_work = record.get("wasted_work", 0.0)
-                run.digest = record.get("digest", "")
-                if "moments" in record:
-                    run.moments = StreamingMoments.from_dict(record["moments"])
-                if "p50" in record:
-                    run.p50 = ExactQuantile.from_dict(record["p50"])
-                if "p99" in record:
-                    run.p99 = ExactQuantile.from_dict(record["p99"])
-                run.oracle_violations = list(record.get("oracle_violations", []))
+                run.requests = line.get("requests", 0)
+                run.slo = line.get("slo", 0.0)
+                run.slo_violations = line.get("slo_violations", 0)
+                run.failed_requests = line.get("failed_requests", 0)
+                run.issued_work = line.get("issued_work", 0.0)
+                run.wasted_work = line.get("wasted_work", 0.0)
+                run.digest = line.get("digest", "")
+                if "moments" in line:
+                    run.moments = StreamingMoments.from_dict(line["moments"])
+                if "p50" in line:
+                    run.p50 = ExactQuantile.from_dict(line["p50"])
+                if "p99" in line:
+                    run.p99 = ExactQuantile.from_dict(line["p99"])
+                run.oracle_violations = list(line.get("oracle_violations", []))
+                run.execution = line.get("execution")
                 run.complete = True
             elif k == "window":
                 from ..faults.campaign import SoakWindow
 
-                payload = {key: value for key, value in record.items() if key != "k"}
+                payload = {key: value for key, value in line.items() if key != "k"}
                 replay.windows.append(SoakWindow.from_dict(payload))
             elif k == "end":
-                if record.get("records") != replay.records:
+                if line.get("records") != replay.records:
                     replay.integrity.append(
-                        f"footer claims {record.get('records')} records, "
+                        f"footer claims {line.get('records')} records, "
                         f"{replay.records} streamed"
                     )
-                subjects = record.get("subjects", {})
+                subjects = line.get("subjects", {})
                 for subject, stats in subjects.items():
                     footer = stats.get("kinds", {}).get(COMPLETION, 0)
                     streamed = replay.completions.get(subject, 0)

@@ -4,34 +4,40 @@ The TelemetryBus is an in-memory fan-out: nothing survives the run.
 :class:`StreamingTraceSink` is what keeps it -- a bus tap, attached by
 passing the sink as a run's ``sink=`` (``run_scenario``,
 ``run_scenario_hybrid``, ``run_campaign``, ``run_soak``), that writes
-each record to disk as one self-contained JSONL line and keeps only
-O(subjects) state in memory: per-subject record counts and the
-:class:`~repro.sim.metrics.StreamingMoments` of completion durations,
-rolled as records stream through and written out once in the trace
-footer.  The footer holds no quantile: the body records every
-completion, so a reader computes any quantile it wants exactly from the
-``rec`` lines.
+the records to disk in blocks of at most ``flush_lines`` and keeps only
+O(subjects) state plus the one open block in memory: per-subject record
+counts and the :class:`~repro.sim.metrics.StreamingMoments` of
+completion durations, folded as each block is written and written out
+once in the trace footer.  The footer holds no quantile: the body
+records every completion, so a reader computes any quantile it wants
+exactly from the ``recs`` lines.
 
-Trace format (schema version 3), one JSON object per line, keys
+Trace format (schema version 4), one JSON object per line, keys
 sorted, no whitespace -- fully deterministic, so a re-run of the same
 recording is byte-identical (what ``replay --verify`` checks):
 
-``{"k":"header","schema":3,"format":"repro-trace","mode":...,"meta":...,
+``{"k":"header","schema":4,"format":"repro-trace","mode":...,"meta":...,
 "specs":...}``
     First line.  ``meta`` holds every parameter needed to regenerate
     the trace; ``specs`` maps the bundled/embedded scenario-spec names
     used to their PR-9 digests, pinning what the run actually ran.
 ``{"k":"run-start","run":N,...,"events":[...]}``
     One per recorded run (or soak window), with the fault schedule.
-``{"k":"rec","t":...,"kind":...,"subject":...,"detail":...}``
-    One TelemetryBus record; ``t`` is global virtual time
-    (:attr:`StreamingTraceSink.time_offset` + the record's run-local
-    time, so soak windows share one time axis).
+``{"k":"recs","t":[...],"kind":[...],"subject":[...],"detail":[...]}``
+    A block of TelemetryBus records as four columns of one length:
+    record *i* is ``(t[i], kind[i], subject[i], detail[i])``.  ``t`` is
+    global virtual time (:attr:`StreamingTraceSink.time_offset` + the
+    record's run-local time, so soak windows share one time axis).
+    The open block is written when it holds ``flush_lines`` records,
+    before any other line, and on :meth:`~StreamingTraceSink.flush`
+    and :meth:`~StreamingTraceSink.close`.
 ``{"k":"run-end","run":N,...}`` / ``{"k":"window",...}``
-    Exact counters, the outcome digest (v2), and the exact latency
-    statistics: ``moments`` (``StreamingMoments`` state folded from
+    Exact counters, the outcome digest (v2), the exact latency
+    statistics -- ``moments`` (``StreamingMoments`` state folded from
     every sample) and ``p50``/``p99`` as ``{"q":..,"value":..}``
-    (``np.quantile``) -- what replay rebuilds scorecards from.
+    (``np.quantile``), what replay rebuilds scorecards from -- and the
+    ``execution`` envelope: the engine that ran, the hybrid fallback
+    message or null, and how many requests ran discrete.
 ``{"k":"end","records":N,"subjects":...}``
     Footer: total record count and, per subject, ``kinds`` (records per
     kind) and, once the subject has completed work, ``completions``
@@ -39,26 +45,18 @@ recording is byte-identical (what ``replay --verify`` checks):
     presence marks a cleanly closed trace.
 
 Invariants (DESIGN.md section 1.11): the file is append-only; writes are
-line-atomic (the sink buffers *complete* lines and flushes them in
-bounded chunks, never a partial line by its own hand); readers must
+line-atomic (every line, a block included, is written and flushed
+whole, never a partial line by the sink's own hand); readers must
 version-gate on ``schema`` and treat anything after the last parseable
-line as a crash artifact.
-
-Every line is byte-identical to :func:`dumps_line` of its payload.
-Completion records, nearly every line of a long trace, skip the JSON
-encoder: they are formatted with ``float.__repr__`` and
-``json.encoder.encode_basestring_ascii``, which is what the encoder
-calls for them, when the subject is a ``str`` and the time, work and
-duration are finite and of type exactly ``float`` (the detail a
-2-tuple).  Any other record, or a completion of any other shape, goes
-through :func:`dumps_line`.
+line as a crash artifact.  Every line is byte-identical to
+:func:`dumps_line` of its payload.
 """
 
 from __future__ import annotations
 
 import json
-from json.encoder import encode_basestring_ascii
-from typing import Any, Dict, List, Optional, TextIO
+import os
+from typing import Any, Dict, List, Optional, TextIO, Tuple
 
 from ..sim.metrics import ExactQuantile, StreamingMoments
 from ..sim.trace import COMPLETION
@@ -71,8 +69,10 @@ __all__ = ["TRACE_SCHEMA_VERSION", "TRACE_FORMAT", "StreamingTraceSink", "dumps_
 #: versions it does not know by name.  Version 2: outcome digest v2 and
 #: exact run-end/window latency statistics.  Version 3: the footer's
 #: per-subject rollups no longer carry a P² ``p99`` estimate; ``kinds``
-#: and ``completions`` are unchanged.
-TRACE_SCHEMA_VERSION = 3
+#: and ``completions`` are unchanged.  Version 4: records are written
+#: as ``recs`` blocks instead of one ``rec`` line each, and ``run-end``
+#: and ``window`` lines carry the ``execution`` envelope.
+TRACE_SCHEMA_VERSION = 4
 
 #: Sanity tag in the header, so a random JSONL file is not mistaken for
 #: a trace.
@@ -95,31 +95,22 @@ def dumps_line(payload: Dict[str, Any]) -> str:
     return _ENCODER.encode(payload) + "\n"
 
 
+def same_file(a, b) -> bool:
+    """True when paths ``a`` and ``b`` name one file.
+
+    One resolved path, or two names (a link) of one existing file.
+    """
+    if os.path.realpath(a) == os.path.realpath(b):
+        return True
+    try:
+        return os.path.samefile(a, b)
+    except OSError:
+        return False
+
+
 def _csv_quote(text: str) -> str:
     """One CSV field, quoted: commas, quotes and newlines stay inside it."""
     return '"' + text.replace('"', '""') + '"'
-
-
-_INF = float("inf")
-_COMPLETION_KIND = encode_basestring_ascii(COMPLETION)
-
-
-def _completion_line(t: Any, subject: Any, detail: Any) -> Optional[str]:
-    """``dumps_line`` of a completion ``rec`` line, or None to fall back.
-
-    Formats only the shape the module docstring names, the one whose
-    bytes are known; the keys are written in sorted order.
-    """
-    if type(detail) is not tuple or len(detail) != 2 or type(subject) is not str:
-        return None
-    work, duration = detail
-    if (type(work) is float and type(duration) is float and type(t) is float
-            and -_INF < work < _INF and -_INF < duration < _INF
-            and -_INF < t < _INF):
-        return (f'{{"detail":[{work!r},{duration!r}],"k":"rec","kind":'
-                f'{_COMPLETION_KIND},"subject":{encode_basestring_ascii(subject)},'
-                f'"t":{t!r}}}\n')
-    return None
 
 
 class _SubjectStats:
@@ -152,18 +143,25 @@ class StreamingTraceSink:
     to its fresh system's bus.  One sink serves many runs over its life
     (a soak campaign passes it to every window, bumping
     :attr:`time_offset` so the trace keeps one global time axis).
-    Memory is bounded: records go straight to the line buffer (flushed
-    every ``flush_lines`` complete lines) and only the per-subject
-    streaming rollups are retained.
+    Memory is bounded: :meth:`on_record` appends to the open block,
+    which is written as one ``recs`` line once it holds ``flush_lines``
+    records, and only the per-subject streaming rollups are retained.
 
-    Usable as a context manager; :meth:`close` flushes the buffer.  The
-    caller owns the record/footer protocol (see
+    Usable as a context manager; :meth:`close` writes the open block.
+    The caller owns the record/footer protocol (see
     :mod:`repro.telemetry.record` for the stock orchestrations).
+    ``csv_path`` may not name the trace file: writing both would leave
+    only the CSV.
     """
 
     def __init__(self, path, csv_path=None, flush_lines: int = 256):
         if flush_lines < 1:
             raise ValueError(f"flush_lines must be >= 1, got {flush_lines}")
+        if csv_path is not None and same_file(path, csv_path):
+            raise ValueError(
+                f"csv_path {str(csv_path)!r} names the trace file "
+                f"{str(path)!r}; the CSV would overwrite the trace"
+            )
         self.path = path
         self.csv_path = csv_path
         self.flush_lines = flush_lines
@@ -184,7 +182,8 @@ class StreamingTraceSink:
                 # could close the trace file.
                 self._fh.close()
                 raise
-        self._buffer: List[str] = []
+        #: The open block: ``(t, kind, subject, detail)`` per record.
+        self._block: List[Tuple[Any, Any, Any, Any]] = []
         self._stats: Dict[str, _SubjectStats] = {}
         self._header_written = False
         self._end_written = False
@@ -192,28 +191,57 @@ class StreamingTraceSink:
     # -- line plumbing ---------------------------------------------------------
 
     def _write_line(self, payload: Dict[str, Any]) -> None:
-        self._append(dumps_line(payload))
+        """Write the open block, then ``payload`` as one line."""
+        self._write_block()
+        self._put(dumps_line(payload))
 
-    def _append(self, line: str) -> None:
+    def _put(self, line: str) -> None:
+        """Write one whole line through to the OS."""
         if self._fh is None:
             raise ValueError(f"sink for {self.path} is closed")
-        self._buffer.append(line)
+        self._fh.write(line)
+        self._fh.flush()
         self.lines_written += 1
-        if len(self._buffer) >= self.flush_lines:
-            self.flush()
+
+    def _write_block(self) -> None:
+        """Write the open block as one ``recs`` line, then fold it.
+
+        The block is taken before it is encoded, so a record the encoder
+        refuses loses its block (the error propagates) rather than
+        failing every later write.  The footer rollups and the CSV rows
+        follow the block in record order.
+        """
+        block = self._block
+        if not block:
+            return
+        self._block = []
+        times, kinds, subjects, details = zip(*block)
+        self._put(dumps_line({"k": "recs", "t": times, "kind": kinds,
+                              "subject": subjects, "detail": details}))
+        self.records_written += len(block)
+        stats = self._stats
+        for __, kind, subject, detail in block:
+            rollup = stats.get(subject)
+            if rollup is None:
+                rollup = stats[subject] = _SubjectStats()
+            rollup.observe(kind, detail)
+        if self._csv is not None:
+            self._csv.write("".join([
+                f"{t!r},{kind},{_csv_quote(str(subject))},"
+                f"{_csv_quote(_ENCODER.encode(detail))}\n"
+                for t, kind, subject, detail in block
+            ]))
 
     def flush(self) -> None:
-        """Write all buffered *complete* lines through to the OS.
+        """Write the open block through to the OS (no-op once closed).
 
-        Line atomicity: the buffer only ever holds whole lines, so a
-        crash between flushes loses a suffix of complete lines, never
-        half a line of the sink's own making.  (The OS may still tear
-        the last block; the reader's valid-prefix recovery covers it.)
+        Line atomicity: every line, a block included, is written and
+        flushed whole, so a crash loses a suffix of records, never half
+        a line of the sink's own making.  (The OS may still tear the
+        last write; the reader's valid-prefix recovery covers it.)
         """
-        if self._buffer and self._fh is not None:
-            self._fh.write("".join(self._buffer))
-            self._buffer.clear()
-            self._fh.flush()
+        if self._fh is not None:
+            self._write_block()
 
     # -- the trace protocol ----------------------------------------------------
 
@@ -261,13 +289,14 @@ class StreamingTraceSink:
         self._write_line(payload)
 
     def write_run_end(self, run: int, outcome) -> None:
-        """Exact counters + exact latency statistics for one finished run.
+        """Exact counters, latency statistics and execution of one run.
 
         ``outcome`` is a :class:`repro.faults.campaign.ScenarioOutcome`
         (duck-typed).  The raw latency array is *not* written -- its
         moments and p50/p99, folded from every sample, rebuild every
         scorecard column, and the outcome digest pins the full-precision
-        identity.
+        identity.  ``execution`` is the outcome's
+        :meth:`~repro.faults.campaign.ScenarioOutcome.execution` envelope.
         """
         moments = StreamingMoments.of(outcome.latencies)
         p50, p99 = ExactQuantile.of(outcome.latencies, (0.5, 0.99))
@@ -292,6 +321,7 @@ class StreamingTraceSink:
             "p50": p50.to_dict(),
             "p99": p99.to_dict(),
             "oracle_violations": list(outcome.violations),
+            "execution": outcome.execution(),
         })
 
     def write_window(self, payload: Dict[str, Any]) -> None:
@@ -303,6 +333,7 @@ class StreamingTraceSink:
         if self._end_written:
             raise ValueError("trace footer already written")
         self._end_written = True
+        self._write_block()  # its records count in the footer
         self._write_line({
             "k": "end",
             "records": self.records_written,
@@ -315,39 +346,32 @@ class StreamingTraceSink:
     # -- the bus tap -----------------------------------------------------------
 
     def on_record(self, record) -> None:
-        """The ``subscribe_all`` callback: stream one TraceRecord out."""
-        t = self.time_offset + record.time
-        kind, subject, detail = record.kind, record.subject, record.detail
-        line = _completion_line(t, subject, detail) if kind == COMPLETION else None
-        if line is None:
-            line = dumps_line({
-                "k": "rec",
-                "t": t,
-                "kind": kind,
-                "subject": subject,
-                "detail": detail,
-            })
-        self._append(line)
-        self.records_written += 1
-        stats = self._stats.get(subject)
-        if stats is None:
-            stats = self._stats[subject] = _SubjectStats()
-        stats.observe(kind, detail)
-        if self._csv is not None:
-            self._csv.write(f"{t!r},{kind},{_csv_quote(str(subject))},"
-                            f"{_csv_quote(_ENCODER.encode(detail))}\n")
+        """The ``subscribe_all`` callback: add one TraceRecord to the block."""
+        if self._fh is None:
+            raise ValueError(f"sink for {self.path} is closed")
+        block = self._block
+        block.append((self.time_offset + record.time, record.kind,
+                      record.subject, record.detail))
+        if len(block) >= self.flush_lines:
+            self._write_block()
 
     # -- lifecycle -------------------------------------------------------------
 
     def close(self) -> None:
-        """Flush every buffered line and close the file(s).  Idempotent."""
-        if self._fh is not None:
+        """Write the open block and close the file(s).  Idempotent.
+
+        Both files close even when the block fails to encode; the error
+        then propagates.
+        """
+        try:
             self.flush()
-            self._fh.close()
-            self._fh = None
-        if self._csv is not None:
-            self._csv.close()
-            self._csv = None
+        finally:
+            if self._fh is not None:
+                self._fh.close()
+                self._fh = None
+            if self._csv is not None:
+                self._csv.close()
+                self._csv = None
 
     def __enter__(self) -> "StreamingTraceSink":
         return self

@@ -125,6 +125,11 @@ class TestEngineRecord:
         assert discrete.fallback is None
         assert fell_back.digest() == discrete.digest()
         assert not fell_back.violations
+        assert fell_back.execution() == {
+            "discrete_requests": discrete.n_requests, "engine": "discrete",
+            "fallback": fell_back.fallback,
+        }
+        assert discrete.discrete_requests == discrete.n_requests
 
     def test_feasible_hybrid_request_runs_hybrid(self):
         workload = campaign.WORKLOADS["surge"]
@@ -133,6 +138,21 @@ class TestEngineRecord:
                                         engine="hybrid")
         assert outcome.engine == "hybrid" and outcome.fallback is None
         assert not outcome.violations
+
+    def test_hybrid_outcome_counts_its_discrete_requests(self):
+        """The requests the runner's discrete engine simulated; like the
+        engine and the fallback, no part of the digest."""
+        from dataclasses import replace
+
+        workload = campaign.WORKLOADS["raid10"]
+        scenario = campaign.generate_scenario(workload, "magnitude", 7, 0)
+        runner = HybridRunner(workload, scenario, "stutter-aware")
+        outcome = runner.run()
+        assert 0 < outcome.discrete_requests == len(runner.engine.requests)
+        assert outcome.discrete_requests < outcome.n_requests
+        relabelled = replace(outcome, discrete_requests=outcome.n_requests,
+                             engine="discrete")
+        assert relabelled.digest() == outcome.digest()
 
     def test_runner_refuses_an_infeasible_pair_when_built(self):
         workload = campaign.WORKLOADS["surge"]
@@ -223,7 +243,7 @@ class TestRouteProbeShadow:
             runner._compute_routes()
         # The flag is clear again: later picks see the real backlog.
         assert engine.route_probe is False
-        assert engine.queue_depth(first) == 3
+        assert engine.members[first].backlog == 3
         request = campaign.Request(index=0, work=workload.work,
                                    group=engine.groups[0], submitted_at=0.0)
         assert engine.pick_candidate(request) == second
@@ -233,12 +253,12 @@ class TestRouteProbeShadow:
     def test_probe_hides_real_backlog_from_picks(self, policy):
         """Inside the probe every member looks idle; outside, backlog shows.
 
-        Both the engine's default ``pick_candidate`` (which reads the
-        ``route_probe`` flag itself) and the stutter-aware ``pick``
-        (which reads depth through ``engine.queue_depth``) must see the
-        probe -- a pick that read a member's real backlog while probing
-        would make fluid routes depend on transient residuals, which
-        changes e28's and the 10^6-client digests.
+        Both the engine's default ``pick_candidate`` and the
+        stutter-aware ``pick`` read the ``route_probe`` flag themselves,
+        and both must see the probe -- a pick that read a member's real
+        backlog while probing would make fluid routes depend on
+        transient residuals, which changes e28's and the 10^6-client
+        digests.
         """
         workload = campaign.WORKLOADS["raid10"]
         scenario = campaign.generate_scenario(workload, "magnitude", 7, 0)
@@ -252,9 +272,10 @@ class TestRouteProbeShadow:
         picks = (engine.pick_candidate, runner.policy.pick)
         assert [pick(request) for pick in picks] == [second, second]
         with hybrid._zero_queue_probe(engine):
-            assert engine.queue_depth(first) == 0
+            assert engine.route_probe is True
             assert [pick(request) for pick in picks] == [first, first]
-        assert engine.queue_depth(first) == 3
+        assert engine.route_probe is False
+        assert engine.members[first].backlog == 3
 
 
 class TestUnannouncedRateChange:

@@ -127,8 +127,8 @@ class _StatefulPolicy(MitigationPolicy):
 
     def pick(self, request):
         type(self)._calls += 1
-        live = self.engine.live_candidates(request)
-        return live[type(self)._calls % len(live)]
+        group = request.group
+        return group[type(self)._calls % len(group)]
 
 
 class TestInvariantOracle:

@@ -29,7 +29,7 @@ MEASURED = {
     "adaptive-timeout": 29.1,
     "retry-backoff": 27.1,
     "hedged": 25.1,
-    "stutter-aware": 47.6,
+    "stutter-aware": 38.0,
     "no-mitigation": 20.1,
 }
 BUDGET = {policy: math.ceil(count) + 2 for policy, count in MEASURED.items()}

@@ -1,22 +1,23 @@
-"""The trace schema is version-gated: bytes may not drift under version 3.
+"""The trace schema is version-gated: bytes may not drift under version 4.
 
-``tests/telemetry/data/golden_trace_v3.jsonl`` is a committed schema-v3
-trace (a tiny deterministic campaign); ``golden_soak_v3.jsonl`` and
-``golden_spec_v3.jsonl`` pin the other two recorders, a two-window
+``tests/telemetry/data/golden_trace_v4.jsonl`` is a committed schema-v4
+trace (a tiny deterministic campaign); ``golden_soak_v4.jsonl`` and
+``golden_spec_v4.jsonl`` pin the other two recorders, a two-window
 hybrid soak and one spec run.  Regenerating each today must reproduce
 it *byte-for-byte*: any change to the line shapes, key names, float
 formatting, or record ordering is a schema change and must come with a
 ``TRACE_SCHEMA_VERSION`` bump plus new golden files.
 The flip side of the gate is also pinned here: a reader handed a
-version it does not know -- schema 1, a future version, or a header
-whose version is not an integer -- must refuse it by name, through the
-API and through the ``replay`` CLI (exit code 2).  The previous golden,
-``golden_trace_v2.jsonl``, stays as the read-compatibility fixture: it
-replays, and ``--verify`` refuses it by name.  The verifier also reads
-its regeneration parameters from the header, so a header whose
-``meta`` does not fit its mode fails verify by name instead of raising;
-a ``meta`` or ``specs`` that is not a JSON object is refused by the
-reader, like any other file that is not a trace.
+version it does not know -- schemas 1 and 2, a future version, or a
+header whose version is not an integer -- must refuse it by name,
+through the API and through the ``replay`` CLI (exit code 2).  The
+three schema-3 goldens (``*_v3.jsonl``, the same recordings with one
+``rec`` line per record) stay as the read-compatibility fixtures: they
+replay to the v4 scorecards, and ``--verify`` refuses them by name.
+The verifier also reads its regeneration parameters from the header,
+so a header whose ``meta`` does not fit its mode fails verify by name
+instead of raising; a ``meta`` or ``specs`` that is not a JSON object
+is refused by the reader, like any other file that is not a trace.
 """
 
 import json
@@ -41,8 +42,8 @@ from repro.telemetry import (
 from repro.telemetry.reader import READABLE_SCHEMAS
 
 DATA = Path(__file__).parent / "data"
-GOLDEN = DATA / "golden_trace_v3.jsonl"
-GOLDEN_V2 = DATA / "golden_trace_v2.jsonl"
+GOLDEN = DATA / "golden_trace_v4.jsonl"
+GOLDEN_V3 = DATA / "golden_trace_v3.jsonl"
 
 #: The exact parameters both golden campaign files were recorded with.
 GOLDEN_PARAMS = dict(seed=3, workloads=("raid10",), families=("failstop",),
@@ -68,12 +69,16 @@ GOLDEN_SPEC = {
 #: Each golden file and the call that re-records it.
 GOLDEN_RECORDINGS = (
     (GOLDEN, lambda path: record_campaign(path, **GOLDEN_PARAMS)),
-    (DATA / "golden_soak_v3.jsonl",
+    (DATA / "golden_soak_v4.jsonl",
      lambda path: record_soak(path, **GOLDEN_SOAK_PARAMS)),
-    (DATA / "golden_spec_v3.jsonl",
+    (DATA / "golden_spec_v4.jsonl",
      lambda path: record_spec_run(path, ScenarioSpec.parse(GOLDEN_SPEC),
                                   seed=3)),
 )
+
+#: Each schema-3 golden and the v4 golden of the same recording.
+V3_PAIRS = [(DATA / f"golden_{name}_v3.jsonl", DATA / f"golden_{name}_v4.jsonl")
+            for name in ("trace", "soak", "spec")]
 
 
 def _with_header(tmp_path, name, **changes):
@@ -88,12 +93,12 @@ def _with_header(tmp_path, name, **changes):
 
 class TestGoldenBytes:
     def test_schema_version_is_pinned(self):
-        assert TRACE_SCHEMA_VERSION == 3, (
+        assert TRACE_SCHEMA_VERSION == 4, (
             "TRACE_SCHEMA_VERSION moved: record a new golden trace as "
             f"tests/telemetry/data/golden_trace_v{TRACE_SCHEMA_VERSION}.jsonl "
             "and update this test's GOLDEN path"
         )
-        assert READABLE_SCHEMAS == (2, 3)
+        assert READABLE_SCHEMAS == (3, 4)
 
     def test_regenerated_trace_matches_golden_byte_for_byte(self, tmp_path):
         for golden, record in GOLDEN_RECORDINGS:
@@ -113,20 +118,24 @@ class TestGoldenBytes:
         assert len(replay.runs) == 1 and replay.runs[0].complete
 
     def test_golden_line_shapes(self):
-        """Structural pin: the v3 discriminators and their key sets."""
+        """Structural pin: the v4 discriminators and their key sets."""
         lines = [json.loads(line) for line in GOLDEN.read_text().splitlines()]
         kinds = [line["k"] for line in lines]
-        assert kinds[0] == "header" and kinds[-1] == "end"
-        assert {"run-start", "run-end", "rec"} <= set(kinds)
+        assert kinds == ["header", "run-start", "recs", "run-end", "end"]
         header = lines[0]
         assert set(header) == {"k", "schema", "format", "mode", "meta", "specs"}
-        assert header["schema"] == TRACE_SCHEMA_VERSION == 3
+        assert header["schema"] == TRACE_SCHEMA_VERSION == 4
         assert header["format"] == "repro-trace"
-        rec = next(line for line in lines if line["k"] == "rec")
-        assert set(rec) == {"k", "t", "kind", "subject", "detail"}
-        run_end = next(line for line in lines if line["k"] == "run-end")
+        recs = lines[2]
+        assert set(recs) == {"k", "t", "kind", "subject", "detail"}
+        assert len({len(recs[key]) for key in ("t", "kind", "subject",
+                                                 "detail")}) == 1
+        run_end = lines[3]
         assert {"run", "digest", "moments", "p50", "p99", "requests",
-                "slo_violations"} <= set(run_end)
+                "slo_violations", "execution"} <= set(run_end)
+        assert run_end["execution"] == {"discrete_requests": 4,
+                                        "engine": "discrete",
+                                        "fallback": None}
         # Exact quantiles: a value, not P² marker state.
         assert set(run_end["p50"]) == set(run_end["p99"]) == {"q", "value"}
         end = lines[-1]
@@ -139,13 +148,13 @@ class TestGoldenBytes:
             assert set(rollup) in ({"kinds"}, {"kinds", "completions"})
 
 
-class TestSchemaTwoTraces:
-    """Schema 2 differs from 3 only in the footer's per-subject p99
-    estimates, which replay never reads: it replays, but cannot verify."""
+class TestSchemaThreeTraces:
+    """Schema 3 wrote one ``rec`` line per record and no ``execution``
+    envelope: it replays to the same scorecards, but cannot verify."""
 
-    def test_v2_golden_still_replays_clean(self):
-        old, new = replay_trace(GOLDEN_V2), replay_trace(GOLDEN)
-        assert old.read.header["schema"] == 2
+    def test_v3_golden_still_replays_clean(self):
+        old, new = replay_trace(GOLDEN_V3), replay_trace(GOLDEN)
+        assert old.read.header["schema"] == 3
         assert old.read.clean_close and old.consistent
         (run,) = old.runs
         assert run.complete and run.requests == 4
@@ -154,13 +163,43 @@ class TestSchemaTwoTraces:
         assert isinstance(run.p99, ExactQuantile)
         assert run.p50.value() == run.p99.value() == 1 / 11
         assert old.scorecard().rows == new.scorecard().rows
+        assert old.execution_summary() == "execution: not recorded (schema 3)"
+        for v3, v4 in V3_PAIRS:
+            old, new = replay_trace(v3), replay_trace(v4)
+            assert old.read.clean_close and old.consistent, v3.name
+            assert old.records == new.records
+            assert old.completions == new.completions
+            assert old.state_timelines == new.state_timelines
+            assert old.violation_timelines == new.violation_timelines
+            assert old.scorecard().rows == new.scorecard().rows
 
-    def test_v2_golden_refuses_verify_by_name(self):
-        result = verify_trace(GOLDEN_V2)
-        assert not result.ok and result.first_diff is None
-        assert ("schema 2 / outcome digest v2: re-record to verify (this "
-                "build writes schema 3 / outcome digest v2)") in result.reasons[0]
-        assert not GOLDEN_V2.with_name(GOLDEN_V2.name + ".regen").exists()
+    def test_v3_golden_refuses_verify_by_name(self):
+        for v3, __ in V3_PAIRS:
+            result = verify_trace(v3)
+            assert not result.ok and result.first_diff is None
+            assert ("schema 3 / outcome digest v2: re-record to verify (this "
+                    "build writes schema 4 / outcome digest v2)"
+                    ) in result.reasons[0]
+            assert not v3.with_name(v3.name + ".regen").exists()
+
+    @pytest.mark.parametrize("v3, v4", V3_PAIRS,
+                             ids=[v3.name for v3, __ in V3_PAIRS])
+    def test_v4_golden_is_the_v3_golden_in_blocks(self, v3, v4):
+        """Same records one for one; every other line equal but for the
+        header's ``schema`` and the new ``execution`` key."""
+        old, new = read_trace(v3), read_trace(v4)
+        assert old.telemetry() == new.telemetry()
+        assert all(line["k"] != "recs" for line in old.records)
+        assert all(line["k"] != "rec" for line in new.records)
+        assert {**new.header, "schema": 3} == old.header
+        others = [
+            [{key: value for key, value in line.items() if key != "execution"}
+             for line in trace.records if line["k"] not in ("rec", "recs")]
+            for trace in (old, new)
+        ]
+        assert others[0] == others[1]
+        assert (v3.read_text().splitlines()[-1]
+                == v4.read_text().splitlines()[-1])
 
 
 class TestVersionGate:
@@ -188,9 +227,9 @@ class TestVersionGate:
         out = capsys.readouterr().out
         assert "Replay: campaign trace" in out
 
-    @pytest.mark.parametrize("schema, shown", [(1, "1"), (2.0, "2.0"),
-                                               (True, "True")],
-                             ids=["schema-1", "float", "bool"])
+    @pytest.mark.parametrize("schema, shown", [(1, "1"), (2, "2"),
+                                               (3.0, "3.0"), (True, "True")],
+                             ids=["schema-1", "schema-2", "float", "bool"])
     def test_retired_and_non_integer_versions_are_refused_by_name(
             self, tmp_path, capsys, schema, shown):
         from repro.__main__ import main
@@ -199,7 +238,7 @@ class TestVersionGate:
         with pytest.raises(TraceSchemaError) as excinfo:
             read_trace(path)
         assert (f"unsupported trace schema version {shown} (this reader "
-                "supports versions 2, 3)") in str(excinfo.value)
+                "supports versions 3, 4)") in str(excinfo.value)
         assert main(["replay", str(path)]) == 2
         assert f"unsupported trace schema version {shown}" in capsys.readouterr().err
 
@@ -286,15 +325,15 @@ class TestVerifyChecksTheHeaderMeta:
 
 class TestFooterRollups:
     def test_footer_moments_are_exact_over_the_body(self, tmp_path):
-        """Every footer number is recomputable from the body's rec lines."""
+        """Every footer number is recomputable from the body's records."""
         path = tmp_path / "soak.jsonl"
         record_soak(path, seed=5, n_windows=3, injectors_per_window=2,
                     n_requests=120)
         trace = read_trace(path)
         durations = {}
-        for rec in trace.of_kind("rec"):
-            if rec["kind"] == COMPLETION:
-                durations.setdefault(rec["subject"], []).append(rec["detail"][1])
+        for rec in trace.telemetry():
+            if rec.kind == COMPLETION:
+                durations.setdefault(rec.subject, []).append(rec.detail[1])
         (end,) = trace.of_kind("end")
         subjects = end["subjects"]
         assert durations and set(durations) <= set(subjects)

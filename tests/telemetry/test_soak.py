@@ -180,9 +180,40 @@ class TestSoakTrace:
         starts = [r.get("start") for r in read.of_kind("run-start")]
         assert starts == sorted(starts) and starts[0] == 0.0
         # Records in later windows carry later absolute timestamps.
-        recs = read.of_kind("rec")
+        recs = read.telemetry()
         assert recs, "discrete soak should stream completion records"
-        assert max(r["t"] for r in recs) > starts[-1]
+        assert max(r.time for r in recs) > starts[-1]
+
+    def test_windows_record_their_execution(self, tmp_path):
+        """Each window says which engine ran and how much of it discrete;
+        the trace's window lines carry it, and replay sums it."""
+        path = tmp_path / "soak.jsonl"
+        result = record_soak(path, seed=11, n_windows=3,
+                             injectors_per_window=2, n_requests=N_REQUESTS,
+                             engine="hybrid", retain_windows=True)
+        executions = [w.execution for w in result.windows]
+        for window, execution in zip(result.windows, executions):
+            assert set(execution) == {"discrete_requests", "engine", "fallback"}
+            assert execution["engine"] == "hybrid"
+            assert execution["fallback"] is None
+            assert 0 < execution["discrete_requests"] <= window.requests
+        replay = replay_trace(path)
+        assert [w.execution for w in replay.windows] == executions
+        discrete = sum(e["discrete_requests"] for e in executions)
+        requests = sum(w.requests for w in result.windows)
+        assert replay.execution_summary() == (
+            f"execution: 3/3 runs hybrid, 0 fallbacks; {discrete:,} of "
+            f"{requests:,} requests discrete "
+            f"({100.0 * discrete / requests:.1f}%)")
+        assert replay.execution_summary() in replay.render()
+
+    def test_a_window_without_execution_reads_back_unset(self, soak):
+        """A schema-3 window line has no ``execution`` key."""
+        payload = soak.windows[0].to_dict()
+        del payload["execution"]
+        window = SoakWindow.from_dict(payload)
+        assert window.execution is None
+        assert window.to_dict() == payload
 
     def test_engines_agree_on_soak_counters(self):
         by_engine = {

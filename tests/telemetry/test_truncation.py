@@ -6,7 +6,11 @@ valid prefix of a torn file.  The sweep here mirrors
 cut the file at *every* byte offset and demand the reader (and the
 replay built on it) recover without ever raising, report exactly where
 validity ended, and never mis-count a half-written record as whole.
+The campaign recording and the golden soak (two windows, so two
+``recs`` blocks between window lines) are both swept.
 """
+
+from pathlib import Path
 
 import pytest
 
@@ -33,6 +37,9 @@ def trace_file(tmp_path):
     return tmp_path / "cut.jsonl"
 
 
+SOAK_GOLDEN = Path(__file__).parent / "data" / "golden_soak_v4.jsonl"
+
+
 def _line_offsets(blob):
     """Byte offset of the end of each complete line."""
     offsets, pos = [], 0
@@ -42,6 +49,29 @@ def _line_offsets(blob):
             return offsets
         pos = newline + 1
         offsets.append(pos)
+
+
+def _sweep_every_offset(blob, trace_file):
+    """Cut ``blob`` at every offset; each cut must read as a prefix."""
+    line_ends = _line_offsets(blob)
+    trace_file.write_bytes(blob)
+    full = read_trace(trace_file)
+    for cut in range(len(blob)):
+        trace_file.write_bytes(blob[:cut])
+        read = read_trace(trace_file)  # must never raise
+        # The valid prefix ends at the last whole line before the cut.
+        expected_valid = max([o for o in line_ends if o <= cut], default=0)
+        assert read.bytes_valid == expected_valid, f"cut={cut}"
+        if expected_valid < cut:
+            assert read.truncated and read.truncated_at == expected_valid
+        else:
+            assert not read.truncated
+        # Never a clean close short of the full file.
+        assert not read.clean_close
+        # Recovered lines are exactly a prefix of the full parse.
+        recovered = ([read.header] if read.header else []) + read.records
+        reference = [full.header] + full.records
+        assert recovered == reference[:len(recovered)], f"cut={cut}"
 
 
 class TestEveryByteOffset:
@@ -56,25 +86,12 @@ class TestEveryByteOffset:
         self, trace_bytes, trace_file
     ):
         """No cut may raise; every cut yields a prefix and a report."""
-        line_ends = _line_offsets(trace_bytes)
-        trace_file.write_bytes(trace_bytes)
-        full = read_trace(trace_file)
-        for cut in range(len(trace_bytes)):
-            trace_file.write_bytes(trace_bytes[:cut])
-            read = read_trace(trace_file)  # must never raise
-            # The valid prefix ends at the last whole line before the cut.
-            expected_valid = max([o for o in line_ends if o <= cut], default=0)
-            assert read.bytes_valid == expected_valid, f"cut={cut}"
-            if expected_valid < cut:
-                assert read.truncated and read.truncated_at == expected_valid
-            else:
-                assert not read.truncated
-            # Never a clean close short of the full file.
-            assert not read.clean_close
-            # Recovered records are exactly a prefix of the full parse.
-            recovered = ([read.header] if read.header else []) + read.records
-            reference = [full.header] + full.records
-            assert recovered == reference[:len(recovered)], f"cut={cut}"
+        _sweep_every_offset(trace_bytes, trace_file)
+
+    def test_soak_truncation_at_every_offset_recovers_a_prefix(
+        self, trace_file
+    ):
+        _sweep_every_offset(SOAK_GOLDEN.read_bytes(), trace_file)
 
     def test_replay_never_raises_on_any_cut(self, trace_bytes, trace_file):
         """Replay of any prefix long enough to hold the header works."""
@@ -88,10 +105,11 @@ class TestEveryByteOffset:
 
     def test_partial_run_is_reported_partial(self, trace_bytes, trace_file):
         """Cut between run-start and run-end: the run shows as partial."""
-        # Keep the header, the run-start line, and a handful of records.
+        # Keep the header, the run-start line, and the block of records.
         offsets = _line_offsets(trace_bytes)
-        trace_file.write_bytes(trace_bytes[:offsets[4]])
+        trace_file.write_bytes(trace_bytes[:offsets[2]])
         replay = replay_trace(trace_file)
+        assert replay.records == 7
         assert len(replay.runs) == 1
         assert replay.runs[0].complete is False
         assert "(partial)" in replay.scorecard().render()
@@ -120,6 +138,26 @@ class TestGarbageTails:
         )
         read = read_trace(trace_file)
         assert read.truncated and read.truncated_at == cut
+
+    @pytest.mark.parametrize("columns", [
+        {"t": [1.0, 2.0], "kind": ["completion"], "subject": ["d0"],
+         "detail": [[1.0, 0.5]]},
+        {"t": 1.0, "kind": "completion", "subject": "d0",
+         "detail": [1.0, 0.5]},
+        {"kind": ["completion"], "subject": ["d0"], "detail": [[1.0, 0.5]]},
+    ], ids=["ragged", "scalars", "missing"])
+    def test_a_malformed_block_ends_the_valid_prefix(self, trace_bytes,
+                                                     trace_file, columns):
+        """A ``recs`` line is valid only as four lists of one length."""
+        import json
+
+        cut = _line_offsets(trace_bytes)[1]
+        block = json.dumps({"k": "recs", **columns}).encode() + b"\n"
+        trace_file.write_bytes(trace_bytes[:cut] + block + trace_bytes[cut:])
+        read = read_trace(trace_file)
+        assert read.truncated and read.truncated_at == cut
+        replay = replay_trace(trace_file)
+        assert replay.records == 0 and replay.read.truncated_at == cut
 
     def test_empty_file_is_truncation_not_an_error(self, trace_file):
         trace_file.write_bytes(b"")

@@ -118,6 +118,38 @@ class TestCli:
         assert "soak trace" in out
         assert "VERIFIED" in out
 
+    #: A tiny recording: one failstop run of four requests.
+    TINY_CAMPAIGN = ["campaign", "--workloads", "raid10", "--families",
+                     "failstop", "--policies", "fixed-timeout",
+                     "--scenarios", "1", "--requests", "4"]
+
+    def test_trace_csv_naming_the_trace_is_refused(self, tmp_path, capsys,
+                                                   monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        for trace, csv_path in (("u.jsonl", "u.jsonl"),
+                                ("u.jsonl", "./u.jsonl")):
+            assert main(self.TINY_CAMPAIGN + ["--trace", trace,
+                                              "--trace-csv", csv_path]) == 2
+            captured = capsys.readouterr()
+            assert captured.err.startswith("error: ")
+            assert "--trace-csv and --trace" in captured.err
+            assert "trace: " not in captured.out
+            assert not (tmp_path / "u.jsonl").exists()
+
+    @pytest.mark.parametrize("soak", [False, True], ids=["campaign", "soak"])
+    def test_trace_csv_without_trace_is_refused(self, tmp_path, capsys,
+                                                soak):
+        csv_path = tmp_path / "u.csv"
+        argv = self.TINY_CAMPAIGN + ["--trace-csv", str(csv_path)]
+        if soak:
+            argv += ["--soak", "--windows", "1"]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "--trace-csv" in err and "--trace" in err.replace(
+            "--trace-csv", "")
+        assert not csv_path.exists()
+
     def test_replay_missing_file_fails_by_name(self, capsys):
         assert main(["replay", "/nonexistent/trace.jsonl"]) == 2
         assert "trace.jsonl" in capsys.readouterr().err
