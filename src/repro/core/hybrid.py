@@ -14,11 +14,12 @@ simulation only inside a *window* bracketing each fault transition.
 Boundary invariants (the contract the equivalence suite in
 ``tests/core/test_hybrid_equivalence.py`` checks):
 
-* **Announced transitions are exact.**  Every scheduled fault edge gets
-  a discrete window opening ``2 * E[service]`` before its onset --
-  enough that all fluid-admitted work has drained before the rate
-  changes -- and closing only once the system is *fluid-safe* again: no
-  component DEGRADED, nothing queued, and any job still in service is a
+* **Announced transitions are exact.**  Every scheduled fault edge --
+  a fail-stop, a stutter's onset, a stutter's restore -- gets its own
+  discrete window opening ``2 * E[service]`` before the edge -- enough
+  that all fluid-admitted work has drained before the rate changes --
+  and closing only once the system is *fluid-safe* again: every DEGRADED
+  member *parked*, nothing queued, and any job still in service is a
   fresh single attempt that provably completes before both its policy's
   earliest timer and its member's next fluid arrival (full quiescence is
   unreachable under continuous arrivals, since ``gap < E[service]``
@@ -26,6 +27,14 @@ Boundary invariants (the contract the equivalence suite in
   as ordinary discrete events inside the fluid era.  Request counts,
   per-server work, and failure counts therefore match the discrete
   engine exactly; latencies match to float-accumulation noise.
+* **A steady stutter runs fluid once routing avoids it.**  A degraded
+  member is parked when it is idle and no group's zero-queue route
+  probe picks it: every arrival then goes to a healthy member, as in a
+  discrete run, so the member gets no fluid work and its detector no
+  observation until its restore window hands it back.  A degraded
+  member that a route still picks (a timer policy's name-first member,
+  or a group stuttered whole) holds the onset window open until the
+  restore, so those stretches stay discrete.
 * **Un-announced transitions never silently corrupt a segment.**  The
   runner taps the telemetry bus; any ``state-change`` /
   ``spec-violation`` / ``injector-event`` record observed outside a
@@ -68,7 +77,6 @@ observations a discrete run would have fed them.
 from __future__ import annotations
 
 import math
-from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
@@ -243,24 +251,6 @@ def _split_ramps(segments, n: int):
     return head, tail
 
 
-@contextmanager
-def _zero_queue_probe(engine):
-    """Set ``engine.route_probe``: every backlog reads as the steady-state zero.
-
-    Route probing asks the policy to pick as if every queue were empty
-    (transient residuals at a window close are gone before any fluid
-    arrival lands).  The flag must never outlive the probe: if a policy
-    ``pick`` raises, a flag left set would silently zero every later
-    routing decision in the run -- so it is cleared in a ``finally``
-    regardless of how the probe exits.
-    """
-    engine.route_probe = True
-    try:
-        yield
-    finally:
-        engine.route_probe = False
-
-
 class HybridRunner:
     """One (scenario, policy) run: fluid between fault windows, discrete inside.
 
@@ -324,6 +314,35 @@ class HybridRunner:
         #: Fluid completions awaiting replay into the policy
         #: (name, count, work, latency), chronological.
         self._pending: List[Tuple[str, int, float, float]] = []
+        #: Telemetry records the tap has seen: all of them, and the
+        #: non-completion ones.  The close test memoises on these.
+        self._records = 0
+        self._signals = 0
+        #: One zero-queue probe request per group, reused by every probe.
+        self._probe_requests = [
+            campaign.Request(index=-1, work=workload.work, group=group,
+                             submitted_at=0.0)
+            for group in self.engine.groups
+        ]
+        #: DEGRADED members, the probe requests of their groups and the
+        #: live members of pinned groups, as of the non-completion
+        #: record count ``_roster_at``.
+        self._degraded: List = []
+        self._degraded_probes: List = []
+        self._pinned_routes: set = set()
+        self._roster_at = -1
+        #: The routes of the degraded members' groups, as of the record
+        #: count ``_parking_at``.
+        self._parking_routes: List[Optional[str]] = []
+        self._parking_at = -1
+        #: Set when the close test finds a degraded member busy: the
+        #: test cannot pass before that member's job completes
+        #: (``_blocked_until``) unless a state changes first (the
+        #: non-completion record count moves off ``_blocked_at``).
+        self._blocked_until = 0.0
+        self._blocked_at = -1
+        #: Slack when comparing completion instants with deadlines.
+        self._margin = 1e-9 * workload.expected_service
         self.engine.on_request_resolved = self._on_resolved
         self.system.telemetry.subscribe_all(self._tap)
         self.routes = self._compute_routes()
@@ -334,12 +353,18 @@ class HybridRunner:
         self._open.pop(request.index, None)
 
     def _tap(self, record) -> None:
+        # Every record may change what a policy's route probe answers
+        # (a detector observing a completion); only non-completion
+        # records change component states.
+        self._records += 1
+        if record.kind == COMPLETION:
+            return
+        self._signals += 1
         # Inside a window the discrete engine is authoritative; outside,
         # any non-completion record is a rate-change signal that must
         # interrupt the fluid clock at this exact instant.
-        if self._in_window or record.kind == COMPLETION:
-            return
-        self._signal = record
+        if not self._in_window:
+            self._signal = record
 
     # -- the run loop --------------------------------------------------------------
 
@@ -381,17 +406,28 @@ class HybridRunner:
         return self._finish()
 
     def _plan_windows(self) -> List[Tuple[float, float]]:
-        """Merged [start, min_end] discrete windows around every fault edge."""
+        """Merged [start, min_end] discrete windows, one per fault edge.
+
+        A stutter has two edges, its onset and its restore, and each
+        gets its own window ``[edge - 2 * E[service], edge]``; a
+        fail-stop has one.  Between a stutter's two windows the run goes
+        fluid as soon as the close test parks the degraded member (see
+        :meth:`_can_close`); until then the onset window simply stays
+        open.  Windows that overlap or lie within one lead of each other
+        merge.  An edge past the horizon gets none: the discrete engine
+        stops before it.
+        """
         lead = 2.0 * self.workload.expected_service
+        horizon = self.workload.horizon
         raw = []
         for event in self.scenario.events:
-            start = max(0.0, event.onset - lead)
-            min_end = (
-                event.onset + event.duration
+            edges = (
+                (event.onset, event.onset + event.duration)
                 if event.kind == "stutter"
-                else event.onset
+                else (event.onset,)
             )
-            raw.append((start, min_end))
+            raw.extend((max(0.0, edge - lead), edge) for edge in edges
+                       if edge <= horizon)
         raw.sort()
         merged: List[List[float]] = []
         for start, end in raw:
@@ -569,6 +605,8 @@ class HybridRunner:
         if self._pending:
             self.policy.hybrid_fast_forward(self._pending)
             self._pending = []
+            # The replay fed policy state without a bus record.
+            self._parking_at = -1
         self._in_window = True
         self.windows_run += 1
         if self._pending_eras:
@@ -585,6 +623,10 @@ class HybridRunner:
             if (
                 now >= min_end
                 and pending > now  # same-instant events come first
+                # A busy degraded member holds the window until its job
+                # completes or a state changes; see _can_close.
+                and (now >= self._blocked_until
+                     or self._signals != self._blocked_at)
                 and self._can_close(next_index)
             ):
                 break
@@ -612,6 +654,8 @@ class HybridRunner:
                 if not request.resolved:
                     self._open[request.index] = request
                 next_index += 1
+            elif pending > horizon:
+                sim.run(until=horizon)  # where the discrete engine stops
             else:
                 sim.step()
         self._in_window = False
@@ -695,7 +739,12 @@ class HybridRunner:
         would swallow the rest of the run into the window.  Fluid
         exactness needs less:
 
-        * no component DEGRADED;
+        * every DEGRADED member is *parked*: it has nothing in service
+          or queued, and no group's zero-queue route probe picks it.
+          Every fluid arrival then goes to a healthy member, exactly as
+          the discrete engine would route it, so a parked member gets
+          no fluid work and its detector no observation until the
+          restore window hands it back;
         * members of *pinned* replica groups (exactly one live member)
           under a timer-free policy may carry arbitrary backlog -- their
           route is fixed and the fluid FIFO reconstruction inherits the
@@ -707,26 +756,43 @@ class HybridRunner:
           whose resolution completes before the earliest timer its
           policy could fire (``hybrid_action_delay`` past submission),
           so it replays as a plain event during the fluid era.
+
+        The test runs after every event inside a window, so it stays
+        cheap where parking is impossible.  A busy degraded member fails
+        it until its job in service completes, unless a non-completion
+        record (the only kind that changes a component's state) arrives
+        first: :meth:`_run_window` checks that gate before calling here.
+        The degraded members' groups are re-probed only after a record
+        has arrived, since policy state changes only through the bus,
+        and the DEGRADED roster is re-read only after a non-completion
+        record.
         """
-        for component in self.members:
-            if component.stopped:
-                continue
-            if component.state is not ComponentState.OK:
-                return False
+        if self._roster_at != self._signals:
+            self._take_roster()
         w = self.workload
-        margin = 1e-9 * w.expected_service
+        margin = self._margin
+        degraded = self._degraded
+        if degraded:
+            for component in degraded:
+                if component.backlog:
+                    eta = component.completion_eta()
+                    self._blocked_until = (
+                        math.inf if eta is None else eta - margin
+                    )
+                    self._blocked_at = self._signals
+                    return False
+            if self._parking_at != self._records:
+                self._parking_routes = self._compute_routes(
+                    self._degraded_probes
+                )
+                self._parking_at = self._records
+            for component in degraded:
+                if component.name in self._parking_routes:
+                    return False
         delay = self._action_delay
-        relaxed = set()
-        if delay is None:
-            for g, group in enumerate(self.engine.groups):
-                live = [
-                    name for name in group
-                    if not self.members[self.index_of[name]].stopped
-                ]
-                if len(live) == 1:
-                    relaxed.add(live[0])
+        relaxed = self._pinned_routes
         deadlines = {}
-        latest = self.system.now
+        latest = self.system._now
         for k, component in enumerate(self.members):
             if component.stopped or not component.busy:
                 continue
@@ -757,6 +823,37 @@ class HybridRunner:
                 if index < n and eta + margin >= index * gap:
                     return False
         return True
+
+    def _take_roster(self) -> None:
+        """Re-read the DEGRADED members, with their groups' probe
+        requests, and the live members of pinned groups.
+
+        All change only with a component's state, which the bus
+        announces with a non-completion record, so they are taken once
+        per such record count.  Pinned routes may carry backlog across
+        a close only under a timer-free policy.
+        """
+        self._degraded = [
+            component for component in self.members
+            if component.state is ComponentState.DEGRADED
+        ]
+        names = {component.name for component in self._degraded}
+        self._degraded_probes = [
+            probe for probe in self._probe_requests
+            if names.intersection(probe.group)
+        ]
+        relaxed = set()
+        if self._action_delay is None:
+            for group in self.engine.groups:
+                live = [
+                    name for name in group
+                    if not self.members[self.index_of[name]].stopped
+                ]
+                if len(live) == 1:
+                    relaxed.add(live[0])
+        self._pinned_routes = relaxed
+        self._roster_at = self._signals
+        self._parking_at = -1
 
     def _capture_samples(self) -> None:
         """Bank recorder samples accrued since the last capture."""
@@ -831,7 +928,7 @@ class HybridRunner:
             self._capture_samples()
             self._chunks.append(("fluid", ramps))
 
-    def _compute_routes(self) -> List[Optional[str]]:
+    def _compute_routes(self, probes=None) -> List[Optional[str]]:
         """The member each group's arrivals go to while the state holds.
 
         In a fluid era every pick sees zero queues and a fresh request,
@@ -840,22 +937,32 @@ class HybridRunner:
         draining at a window close would show as transient depth, so the
         probe reads every backlog as the steady-state value (zero) --
         the close condition guarantees the residual is gone before any
-        fluid arrival actually reaches the member.
+        fluid arrival actually reaches the member.  The engine's
+        ``route_probe`` flag says so to the picks, and it must never
+        outlive the probe: a flag left set by a raising ``pick`` would
+        silently zero every later routing decision in the run, so it is
+        cleared in a ``finally``.  ``probes`` limits the probe to some
+        groups' probe requests (default: every group, in order).
         """
         engine = self.engine
-        members, index_of = self.members, self.index_of
-        with _zero_queue_probe(engine):
-            routes: List[Optional[str]] = []
-            for group in engine.groups:
-                if all(members[index_of[m]].stopped for m in group):
-                    routes.append(None)
+        members = engine.members
+        pick = self.policy.pick
+        now = self.system._now
+        routes: List[Optional[str]] = []
+        engine.route_probe = True
+        try:
+            for probe in self._probe_requests if probes is None else probes:
+                for name in probe.group:
+                    if not members[name].stopped:
+                        break
+                else:
+                    routes.append(None)  # every member fail-stopped
                     continue
-                probe = campaign.Request(
-                    index=-1, work=self.workload.work, group=group,
-                    submitted_at=self.system.now,
-                )
-                routes.append(self.policy.pick(probe))
-            return routes
+                probe.submitted_at = now
+                routes.append(pick(probe))
+        finally:
+            engine.route_probe = False
+        return routes
 
     # -- outcome -------------------------------------------------------------------
 

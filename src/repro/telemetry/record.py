@@ -9,7 +9,8 @@ closure is what :func:`verify_trace` exploits: it re-runs the embedded
 parameters into a temporary file and compares bytes.  Because every
 simulation is RNG-free after seeded generation and every line is
 canonical JSON, the only honest outcome is identity; the first
-differing byte offset is reported otherwise.
+differing byte offset is reported otherwise, and so is the first run or
+window whose ``execution`` envelope (its engine mix) changed.
 
 Policies must be roster *names* here (not instances): an instance
 cannot be serialized into ``meta``, so it cannot be regenerated, so
@@ -312,6 +313,47 @@ def _regenerator(mode, meta) -> Tuple[Optional[Callable[[Path], Any]], List[str]
     return lambda regen: record_spec_run(regen, spec, **kwargs), []
 
 
+def _executions(path) -> List[Tuple[str, Any]]:
+    """``(label, execution envelope)`` of each ``run-end`` and ``window``
+    line, in file order; the label names the run or the window."""
+    found = []
+    for line in iter_trace(path, TraceSummary(path=str(path))):
+        if line["k"] == "run-end":
+            found.append((f"run {line.get('run')}", line.get("execution")))
+        elif line["k"] == "window":
+            found.append((f"window {line.get('index')}", line.get("execution")))
+    return found
+
+
+def _engine_mix_change(original, regenerated) -> Optional[str]:
+    """Name the first run or window whose execution envelope differs.
+
+    A trace whose bytes differ from their regeneration may only have
+    run a different share of its requests on each engine (the hybrid
+    engine's windows changed), which no byte offset shows.  None when
+    every envelope matches.
+    """
+    for (label, recorded), (__, now) in zip(_executions(original),
+                                            _executions(regenerated)):
+        if recorded == now:
+            continue
+        if not (isinstance(recorded, dict) and isinstance(now, dict)):
+            return f"{label}: recorded execution {recorded!r}, regenerated {now!r}"
+        changes = []
+        for key in sorted(set(recorded) | set(now)):
+            was, is_now = recorded.get(key), now.get(key)
+            if was == is_now:
+                continue
+            if key == "discrete_requests" and all(
+                    type(value) is int for value in (was, is_now)):
+                changes.append(f"recorded {was:,} discrete requests, "
+                               f"regenerated {is_now:,}")
+            else:
+                changes.append(f"recorded {key} {was!r}, regenerated {is_now!r}")
+        return f"{label}: " + "; ".join(changes)
+    return None
+
+
 #: Bytes per read when comparing a trace with its regeneration.
 _COMPARE_CHUNK = 1 << 16
 
@@ -353,6 +395,9 @@ def verify_trace(path, keep_regenerated: Optional[str] = None) -> VerifyResult:
     not find, and a spec that does not parse fail the verify by name
     before anything runs.  So does a ``keep_regenerated`` path that
     names the trace itself, which the regeneration would overwrite.
+    When the bytes differ, a second reason names the first run or window
+    whose ``execution`` envelope differs, if one does (say, a hybrid run
+    recorded before the engine changed which requests run discrete).
     Neither file is ever held in memory whole.
     """
     read = TraceSummary(path=str(path))
@@ -428,13 +473,17 @@ def verify_trace(path, keep_regenerated: Optional[str] = None) -> VerifyResult:
         with open(path, "rb") as fh:
             fh.seek(start)
             context = fh.read(diff + 20 - start)
+        reasons = [
+            f"regenerated trace diverges at byte {diff} "
+            f"(original {original_bytes} bytes, regenerated "
+            f"{regenerated_bytes}); context: {context!r}"
+        ]
+        mix = _engine_mix_change(path, regen)
+        if mix is not None:
+            reasons.append(mix)
         return VerifyResult(
             path=str(path), ok=False,
-            reasons=[
-                f"regenerated trace diverges at byte {diff} "
-                f"(original {original_bytes} bytes, regenerated "
-                f"{regenerated_bytes}); context: {context!r}"
-            ],
+            reasons=reasons,
             original_bytes=original_bytes,
             regenerated_bytes=regenerated_bytes,
             first_diff=diff,

@@ -8,15 +8,15 @@ workloads, scenario families and policies at stock sizes, plus the two
 properties the scale path leans on (digest-determinism of reruns, and
 graceful handling of rate changes nobody announced).
 
-Marked ``hybrid``; the full matrix is additionally ``slow`` so CI's fast
-tier runs the one-family subset.
+Marked ``hybrid``; the full matrix is additionally ``slow``, so the fast
+tier runs the one-family subset and CI's hybrid step runs every case.
 """
 
 import statistics
+from dataclasses import replace
 
 import pytest
 
-from repro.core import hybrid
 from repro.core.hybrid import (
     HybridInfeasible,
     HybridRunner,
@@ -25,6 +25,8 @@ from repro.core.hybrid import (
     scale_workload,
 )
 from repro.faults import campaign
+from repro.faults.model import ComponentState
+from repro.sim.trace import COMPLETION, SPEC_VIOLATION, STATE_CHANGE
 
 pytestmark = pytest.mark.hybrid
 
@@ -271,9 +273,12 @@ class TestRouteProbeShadow:
                                    group=engine.groups[0], submitted_at=0.0)
         picks = (engine.pick_candidate, runner.policy.pick)
         assert [pick(request) for pick in picks] == [second, second]
-        with hybrid._zero_queue_probe(engine):
-            assert engine.route_probe is True
+        engine.route_probe = True  # what _compute_routes sets
+        try:
             assert [pick(request) for pick in picks] == [first, first]
+        finally:
+            engine.route_probe = False
+        assert runner._compute_routes()[0] == first
         assert engine.route_probe is False
         assert engine.members[first].backlog == 3
 
@@ -310,3 +315,148 @@ class TestUnannouncedRateChange:
         assert not outcome.violations
         assert runner.windows_run == 0
         assert runner.fluid_jobs == workload.n_requests
+
+
+#: The 2,000-request raid10 workload: magnitude scenario 0 stutters d0
+#: (its group's name-first route) and scenario 1 stutters d1 (off the
+#: route), each from 9 s to 39 s, so 1,000 arrivals fall inside.
+PARKING = replace(campaign.WORKLOADS["raid10"], n_requests=2000)
+
+
+def _magnitude(index):
+    return campaign.generate_scenario(PARKING, "magnitude", 7, index)
+
+
+class _ClosesLogged(HybridRunner):
+    """A runner that notes each window close: its instant and every
+    member's (state, backlog) then."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.closes = []
+
+    def _reseed(self):
+        self.closes.append((self.system.now, {
+            name: (member.state, member.backlog)
+            for name, member in zip(self.names, self.members)
+        }))
+        super()._reseed()
+
+    def parked(self, name):
+        """(instant, backlog) of each close that left ``name`` DEGRADED."""
+        return [(when, members[name][1]) for when, members in self.closes
+                if members[name][0] is ComponentState.DEGRADED]
+
+
+def _run_against_discrete(runner):
+    """Run ``runner`` and assert it matches the discrete engine."""
+    discrete = campaign.run_scenario(runner.workload, runner.scenario,
+                                     runner.policy.name)
+    outcome = runner.run()
+    outcome.violations.extend(campaign.InvariantOracle().check(outcome))
+    _assert_equivalent(discrete, outcome)
+    return outcome
+
+
+class TestParkedDegradedEras:
+    """A degraded member that routing avoids is parked, and runs fluid.
+
+    The window around a stutter's onset may close while the member is
+    still DEGRADED, provided it is idle and no group's zero-queue route
+    probe picks it; the restore gets a window of its own.  Every case
+    must still match the discrete engine.
+    """
+
+    @pytest.mark.parametrize("policy", POLICIES + ("no-mitigation",))
+    def test_a_stutter_off_the_route_runs_fluid(self, policy):
+        scenario = _magnitude(1)
+        assert [e.component for e in scenario.events] == ["d1"]
+        runner = _ClosesLogged(PARKING, scenario, policy)
+        outcome = _run_against_discrete(runner)
+        assert runner.parked("d1")
+        assert outcome.discrete_requests <= 0.05 * PARKING.n_requests
+
+    def test_stutter_aware_parks_its_route_once_the_detector_flags(self):
+        scenario = _magnitude(0)
+        assert [e.component for e in scenario.events] == ["d0"]
+        runner = _ClosesLogged(PARKING, scenario, "stutter-aware")
+        flags = []
+
+        def watch(record):
+            if (record.kind == SPEC_VIOLATION
+                    and record.detail.get("source") == "detector"):
+                flags.append(record.time)
+
+        runner.system.telemetry.subscribe("d0", watch)
+        outcome = _run_against_discrete(runner)
+        parked = runner.parked("d0")
+        assert flags and parked
+        assert scenario.events[0].onset < flags[0] <= parked[0][0]
+        assert outcome.discrete_requests <= 0.05 * PARKING.n_requests
+
+    def test_a_timer_policy_cannot_park_its_route(self):
+        # Under fixed-timeout d0 stays its group's route by name, so
+        # the window stays open from the onset until after the restore.
+        runner = _ClosesLogged(PARKING, _magnitude(0), "fixed-timeout")
+        outcome = _run_against_discrete(runner)
+        assert not runner.parked("d0")
+        assert outcome.discrete_requests == 1010
+
+    @pytest.mark.parametrize("policy", POLICIES + ("no-mitigation",))
+    def test_a_group_stuttered_whole_stays_discrete(self, policy):
+        # The benchmark soak's window 0: d0 and d1 stutter together, so
+        # one of them is always its group's route.
+        events = campaign.merge_soak_events([_magnitude(0), _magnitude(1)])
+        assert sorted(e.component for e in events) == ["d0", "d1"]
+        scenario = campaign.Scenario(family="magnitude", index=0, seed=7,
+                                     events=events)
+        runner = _ClosesLogged(PARKING, scenario, policy)
+        outcome = _run_against_discrete(runner)
+        assert not runner.parked("d0") and not runner.parked("d1")
+        stutter = events[0]
+        assert outcome.discrete_requests >= stutter.duration / PARKING.gap
+
+    def test_a_busy_degraded_member_parks_only_once_its_job_completes(self):
+        # Under fixed-timeout the route d0 stutters past its timeout
+        # until 15 s, so work spills onto d1, whose own stutter starts at
+        # 14.9 s.  Once d0 recovers it is the route again, but d1 is
+        # still serving: it may park only when that job is done.
+        stutter = campaign.FaultEvent
+        scenario = campaign.Scenario(family="hand", index=0, seed=7, events=(
+            stutter("d0", "stutter", onset=5.0, duration=10.0, factor=0.15),
+            stutter("d1", "stutter", onset=14.9, duration=20.0, factor=0.3),
+        ))
+        runner = _ClosesLogged(PARKING, scenario, "fixed-timeout")
+        restored, done = [], []
+
+        def watch(record):
+            if record.kind == STATE_CHANGE and record.subject == "d0":
+                if record.detail["state"] == "ok":
+                    restored.append(record.time)
+            elif record.kind == COMPLETION and record.subject == "d1":
+                if restored:
+                    done.append(record.time)
+
+        runner.system.telemetry.subscribe_all(watch)
+        _run_against_discrete(runner)
+        parked = runner.parked("d1")
+        assert restored == [15.0] and done and parked
+        assert restored[0] < done[0] <= parked[0][0] < 34.9
+        assert all(backlog == 0 for __, backlog in parked)
+
+    @pytest.mark.parametrize("policy", ("fixed-timeout", "stutter-aware"))
+    @pytest.mark.parametrize("member", ("d0", "d1"))
+    @pytest.mark.parametrize("onset, duration", [(5.0, 100.0), (60.0, 5.0)],
+                             ids=["restore-past-horizon", "onset-past-horizon"])
+    def test_an_edge_past_the_horizon_gets_no_window(self, onset, duration,
+                                                     member, policy):
+        # The stock raid10 horizon is 57.6 s; the discrete engine stops
+        # there, so the hybrid engine must neither plan a window for a
+        # later edge nor step past the horizon inside one.
+        workload = campaign.WORKLOADS["raid10"]
+        assert onset + duration > workload.horizon
+        scenario = campaign.Scenario(family="hand", index=0, seed=7, events=(
+            campaign.FaultEvent(member, "stutter", onset=onset,
+                                duration=duration, factor=0.3),
+        ))
+        _run_against_discrete(_ClosesLogged(workload, scenario, policy))

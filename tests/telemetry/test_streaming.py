@@ -223,9 +223,11 @@ class TestCsvExport:
             family="magnitude", policy="stutter-aware", n_windows=2,
             injectors_per_window=1, n_requests=6),
          "14e9c34bad60c1b7c9920800f114e2942518f495b74ab2df14bb758cdd21c0b8", 18),
+        # Re-pinned when the hybrid engine began parking degraded
+        # members: requests that run fluid emit no completion record.
         (lambda path, csv_path: record_soak(
             path, csv_path=csv_path, seed=7, n_windows=2, n_requests=600),
-         "56e74b0ec101fda9e39ba21693c8565e37c2cd28eb47a19383830063e03d0f55", 681),
+         "765302f3f425c114a548911dc944eae38e8fee6a493e2df4f2483f5d179c1eba", 410),
     ], ids=["golden-campaign", "golden-soak", "seed-7-soak"])
     def test_csv_bytes_are_pinned(self, tmp_path, record, digest, rows):
         """The CSV rows are the ones the one-line-per-record sink wrote."""
@@ -365,6 +367,58 @@ class TestVerifyDivergence:
         assert not result.ok and result.first_diff == len(blob)
         assert result.original_bytes == len(blob) + len(footer)
         assert result.regenerated_bytes == len(blob)
+
+
+class TestVerifyNamesTheEngineMix:
+    """When the bytes differ, verify names the first run or window whose
+    ``execution`` envelope differs: a change in how many requests ran
+    discrete shows there, not at a byte offset."""
+
+    @staticmethod
+    def _doctor(path, old: bytes, new: bytes, occurrence: int) -> None:
+        blob = path.read_bytes()
+        at = -1
+        for __ in range(occurrence + 1):
+            at = blob.index(old, at + 1)
+        path.write_bytes(blob[:at] + new + blob[at + len(old):])
+        assert read_trace(path).clean_close
+
+    def test_a_window_with_another_discrete_count_is_named(self, tmp_path):
+        path = tmp_path / "s.jsonl"
+        record_soak(path, seed=3, n_windows=2, injectors_per_window=1,
+                    n_requests=60)
+        envelope = b'"execution":{"discrete_requests":19,'
+        assert path.read_bytes().count(envelope) == 2
+        self._doctor(path, envelope,
+                     b'"execution":{"discrete_requests":1010,', 1)
+        result = verify_trace(path)
+        assert not result.ok and len(result.reasons) == 2
+        assert result.reasons[0].startswith("regenerated trace diverges")
+        assert result.reasons[1] == (
+            "window 1: recorded 1,010 discrete requests, regenerated 19")
+
+    def test_a_run_on_another_engine_is_named(self, tmp_path):
+        path = tmp_path / "c.jsonl"
+        record_campaign(path, seed=3, workloads=("raid10",),
+                        families=("magnitude",), policies=("stutter-aware",),
+                        scenarios_per_family=1, n_requests=60, engine="hybrid")
+        self._doctor(path, b'"engine":"hybrid","fallback":null',
+                     b'"engine":"discrete","fallback":"refused"', 0)
+        result = verify_trace(path)
+        assert not result.ok
+        assert result.reasons[1:] == [
+            "run 0: recorded engine 'discrete', regenerated 'hybrid'; "
+            "recorded fallback 'refused', regenerated None"]
+
+    def test_matching_envelopes_add_no_reason(self, tmp_path):
+        path = tmp_path / "c.jsonl"
+        record_campaign(path, **SMALL)
+        blob = path.read_bytes()
+        at = blob.index(b'"t":[') + len(b'"t":[')
+        path.write_bytes(blob[:at] + b"1" + blob[at:])
+        result = verify_trace(path)
+        assert not result.ok and result.first_diff == at
+        assert len(result.reasons) == 1
 
 
 class TestVerifyKeepsTheOriginal:
