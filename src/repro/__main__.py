@@ -255,6 +255,29 @@ def _cmd_sweep(args) -> int:
     return 0
 
 
+def _int_at_least(minimum: int, kind: str):
+    """An argparse type: an integer of at least ``minimum``.
+
+    Anything else is a usage error that names the flag (exit 2).
+    """
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = None
+        if value is None or value < minimum:
+            raise argparse.ArgumentTypeError(
+                f"expected a {kind} integer, got {text!r}"
+            )
+        return value
+
+    return parse
+
+
+_positive_int = _int_at_least(1, "positive")
+_non_negative_int = _int_at_least(0, "non-negative")
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -277,7 +300,7 @@ def main(argv=None) -> int:
         "--seed", type=int, default=7, help="campaign seed (default: 7)"
     )
     campaign_parser.add_argument(
-        "--scenarios", type=int, default=3, metavar="N",
+        "--scenarios", type=_positive_int, default=3, metavar="N",
         help="scenarios drawn per family (default: 3)",
     )
     # Choice lists come from the live registries (bundled spec files and
@@ -312,7 +335,7 @@ def main(argv=None) -> int:
              "hybrid with --soak)",
     )
     campaign_parser.add_argument(
-        "--requests", type=int, default=None, metavar="N",
+        "--requests", type=_positive_int, default=None, metavar="N",
         help="override every workload's request count (soak: per window)",
     )
     campaign_parser.add_argument(
@@ -332,15 +355,15 @@ def main(argv=None) -> int:
              "unless exactly one of each is named",
     )
     campaign_parser.add_argument(
-        "--windows", type=int, default=6, metavar="N",
+        "--windows", type=_positive_int, default=6, metavar="N",
         help="soak windows to drive (default: 6)",
     )
     campaign_parser.add_argument(
-        "--injectors", type=int, default=2, metavar="N",
+        "--injectors", type=_non_negative_int, default=2, metavar="N",
         help="independent fault draws merged per soak window (default: 2)",
     )
     campaign_parser.add_argument(
-        "--rolling", type=int, default=4, metavar="N",
+        "--rolling", type=_positive_int, default=4, metavar="N",
         help="trailing windows in the rolling scorecard (default: 4)",
     )
     sweep_parser = sub.add_parser(
@@ -351,7 +374,7 @@ def main(argv=None) -> int:
         "--seed", type=int, default=7, help="generator seed (default: 7)"
     )
     sweep_parser.add_argument(
-        "--count", type=int, default=25, metavar="N",
+        "--count", type=_positive_int, default=25, metavar="N",
         help="number of generated scenarios (default: 25)",
     )
     sweep_parser.add_argument(

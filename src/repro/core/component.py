@@ -23,11 +23,15 @@ Three pieces unify the surface:
   telemetry without per-experiment glue.
 * :class:`TelemetryBus` -- the one structured event stream.  Components
   emit :class:`~repro.sim.trace.TraceRecord` instances (kinds listed in
-  :data:`TELEMETRY_KINDS`) and subscribers receive them: detectors and
-  policies per subject, taps (a run's trace sink, a hybrid runner) every
-  record.  The bus is pay-for-what-you-use: with no tap and no
-  subscriber for a subject, :meth:`TelemetryBus.wants` is False and
-  components skip record construction entirely.
+  :data:`TELEMETRY_KINDS`) and subscribers receive them: consumers of
+  records per subject, taps (a run's trace sink, a hybrid runner) every
+  record.  Detectors take a component's completions as plain
+  ``(work, duration)`` calls through :meth:`TelemetryBus.observe`,
+  without a record.  The bus is pay-for-what-you-use: with no tap, no
+  subscriber and no observer for a subject,
+  :meth:`TelemetryBus.wants` is False and components skip reporting
+  entirely; a record is built only when a subscriber or a tap will
+  receive it.
 
 Registration is duck-typed on purpose: a component's constructor calls
 ``register_component(sim, self)``, which is a no-op unless ``sim`` has a
@@ -119,15 +123,25 @@ class TelemetryBus:
     """Structured telemetry stream shared by every registered component.
 
     Components call :meth:`emit` (guarded by :meth:`wants`, so the idle
-    bus costs one set lookup); detectors subscribe per component name
-    with :meth:`subscribe`; taps such as a run's trace sink receive
-    every record through :meth:`subscribe_all`.  Every run builds a
-    fresh bus, so a subscription lasts as long as its run.
+    bus costs one set lookup).  Three kinds of listener attach:
+
+    * observers (:meth:`observe`): called as ``fn(work, duration)`` for
+      each of one component's completions, before any record is built
+      -- how detectors are fed;
+    * subscribers (:meth:`subscribe`): every record about one
+      component, of every kind;
+    * taps (:meth:`subscribe_all`): every record on the bus, such as a
+      run's trace sink.
+
+    A record is built only when a subscriber or a tap will receive it.
+    Every run builds a fresh bus, so a listener lasts as long as its
+    run.
     """
 
     def __init__(self, sim):
         self.sim = sim
         self._subscribers: Dict[str, List[Any]] = {}
+        self._observers: Dict[str, List[Any]] = {}
         self._taps: List[Any] = []
         #: False until anyone could possibly listen.  Hot emitters check
         #: this single attribute before calling :meth:`wants`, so a
@@ -137,10 +151,19 @@ class TelemetryBus:
     # -- routing ---------------------------------------------------------------
 
     def wants(self, subject: str) -> bool:
-        """True when a record about ``subject`` would reach anyone."""
+        """True when a report about ``subject`` would reach anyone."""
         if not self.active:
             return False
-        return subject in self._subscribers or bool(self._taps)
+        return (
+            subject in self._subscribers
+            or subject in self._observers
+            or bool(self._taps)
+        )
+
+    def observe(self, subject: str, fn) -> None:
+        """Call ``fn(work, duration)`` for each completion on ``subject``."""
+        self._observers.setdefault(subject, []).append(fn)
+        self.active = True
 
     def subscribe(self, subject: str, callback) -> None:
         """Deliver every record about ``subject`` to ``callback``."""
@@ -153,12 +176,15 @@ class TelemetryBus:
         self.active = True
 
     def emit(self, kind: str, subject: str, detail: Any = None) -> Optional[TraceRecord]:
-        """Emit one record (dropped cheaply when nobody listens)."""
-        if not self.wants(subject):
+        """Emit one record; None, and no record built, when no
+        subscriber of ``subject`` and no tap would receive it."""
+        subscribers = self._subscribers.get(subject)
+        if subscribers is None and not self._taps:
             return None
-        record = TraceRecord(self.sim.now, kind, subject, detail)
-        for callback in self._subscribers.get(subject, ()):
-            callback(record)
+        record = TraceRecord(self.sim._now, kind, subject, detail)
+        if subscribers is not None:
+            for callback in subscribers:
+                callback(record)
         for callback in self._taps:
             callback(record)
         return record
@@ -166,8 +192,18 @@ class TelemetryBus:
     # -- convenience emitters -----------------------------------------------------
 
     def completion(self, subject: str, work: float, duration: float) -> None:
-        """Record one completed unit of service (what detectors consume)."""
-        self.emit(COMPLETION, subject, (work, duration))
+        """Report one completed unit of service.
+
+        Observers of ``subject`` are called first, so a tap sees any
+        spec-violation a detector emits before the completion record
+        that tripped it.
+        """
+        observers = self._observers.get(subject)
+        if observers is not None:
+            for fn in observers:
+                fn(work, duration)
+        if subject in self._subscribers or self._taps:
+            self.emit(COMPLETION, subject, (work, duration))
 
     def spec_violation(self, subject: str, observed: float, threshold: float,
                        source: str = "component") -> None:
@@ -194,12 +230,13 @@ class TelemetryBus:
 
 
 class DetectorBinding:
-    """A detector subscribed to one component's completion telemetry.
+    """A detector fed one component's completions by the bus.
 
-    Feeds every ``completion`` record into ``detector.observe(work,
-    duration)`` and emits a ``spec-violation`` record each time the
-    detector's verdict flips to faulty.  Created by
-    :meth:`ComponentRegistry.watch`.
+    Registered as an observer (:meth:`TelemetryBus.observe`), so every
+    completion reaches :meth:`observe` without a record being built.
+    Emits a ``spec-violation`` record each time the detector's verdict
+    flips to faulty, and counts those flips in ``violations``.  Created
+    by :meth:`ComponentRegistry.watch`.
     """
 
     def __init__(self, bus: TelemetryBus, component, detector):
@@ -207,17 +244,15 @@ class DetectorBinding:
         self.component = component
         self.detector = detector
         self.violations = 0
-        bus.subscribe(component.name, self._on_record)
+        bus.observe(component.name, self.observe)
 
     @property
     def faulty(self) -> bool:
         """The detector's current verdict."""
         return self.detector.faulty
 
-    def _on_record(self, record: TraceRecord) -> None:
-        if record.kind != COMPLETION:
-            return
-        work, duration = record.detail
+    def observe(self, work: float, duration: float) -> None:
+        """Feed one completion to the detector; announce a flip to faulty."""
         detector = self.detector
         was_faulty = detector.faulty
         detector.observe(work, duration)

@@ -400,8 +400,9 @@ class HybridRunner:
         if self._pending_eras:
             self._resolve_pending_tail()
         # The discrete engine runs to the drain horizon; mirror it, so
-        # residual attempts from the last window complete and leftover
-        # policy timers pop as no-ops.
+        # residual attempts from the last window complete.  Leftover
+        # policy timers belong to resolved requests and are skipped
+        # without a call.
         self.system.run(until=self.workload.horizon)
         return self._finish()
 
@@ -452,10 +453,14 @@ class HybridRunner:
     def _advance_to(self, target: float) -> bool:
         """Step pending discrete events up to ``target``, watching for signals.
 
-        Events in a fluid era are policy-timer no-ops and scheduled fault
-        edges; the first one that emits a telemetry signal stops the
-        advance at its own timestamp so the caller can open a window
-        there.  Returns True when interrupted.
+        Events in a fluid era are scheduled fault edges and the
+        completions of residual jobs from the last window.  No policy
+        timer fires in one: a window closes only when every open
+        request resolves before its earliest timer, and a resolved
+        request's timer is skipped, unseen by ``peek``.  The first event
+        that emits a telemetry signal stops the advance at its own
+        timestamp so the caller can open a window there.  Returns True
+        when interrupted.
         """
         sim = self.system
         while self._signal is None:
@@ -856,8 +861,8 @@ class HybridRunner:
         self._parking_at = -1
 
     def _capture_samples(self) -> None:
-        """Bank recorder samples accrued since the last capture."""
-        samples = self.engine.recorder.samples
+        """Bank the engine's latencies accrued since the last capture."""
+        samples = self.engine.latencies
         if len(samples) > self._captured:
             self._chunks.append(("window", samples[self._captured:]))
             self._captured = len(samples)

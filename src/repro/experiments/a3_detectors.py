@@ -40,7 +40,7 @@ def _observation_stream(rng: random.Random, n_healthy: int, n_faulty: int,
 def _spec_detector_run(detector, observations):
     sim = System()
     DegradableServer(sim, "victim", SPEC.nominal_rate, spec=SPEC)
-    # The detector subscribes to the victim's telemetry stream by name.
+    # The detector observes the victim's completions by name.
     binding = sim.watch("victim", detector)
     false_positives = 0
     detection_after = None
@@ -66,18 +66,17 @@ def _peer_detector_run(fraction, observations, rng, n_peers=7):
 
     # Peer comparison consumes per-component rates, so each component's
     # completion stream feeds the detector under its own name.
-    def feed_victim(record):
-        work, duration = record.detail
+    def feed_victim(work, duration):
         est.observe(work, duration)
         detector.observe("victim", est.rate())
 
-    sim.telemetry.subscribe("victim", feed_victim)
+    sim.telemetry.observe("victim", feed_victim)
     for p in range(n_peers):
         name = f"peer{p}"
-        sim.telemetry.subscribe(
+        sim.telemetry.observe(
             name,
-            lambda record, name=name: detector.observe(
-                name, record.detail[0] / record.detail[1]
+            lambda work, duration, name=name: detector.observe(
+                name, work / duration
             ),
         )
 

@@ -33,6 +33,7 @@ import hashlib
 import json
 from collections import deque
 from dataclasses import dataclass, field, replace
+from heapq import heappush
 from random import Random
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
@@ -41,6 +42,7 @@ import numpy as np
 from ..analysis.report import Table
 from ..core.system import System
 from ..policy import POLICIES, MitigationPolicy, make_policy
+from ..sim.engine import PRIORITY_NORMAL
 from ..sim.metrics import ExactQuantile, LatencyRecorder, StreamingMoments
 from .component import DegradableServer
 from .spec import PerformanceSpec
@@ -232,12 +234,27 @@ def generate_scenarios(workload: CampaignWorkload, family: str, seed: int,
 
 
 class Request:
-    """One logical request; attempts against replicas are tracked here."""
+    """One logical request; attempts against replicas are tracked here.
+
+    A request is also its own policy timer.
+    :meth:`CampaignEngine.arm_timer` pushes the request itself onto the
+    simulator's heap, so it carries the three fields the run loop reads
+    from a heap entry: ``callbacks``, ``_ok`` and ``_defused``.
+    ``callbacks`` is the policy's ``[on_timer]`` while a timer is
+    pending and None otherwise.  The engine sets it to None when the
+    request resolves, and the kernel then skips the dead entry without
+    a call.
+    """
 
     __slots__ = (
         "index", "work", "group", "submitted_at",
         "resolved", "failed", "latency", "attempts", "outstanding", "tried",
+        "callbacks",
     )
+
+    #: A timer never fails, so the run loop has no error to surface.
+    _ok = True
+    _defused = False
 
     def __init__(self, index: int, work: float, group: Tuple[str, ...],
                  submitted_at: float):
@@ -251,6 +268,7 @@ class Request:
         self.attempts = 0
         self.outstanding = 0
         self.tried: Dict[str, int] = {}
+        self.callbacks: Optional[list] = None
 
 
 @dataclass
@@ -359,7 +377,8 @@ class CampaignEngine:
         self.groups = [tuple(g) for g in groups]
         self.policy = policy
         self.requests: List[Request] = []
-        self.recorder = LatencyRecorder(name="campaign")
+        #: One response time per claimed request, in resolution order.
+        self.latencies: List[float] = []
         self.issued_work = 0.0
         self.completed_work = 0.0
         self.claimed_work = 0.0
@@ -388,8 +407,16 @@ class CampaignEngine:
         #: fluid routes: every member's backlog then reads as zero to
         #: :meth:`pick_candidate` and to any policy ``pick``.
         self.route_probe = False
-        #: ``call_later(delay, fn, *args)``: the System's own timer.
-        self.call_later = system.call_later
+        #: The callback list of every armed request, shared: arming a
+        #: timer allocates nothing.
+        self._timer_callbacks = [policy.on_timer]
+        #: The policy's completion hook, or None when its class keeps the
+        #: base class's no-op.
+        hook = type(policy).on_attempt_completed
+        self._on_completed = (
+            None if hook is MitigationPolicy.on_attempt_completed
+            else policy.on_attempt_completed
+        )
         policy.bind(self)
 
     # -- surface the policies program against --------------------------------------
@@ -429,6 +456,33 @@ class CampaignEngine:
                 best, best_key = name, key
         return best
 
+    def arm_timer(self, request: Request, delay: float) -> None:
+        """Call the policy's ``on_timer(request)`` after ``delay``.
+
+        The request itself is the heap entry, keyed as
+        ``Simulator.call_later`` keys its timers, so ties break in the
+        same order.  A request has at most one pending timer, and the
+        timer dies with its request: once the request resolves, the
+        kernel skips the entry without a call.  Arming a request whose
+        timer is pending, arming a resolved request and a NaN or
+        negative delay each raise :class:`ValueError`.
+        """
+        if request.callbacks is not None:
+            raise ValueError(
+                f"request {request.index} already has a pending timer"
+            )
+        if request.resolved:
+            raise ValueError(
+                f"request {request.index} is resolved: a timer on it "
+                "would never fire"
+            )
+        if not delay >= 0:  # also rejects NaN, which would poison the heap
+            raise ValueError(f"timer delay must be >= 0, got {delay}")
+        sim = self.sim
+        sim._seq += 1
+        request.callbacks = self._timer_callbacks
+        heappush(sim._queue, (sim._now + delay, PRIORITY_NORMAL, sim._seq, request))
+
     def attempt(self, request: Request, name: str) -> bool:
         """Issue one attempt on ``name``; False if it already fail-stopped."""
         component = self.members[name]
@@ -438,11 +492,8 @@ class CampaignEngine:
         request.outstanding += 1
         request.tried[name] = request.tried.get(name, 0) + 1
         self.issued_work += request.work
-        started = self.sim._now
-        event = component.submit(request.work)
-        event.callbacks.append(
-            lambda ev: self._on_attempt(request, name, started, ev)
-        )
+        job = component.submit(request.work, (request, name, self.sim._now))
+        job.callbacks.append(self._on_attempt)
         return True
 
     def preseed_request(self, index: int, submitted_at: float, name: str,
@@ -478,7 +529,10 @@ class CampaignEngine:
         request.outstanding += 1
         request.tried[name] = request.tried.get(name, 0) + 1
         self.issued_work += work
-        event = component.submit(remaining)
+        # ``started=submitted_at``: the attempt conceptually began at
+        # arrival, so the policy's observed elapsed time is the full
+        # response time -- the same number the discrete run feeds it.
+        event = component.submit(remaining, (request, name, submitted_at))
         partial = remaining != work
         if partial and service_started is not None:
             bus = self.system.telemetry
@@ -504,12 +558,7 @@ class CampaignEngine:
                     )
 
             event.callbacks.append(_credit)
-        # ``started=submitted_at``: the attempt conceptually began at
-        # arrival, so the policy's observed elapsed time is the full
-        # response time -- the same number the discrete run feeds it.
-        event.callbacks.append(
-            lambda ev: self._on_attempt(request, name, submitted_at, ev)
-        )
+        event.callbacks.append(self._on_attempt)
         return request
 
     def give_up(self, request: Request) -> None:
@@ -517,6 +566,7 @@ class CampaignEngine:
         if request.resolved:
             return
         request.resolved = True
+        request.callbacks = None
         request.failed = True
         self.failed_requests += 1
         if self.on_request_resolved is not None:
@@ -524,11 +574,13 @@ class CampaignEngine:
 
     # -- engine internals ----------------------------------------------------------
 
-    def _on_attempt(self, request: Request, name: str, started: float, event) -> None:
+    def _on_attempt(self, job) -> None:
+        """The one callback of every attempt's job, tagged at submit with
+        ``(request, member, started)``."""
+        request, name, started = job.stats.tag
         now = self.sim._now
-        elapsed = now - started
         request.outstanding -= 1
-        if not event._ok:
+        if not job._ok:
             self.failed_work += request.work
             self.policy.on_attempt_failed(request, name)
             return
@@ -538,14 +590,16 @@ class CampaignEngine:
             # _resolve(request, latency), inlined: this runs per request.
             latency = now - request.submitted_at
             request.resolved = True
+            request.callbacks = None
             request.latency = latency
             self.claimed_work += request.work
-            self.recorder.record(latency)
+            self.latencies.append(latency)
             if self.on_request_resolved is not None:
                 self.on_request_resolved(request)
         else:
             self.wasted_work += request.work
-        self.policy.on_attempt_completed(request, name, elapsed, claimed)
+        if self._on_completed is not None:
+            self._on_completed(request, name, now - started, claimed)
 
     def _resolve(self, request: Request, latency: float) -> None:
         """Resolve ``request`` as claimed with ``latency``.
@@ -553,9 +607,10 @@ class CampaignEngine:
         :meth:`_on_attempt` carries the same steps inline.
         """
         request.resolved = True
+        request.callbacks = None
         request.latency = latency
         self.claimed_work += request.work
-        self.recorder.record(latency)
+        self.latencies.append(latency)
         if self.on_request_resolved is not None:
             self.on_request_resolved(request)
 
@@ -609,7 +664,7 @@ class CampaignEngine:
         self.sim.run(until=workload.horizon)
         outstanding = sum(r.outstanding for r in self.requests)
         unresolved = sum(1 for r in self.requests if not r.resolved)
-        latencies = np.array(self.recorder.samples, dtype=np.float64)
+        latencies = np.array(self.latencies, dtype=np.float64)
         outcome = ScenarioOutcome(
             workload=workload.name,
             family=scenario.family,

@@ -11,8 +11,14 @@ failure mode the campaign tests plant on purpose.
 Engine surface available to policies (see
 :class:`repro.faults.campaign.CampaignEngine`):
 
-``engine.now`` / ``engine.call_later(delay, fn, *args)``
-    Simulation clock and timer, for timeout/hedge scheduling.
+``engine.now``
+    The simulation clock.
+``engine.arm_timer(request, delay)``
+    Call the policy's :meth:`MitigationPolicy.on_timer` with
+    ``request`` after ``delay``, for timeout/hedge scheduling.  A
+    request has at most one pending timer (re-arm from ``on_timer``
+    itself), and the timer is dropped when its request resolves, so
+    ``on_timer`` only ever sees an unresolved request.
 ``engine.attempt(request, name) -> bool``
     Issue one attempt on the named component.  False (nothing issued)
     when that component has already fail-stopped.
@@ -46,8 +52,8 @@ class MitigationPolicy:
     This base class *is* a meaningful policy -- "no mitigation": send
     each request to the least-loaded live replica and react only to
     detectable failures.  Subclasses layer timeouts, hedging or
-    stutter-aware routing on top by overriding :meth:`start` and the two
-    notification hooks.
+    stutter-aware routing on top by overriding :meth:`start`,
+    :meth:`pick` and the notification hooks.
 
     Policies are single-use: the engine constructs a fresh instance per
     scenario run (via the factories in :data:`repro.policy.POLICIES`), so
@@ -109,10 +115,17 @@ class MitigationPolicy:
 
     # -- engine notifications ------------------------------------------------------
 
+    def on_timer(self, request: "Request") -> None:
+        """A timer armed with ``engine.arm_timer`` fired; ``request`` is
+        still unresolved."""
+
     def on_attempt_completed(
         self, request: "Request", component: str, elapsed: float, claimed: bool
     ) -> None:
-        """An attempt finished (``claimed`` False means duplicate/wasted)."""
+        """An attempt finished (``claimed`` False means duplicate/wasted).
+
+        The engine calls this only on a policy whose class overrides it.
+        """
 
     def on_attempt_failed(self, request: "Request", component: str) -> None:
         """An attempt died detectably (the component fail-stopped)."""

@@ -44,10 +44,10 @@ class HedgedRequestPolicy(MitigationPolicy):
     def start(self, request: "Request") -> None:
         super().start(request)
         if not request.resolved:
-            self.engine.call_later(self.hedge_delay, self._hedge, request)
+            self.engine.arm_timer(request, self.hedge_delay)
 
-    def _hedge(self, request: "Request") -> None:
-        if request.resolved or request.attempts >= 2:
+    def on_timer(self, request: "Request") -> None:
+        if request.attempts >= 2:
             return
         candidate = self.engine.pick_candidate(request)
         if candidate is not None:

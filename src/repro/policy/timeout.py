@@ -61,11 +61,9 @@ class FixedTimeoutPolicy(MitigationPolicy):
         return self.base_timeout
 
     def _arm(self, request: "Request") -> None:
-        self.engine.call_later(self.current_timeout(request), self._expire, request)
+        self.engine.arm_timer(request, self.current_timeout(request))
 
-    def _expire(self, request: "Request") -> None:
-        if request.resolved:
-            return
+    def on_timer(self, request: "Request") -> None:
         if request.attempts >= self.max_attempts:
             # Retry budget exhausted: wait out whatever is still queued.
             return

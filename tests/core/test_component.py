@@ -50,6 +50,59 @@ class TestTelemetryBus:
         assert [r.kind for r in seen] == [COMPLETION, SPEC_VIOLATION]
         assert seen[1].detail["threshold"] == 8.0
 
+    def test_observer_receives_work_and_duration(self):
+        sim = System()
+        seen = []
+        sim.telemetry.observe("a", lambda work, duration: seen.append(
+            (work, duration)))
+        assert sim.telemetry.wants("a") and not sim.telemetry.wants("b")
+        sim.telemetry.completion("a", 2.0, 1.0)
+        sim.telemetry.completion("b", 9.0, 9.0)
+        sim.telemetry.completion("a", 3.0, 0.5)
+        assert seen == [(2.0, 1.0), (3.0, 0.5)]
+
+    def test_observers_alone_build_no_record(self, monkeypatch):
+        import repro.core.component as component_module
+
+        built = []
+
+        def counting_record(*args):
+            built.append(args)
+            raise AssertionError("a record was built for nobody")
+
+        monkeypatch.setattr(component_module, "TraceRecord", counting_record)
+        sim = System()
+        seen = []
+        sim.telemetry.observe("a", lambda work, duration: seen.append(work))
+        sim.telemetry.completion("a", 2.0, 1.0)
+        assert sim.telemetry.emit(STATE_CHANGE, "a", {"state": "ok"}) is None
+        assert seen == [2.0] and built == []
+
+    def test_subscriber_still_receives_completion_records(self):
+        sim = System()
+        observed, records = [], []
+        sim.telemetry.observe("a", lambda work, duration: observed.append(work))
+        sim.telemetry.subscribe("a", records.append)
+        sim.telemetry.completion("a", 2.0, 1.0)
+        assert observed == [2.0]
+        assert [(r.kind, r.subject, r.detail) for r in records] == [
+            (COMPLETION, "a", (2.0, 1.0))]
+
+    def test_tap_sees_the_violation_before_the_completion_that_tripped_it(self):
+        sim = System()
+        DegradableServer(sim, "s0", SPEC.nominal_rate, spec=SPEC)
+        binding = sim.watch("s0")
+        seen = []
+        sim.telemetry.subscribe_all(seen.append)
+        # Three completions at a third of the spec rate: the third trips
+        # the detector (min_samples=3).
+        for __ in range(3):
+            sim.telemetry.completion("s0", 1.0, 0.3)
+        assert binding.faulty and binding.violations == 1
+        kinds = [r.kind for r in seen]
+        assert kinds == [COMPLETION, COMPLETION, SPEC_VIOLATION, COMPLETION]
+        assert seen[2].detail["source"] == "detector"
+
     def test_kinds_are_the_public_tuple(self):
         assert set(TELEMETRY_KINDS) == {COMPLETION, SPEC_VIOLATION, STATE_CHANGE,
                                         INJECTOR_EVENT}

@@ -55,7 +55,7 @@ class _StubEngine:
     def __init__(self):
         self.scheduled = []
 
-    def call_later(self, delay, fn, *args):
+    def arm_timer(self, request, delay):
         self.scheduled.append(delay)
 
 

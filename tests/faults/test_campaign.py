@@ -5,13 +5,16 @@ drops requests, one that fabricates results, one that carries hidden
 state across runs -- and assert each invariant catches its culprit.
 """
 
+import math
 from dataclasses import replace
 
 import pytest
 
+from repro.core.system import System
 from repro.faults.campaign import (
     FAMILIES,
     WORKLOADS,
+    CampaignEngine,
     CampaignWorkload,
     FaultEvent,
     InvariantOracle,
@@ -20,7 +23,7 @@ from repro.faults.campaign import (
     run_campaign,
     run_scenario,
 )
-from repro.policy import POLICIES, MitigationPolicy, make_policy
+from repro.policy import POLICIES, FixedTimeoutPolicy, MitigationPolicy, make_policy
 
 pytestmark = pytest.mark.campaign
 
@@ -156,6 +159,90 @@ class TestInvariantOracle:
         scenario = generate_scenario(FAST, "magnitude", seed=7, index=0)
         outcome = run_scenario(FAST, scenario, "fixed-timeout")
         assert InvariantOracle().check(outcome) == []
+
+
+class _TimerSpy(FixedTimeoutPolicy):
+    """Fixed timeout that logs each timer it receives."""
+
+    def bind(self, engine):
+        super().bind(engine)
+        self.fired = []
+
+    def on_timer(self, request):
+        self.fired.append((self.engine.now, request.index))
+        super().on_timer(request)
+
+
+def _engine(policy):
+    system = System()
+    groups = FAST.build(system)
+    return system, CampaignEngine(system, FAST, groups, policy)
+
+
+class TestPolicyTimers:
+    """A request is its own policy timer, and the timer dies with it."""
+
+    def test_claimed_request_never_reaches_on_timer(self):
+        sim, engine = _engine(_TimerSpy())
+        engine._submit_one(0)
+        request = engine.requests[0]
+        assert request.callbacks is not None  # the timeout is pending
+        sim.run(until=2 * FAST.expected_service)
+        assert request.resolved and not request.failed
+        assert request.callbacks is None
+        # Only the dead timer is left, and peek() drops it.
+        assert len(sim._queue) == 1
+        assert sim.peek() == math.inf
+        assert sim._queue == []
+        sim.run()
+        assert engine.policy.fired == []
+
+    def test_given_up_request_never_reaches_on_timer(self):
+        sim, engine = _engine(_TimerSpy())
+        engine._submit_one(0)
+        request = engine.requests[0]
+        for name in request.group:
+            engine.members[name].stop()
+        sim.run()
+        assert request.resolved and request.failed
+        assert request.callbacks is None
+        assert engine.policy.fired == []
+
+    def test_refused_arms_raise_by_name(self):
+        sim, engine = _engine(MitigationPolicy())
+        engine._submit_one(0)
+        pending = engine.requests[0]
+        engine.arm_timer(pending, 1.0)
+        engine._submit_one(1)
+        resolved = engine.requests[1]
+        engine.give_up(resolved)
+        engine._submit_one(2)
+        fresh = engine.requests[2]
+        before = (list(sim._queue), sim._seq)
+        with pytest.raises(ValueError, match="already has a pending timer"):
+            engine.arm_timer(pending, 1.0)
+        with pytest.raises(ValueError, match="is resolved"):
+            engine.arm_timer(resolved, 1.0)
+        for delay in (float("nan"), -1.0):
+            with pytest.raises(ValueError, match="delay must be >= 0"):
+                engine.arm_timer(fresh, delay)
+        # A refused arm schedules nothing.
+        assert (list(sim._queue), sim._seq) == before
+        assert resolved.callbacks is None and fresh.callbacks is None
+
+    def test_timed_out_request_rearms_from_on_timer(self):
+        policy = _TimerSpy(max_attempts=3)
+        sim, engine = _engine(policy)
+        for name in engine.groups[0]:
+            engine.members[name].set_slowdown("test", 0.01)
+        engine._submit_one(0)
+        sim.run()
+        timeout = policy.base_timeout
+        assert [index for _t, index in policy.fired] == [0, 0, 0]
+        assert [t for t, _index in policy.fired] == pytest.approx(
+            [timeout, 2 * timeout, 3 * timeout])
+        request = engine.requests[0]
+        assert request.attempts == 3 and request.resolved
 
 
 class TestCampaignSweep:

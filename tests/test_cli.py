@@ -150,6 +150,33 @@ class TestCli:
             "--trace-csv", "")
         assert not csv_path.exists()
 
+    @pytest.mark.parametrize("argv", [
+        "campaign --requests 0",
+        "campaign --requests -5",
+        "campaign --requests many",
+        "campaign --scenarios -2",
+        "campaign --scenarios 0",
+        "campaign --soak --windows 0",
+        "campaign --soak --rolling 0",
+        "campaign --soak --injectors -1",
+        "sweep --count -1",
+        "sweep --count 0",
+    ])
+    def test_bad_count_is_a_usage_error_naming_the_flag(self, capsys, argv):
+        argv = argv.split()
+        flag = argv[-2]
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        captured = capsys.readouterr()
+        assert f"argument {flag}: expected a" in captured.err
+        assert "Traceback" not in captured.err and captured.out == ""
+
+    def test_zero_injectors_is_a_valid_soak(self, capsys):
+        assert main(["campaign", "--soak", "--injectors", "0", "--windows",
+                     "1", "--rolling", "1", "--requests", "20"]) == 0
+        assert "soak" in capsys.readouterr().out.lower()
+
     def test_replay_missing_file_fails_by_name(self, capsys):
         assert main(["replay", "/nonexistent/trace.jsonl"]) == 2
         assert "trace.jsonl" in capsys.readouterr().err
