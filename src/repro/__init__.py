@@ -2,9 +2,9 @@
 
 A simulation-backed implementation of the fail-stutter fault model from
 "Fail-Stutter Fault Tolerance" (Remzi H. Arpaci-Dusseau and Andrea C.
-Arpaci-Dusseau, HotOS VIII, 2001), together with the storage, network and
-cluster substrates needed to reproduce every quantitative claim in the
-paper.
+Arpaci-Dusseau, HotOS VIII, 2001), together with the storage, network,
+processor and cluster substrates needed to reproduce every quantitative
+claim in the paper.
 
 Subpackages
 -----------
@@ -16,15 +16,25 @@ Subpackages
     Disks, SCSI buses, RAID levels and striping policies.
 ``repro.network``
     Links, switches (with unfairness / deadlock / flow-control faults).
+``repro.processor``
+    Trace-driven cache, TLB, next-field predictor, page-coloring and
+    memory-bank models.
 ``repro.cluster``
     Nodes, parallel sort, replicated DHT, interactive workloads.
 ``repro.core``
     The paper's contribution: detectors, the performance-state registry,
-    and adaptive allocation / pull / hedging / AIMD policies.
+    pull / hedging / AIMD / River adaptation, and the hybrid
+    fluid/discrete engine.
+``repro.policy``
+    Mitigation policies the fault campaign scores against each other.
+``repro.scenario``
+    Scenarios as data: spec loading, compilation and generative sweeps.
+``repro.telemetry``
+    Streaming trace export, replay and verification.
 ``repro.analysis``
-    Availability curves, statistics, table rendering, parameter sweeps.
+    Table rendering.
 ``repro.experiments``
-    One module per experiment in DESIGN.md (E1..E14, A1..A5).
+    One module per experiment in DESIGN.md (E1..E29, A1..A7).
 """
 
 __version__ = "0.1.0"

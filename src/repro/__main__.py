@@ -6,8 +6,7 @@ Usage::
     python -m repro run e01 e14          # regenerate specific experiments
     python -m repro run all              # regenerate everything
     python -m repro report               # full EXPERIMENTS.md content
-    python -m repro report --workers 4   # parallel cache-miss regeneration
-    python -m repro report --no-cache    # recompute everything from scratch
+    python -m repro report --workers 4   # ...regenerated on a 4-process pool
     python -m repro campaign --seed 7    # fault-campaign policy scorecard
     python -m repro campaign --trace t.jsonl      # ...streamed to a trace file
     python -m repro campaign --soak --windows 12  # long-horizon soak campaign

@@ -68,8 +68,8 @@ class Table:
 
         Covers full-precision cell values (not the rounded rendering),
         so two tables digest equal iff :meth:`to_dict` round-trips to
-        the same content -- the identity used by the result cache and by
-        the byte-identical checks in the perf reports.
+        the same content -- the identity ``repro campaign`` prints and
+        the byte-identical checks in the perf reports use.
         """
         payload = json.dumps(
             self.to_dict(), sort_keys=True, separators=(",", ":"), allow_nan=True

@@ -5,7 +5,7 @@
   correctness watchdog (threshold *T*).
 * :mod:`repro.core.registry` -- the performance-state export with
   notification policies.
-* :mod:`repro.core.allocation` -- static and proportional allocation.
+* :mod:`repro.core.allocation` -- largest-remainder work apportioning.
 * :mod:`repro.core.pull` -- pull-based (River-style) scheduling.
 * :mod:`repro.core.hedging` -- Shasha & Turek slow-down tolerance via
   duplicated tasks.
@@ -18,7 +18,7 @@
 """
 
 from .aimd import AimdController, AimdResult, AimdSender
-from .allocation import Allocator, ProportionalAllocator, StaticAllocator, apportion
+from .allocation import apportion
 from .component import (
     SUBSTRATES,
     TELEMETRY_KINDS,
@@ -100,9 +100,6 @@ __all__ = [
     "NotificationPolicy",
     "PerformanceStateRegistry",
     "StateReport",
-    "Allocator",
-    "StaticAllocator",
-    "ProportionalAllocator",
     "apportion",
     "PullScheduler",
     "ScheduleResult",

@@ -1,19 +1,16 @@
-"""Work allocation policies.
+"""Work allocation: split integer work units by per-component weights.
 
-The static end of the adaptation spectrum: given per-component rate
-estimates, decide what fraction of the work each component receives.
-
-* :class:`StaticAllocator` -- the fail-stop illusion: everyone equal.
-* :class:`ProportionalAllocator` -- weights proportional to estimated
-  rates (the paper's scenario-2 design), with optional exclusion of
-  components flagged faulty.
+:func:`apportion` is the largest-remainder split behind NOW-Sort's
+partitioning (:mod:`repro.cluster.sort`): equal weights are the
+fail-stop illusion (everyone gets the same share), weights proportional
+to estimated rates are the paper's scenario-2 design.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import List, Sequence
 
-__all__ = ["Allocator", "StaticAllocator", "ProportionalAllocator", "apportion"]
+__all__ = ["apportion"]
 
 
 def apportion(total: int, weights: Sequence[float]) -> List[int]:
@@ -37,56 +34,3 @@ def apportion(total: int, weights: Sequence[float]) -> List[int]:
     for i in by_remainder[: total - sum(shares)]:
         shares[i] += 1
     return shares
-
-
-class Allocator:
-    """Interface: produce normalised weights for a set of components."""
-
-    def weights(self, rates: Dict[str, float]) -> Dict[str, float]:
-        """Map component name to its work fraction (sums to 1)."""
-        raise NotImplementedError
-
-
-class StaticAllocator(Allocator):
-    """Equal weights regardless of observed rates (scenario 1)."""
-
-    def weights(self, rates: Dict[str, float]) -> Dict[str, float]:
-        if not rates:
-            raise ValueError("no components to allocate across")
-        share = 1.0 / len(rates)
-        return {name: share for name in rates}
-
-
-class ProportionalAllocator(Allocator):
-    """Weights proportional to estimated rates (scenario 2).
-
-    ``exclude_below`` drops components whose rate falls below that
-    fraction of the best rate -- the "treat as absolutely failed" escape
-    hatch whose waste the paper warns about ("treating them as absolutely
-    failed components leads to a large waste of system resources").
-    """
-
-    def __init__(self, exclude_below: Optional[float] = None):
-        if exclude_below is not None and not 0.0 <= exclude_below <= 1.0:
-            raise ValueError(f"exclude_below must be in [0, 1], got {exclude_below}")
-        self.exclude_below = exclude_below
-
-    def weights(self, rates: Dict[str, float]) -> Dict[str, float]:
-        if not rates:
-            raise ValueError("no components to allocate across")
-        if any(r < 0 for r in rates.values()):
-            raise ValueError("rates must be >= 0")
-        eligible = dict(rates)
-        if self.exclude_below is not None and eligible:
-            best = max(eligible.values())
-            cutoff = self.exclude_below * best
-            kept = {n: r for n, r in eligible.items() if r >= cutoff}
-            if kept:
-                eligible = kept
-        total = sum(eligible.values())
-        if total <= 0:
-            raise ValueError("no component has positive rate")
-        out = {name: 0.0 for name in rates}
-        for name, rate in eligible.items():
-            out[name] = rate / total
-        return out

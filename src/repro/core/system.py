@@ -52,7 +52,7 @@ class System(Simulator):
 
     Drop-in replacement for :class:`~repro.sim.engine.Simulator`: every
     device constructed against it (a :class:`Disk`, a :class:`Link`, a
-    whole :class:`Raid10`) self-registers into :attr:`components` with
+    whole :class:`Raid1Pair`) self-registers into :attr:`components` with
     its attached :class:`~repro.faults.spec.PerformanceSpec`, so faults
     and detectors attach purely by name::
 

@@ -2,18 +2,20 @@
 
 The campaign experiments (E26, E27) argue over *curated* scenarios:
 three workloads and five fault families a human wired up.  The paper's
-thesis is broader -- fail-stutter behaviour matters across every
-substrate and workload shape -- and Zhou et al.'s formal framework
+thesis is broader -- fail-stutter behaviour matters whatever the
+topology and workload shape -- and Zhou et al.'s formal framework
 (PAPERS.md) shows how to earn that breadth: make fault scenarios
 first-class data and sweep machine-generated ones against a universal
 correctness oracle.  This experiment does exactly that with the
 :mod:`repro.scenario` stack: ``count`` scenarios are drawn from seeded
-bounds (random substrate, replica-group topology, rates, open-loop
-arrival schedule, stutter/fail-stop schedule, policy binding), compiled
-to the same engine objects the curated experiments use, and every run
-is audited by the :class:`~repro.faults.campaign.InvariantOracle` --
+bounds (replica-group topology, rates, open-loop arrival schedule,
+stutter/fail-stop schedule, policy binding), compiled to the same
+engine objects the curated experiments use, and every run is audited
+by the :class:`~repro.faults.campaign.InvariantOracle` --
 work conservation, no-hang at the horizon, byte-identical same-seed
-reruns.
+reruns.  A substrate is drawn too, but it only picks the members' name
+prefix: ``CampaignWorkload.build`` makes every member a
+:class:`~repro.faults.component.DegradableServer`.
 
 The expected shape of the table: every row's ``oracle`` column says
 ``ok`` on both engines, the discrete and hybrid rows agree on request
@@ -46,11 +48,12 @@ def run(
             "oracle", "sweep_digest",
         ],
         note=(
-            "Scenarios are drawn from SweepBounds (random substrate, "
-            "topology, rates, fault schedule, policy); the invariant "
-            "oracle is the universal pass/fail.  hybrid-ineligible "
-            "scenarios fall back to the discrete oracle by name; the "
-            "sweep digest is replay-stable per engine."
+            "Scenarios are drawn from SweepBounds (topology, rates, "
+            "arrival schedule, fault schedule, policy; every member is a "
+            "DegradableServer, and the drawn substrate only names it); "
+            "the invariant oracle is the universal pass/fail.  "
+            "hybrid-ineligible scenarios fall back to the discrete oracle "
+            "by name; the sweep digest is replay-stable per engine."
         ),
     )
     for engine in engines:

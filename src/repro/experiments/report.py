@@ -4,24 +4,18 @@ Usage::
 
     python -m repro.experiments.report > EXPERIMENTS.md
     python -m repro.experiments.report --workers 4 > EXPERIMENTS.md
-    python -m repro.experiments.report --no-cache > EXPERIMENTS.md
 
 Each section pairs the paper's claim with the freshly measured table, so
-the document can always be rebuilt from the code it describes.  Results
-are memoized in a content-addressed on-disk cache (see
-:mod:`repro.analysis.cache`; ``--no-cache`` bypasses it, deleting the
-cache directory wipes it) and cache misses run in parallel across
-``--workers`` processes.  The output is byte-identical to a serial,
-uncached run at any worker count and any cache state.
+the document can always be rebuilt from the code it describes.  Every
+run computes every table; ``--workers`` spreads the experiments over a
+process pool, and the output is byte-identical to a serial run at any
+worker count.
 """
 
 from __future__ import annotations
 
 import argparse
 from typing import Iterable, Optional
-
-from ..analysis.cache import ResultCache
-from . import ALL_EXPERIMENTS
 
 __all__ = ["CLAIMS", "add_report_arguments", "generate", "main", "print_report"]
 
@@ -131,8 +125,10 @@ CLAIMS = {
     "fluid/discrete window edges under a work-conservation audit.",
     "e28": "Section 5 (research agenda): 'environmental conditions are "
     "difficult to control ... designers of systems need to understand the "
-    "range of behaviors' -- the paper's thesis holds across substrates and "
-    "workload shapes, not just curated examples.  Scenarios become data: "
+    "range of behaviors' -- the paper's thesis holds across generated "
+    "replica-group topologies, rates, workload shapes and fault schedules, "
+    "not just curated examples (every member is the generic degradable "
+    "server; the drawn substrate only names it).  Scenarios become data: "
     "machine-generated topologies and fault schedules sweep against the "
     "universal invariant oracle on both the discrete and hybrid engines, "
     "with replay-stable digests.",
@@ -174,13 +170,12 @@ CLAIMS = {
 def generate(
     experiments: Optional[Iterable[str]] = None,
     workers: Optional[int] = None,
-    cache: Optional[ResultCache] = None,
 ) -> str:
     """The full EXPERIMENTS.md text with freshly measured tables.
 
-    ``workers`` and ``cache`` only change how fast the tables arrive
-    (see :func:`repro.experiments.runner.run_suite`); the text is
-    byte-identical to a serial, uncached run.
+    ``workers`` only changes how fast the tables arrive (see
+    :func:`repro.experiments.runner.run_suite`); the text is
+    byte-identical to a serial run.
     """
     from .runner import run_suite
 
@@ -196,7 +191,7 @@ def generate(
         "resets); the reproduction target is the *shape* of each claim.",
         "",
     ]
-    for run in run_suite(experiments, workers=workers, cache=cache):
+    for run in run_suite(experiments, workers=workers):
         parts.append(f"## {run.experiment.upper()}")
         parts.append("")
         parts.append(f"**Paper:** {CLAIMS[run.experiment]}")
@@ -211,7 +206,7 @@ def generate(
 
 
 def add_report_arguments(parser: argparse.ArgumentParser) -> None:
-    """Add the report's flags: ``--workers``, ``--no-cache``, ``--cache-dir``.
+    """Add the report's one flag, ``--workers``.
 
     ``python -m repro report`` and ``python -m repro.experiments.report``
     both take their flags from here.
@@ -221,26 +216,13 @@ def add_report_arguments(parser: argparse.ArgumentParser) -> None:
         type=int,
         default=None,
         metavar="N",
-        help="process-pool size for cache-miss experiments (default: serial)",
-    )
-    parser.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="recompute every experiment, bypassing the on-disk result cache",
-    )
-    parser.add_argument(
-        "--cache-dir",
-        default=None,
-        metavar="PATH",
-        help="cache location (default: $REPRO_CACHE_DIR or "
-        "~/.cache/repro/experiments)",
+        help="process-pool size for the experiments (default: serial)",
     )
 
 
 def print_report(args: argparse.Namespace) -> int:
     """Print the report, generated as the :func:`add_report_arguments` flags ask."""
-    cache = None if args.no_cache else ResultCache(args.cache_dir)
-    print(generate(workers=args.workers, cache=cache))
+    print(generate(workers=args.workers))
     return 0
 
 

@@ -12,26 +12,13 @@
   on :mod:`repro.core` which in turn builds on this package).
 """
 
-from .distributions import (
-    Bernoulli,
-    Distribution,
-    Empirical,
-    Exponential,
-    Fixed,
-    LogNormal,
-    Pareto,
-    Uniform,
-    Weibull,
-)
+from .distributions import Distribution, Exponential, Fixed, Uniform
 from .component import DegradableServer
-from .injector import CompositeInjector, FaultInjector, InjectorHandle
+from .injector import FaultInjector, InjectorHandle
 from .library import (
-    CorrelatedGroupFault,
-    FailStopAt,
     IntermittentOffline,
     InterferenceLoad,
     PeriodicBackground,
-    RandomFailStop,
     StaticSkew,
     TransientStutter,
 )
@@ -61,20 +48,11 @@ __all__ = [
     "Fixed",
     "Uniform",
     "Exponential",
-    "Pareto",
-    "Weibull",
-    "LogNormal",
-    "Empirical",
-    "Bernoulli",
     "FaultInjector",
     "InjectorHandle",
-    "CompositeInjector",
     "StaticSkew",
     "TransientStutter",
     "PeriodicBackground",
     "IntermittentOffline",
-    "CorrelatedGroupFault",
     "InterferenceLoad",
-    "FailStopAt",
-    "RandomFailStop",
 ]

@@ -8,26 +8,19 @@ interarrival, duration and magnitude processes as pluggable
 
 All distributions draw from an explicitly passed ``random.Random`` so
 fault schedules stay deterministic and independent of workload randomness
-(see :class:`repro.sim.RandomStreams`).
+(seed each stream with :func:`repro.sim.derive_seed`).
 """
 
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass
-from typing import Sequence
 
 __all__ = [
     "Distribution",
     "Fixed",
     "Uniform",
     "Exponential",
-    "Pareto",
-    "Weibull",
-    "LogNormal",
-    "Empirical",
-    "Bernoulli",
 ]
 
 
@@ -93,98 +86,3 @@ class Exponential(Distribution):
 
     def mean(self) -> float:
         return self.mean_value
-
-
-@dataclass(frozen=True)
-class Pareto(Distribution):
-    """Pareto with shape ``alpha`` and scale ``xmin`` (heavy-tailed stalls)."""
-
-    alpha: float
-    xmin: float = 1.0
-
-    def __post_init__(self):
-        if self.alpha <= 0 or self.xmin <= 0:
-            raise ValueError("alpha and xmin must be > 0")
-
-    def sample(self, rng: random.Random) -> float:
-        return self.xmin * rng.paretovariate(self.alpha)
-
-    def mean(self) -> float:
-        if self.alpha <= 1:
-            return float("inf")
-        return self.alpha * self.xmin / (self.alpha - 1)
-
-
-@dataclass(frozen=True)
-class Weibull(Distribution):
-    """Weibull with scale ``lam`` and shape ``k`` (wear-out style durations)."""
-
-    lam: float
-    k: float
-
-    def __post_init__(self):
-        if self.lam <= 0 or self.k <= 0:
-            raise ValueError("lam and k must be > 0")
-
-    def sample(self, rng: random.Random) -> float:
-        return rng.weibullvariate(self.lam, self.k)
-
-    def mean(self) -> float:
-        return self.lam * math.gamma(1 + 1 / self.k)
-
-
-@dataclass(frozen=True)
-class LogNormal(Distribution):
-    """Log-normal with parameters ``mu`` and ``sigma`` of the underlying normal."""
-
-    mu: float
-    sigma: float
-
-    def __post_init__(self):
-        if self.sigma < 0:
-            raise ValueError(f"sigma must be >= 0, got {self.sigma}")
-
-    def sample(self, rng: random.Random) -> float:
-        return rng.lognormvariate(self.mu, self.sigma)
-
-    def mean(self) -> float:
-        return math.exp(self.mu + self.sigma**2 / 2)
-
-
-@dataclass(frozen=True)
-class Empirical(Distribution):
-    """Samples uniformly from observed ``values`` (trace replay)."""
-
-    values: Sequence[float]
-
-    def __post_init__(self):
-        if not self.values:
-            raise ValueError("values must be non-empty")
-        if any(v < 0 for v in self.values):
-            raise ValueError("values must be >= 0")
-
-    def sample(self, rng: random.Random) -> float:
-        return rng.choice(list(self.values))
-
-    def mean(self) -> float:
-        return sum(self.values) / len(self.values)
-
-
-@dataclass(frozen=True)
-class Bernoulli(Distribution):
-    """Returns ``value`` with probability ``p``, else 0 (rare-event magnitude)."""
-
-    p: float
-    value: float = 1.0
-
-    def __post_init__(self):
-        if not 0.0 <= self.p <= 1.0:
-            raise ValueError(f"p must be in [0, 1], got {self.p}")
-        if self.value < 0:
-            raise ValueError(f"value must be >= 0, got {self.value}")
-
-    def sample(self, rng: random.Random) -> float:
-        return self.value if rng.random() < self.p else 0.0
-
-    def mean(self) -> float:
-        return self.p * self.value

@@ -17,54 +17,37 @@ import itertools
 import random
 from typing import List, Optional, Sequence
 
-from ..sim.engine import Process, Simulator
+from ..sim.engine import Simulator
 from .model import DegradableMixin
 
-__all__ = ["FaultInjector", "InjectorHandle", "CompositeInjector"]
+__all__ = ["FaultInjector", "InjectorHandle"]
 
 _injector_ids = itertools.count()
 
 
 class InjectorHandle:
-    """A started injector: the processes driving faults on a target."""
+    """A started injector: the process driving faults on one target."""
 
-    def __init__(
-        self,
-        injector: "FaultInjector",
-        processes: List[Process],
-        targets: Optional[List[DegradableMixin]] = None,
-    ):
+    def __init__(self, injector: "FaultInjector", target: DegradableMixin):
         self.injector = injector
-        self.processes = processes
-        #: Components this handle's fault process acts on (used by
-        #: ``cancel(restore=True)`` to clear the injector's channels).
-        self.targets: List[DegradableMixin] = list(targets or [])
-        #: Child handles, when this handle fronts a composite injector.
-        self.children: List["InjectorHandle"] = []
+        #: The component this handle's fault process acts on (used by
+        #: ``cancel(restore=True)`` to clear the injector's channel).
+        self.target = target
         self.cancelled = False
 
     def cancel(self, restore: bool = True) -> None:
         """Stop injecting; by default also undo applied slowdowns.
 
-        With ``restore=True`` (the default) every slowdown channel this
-        injector owns is cleared from its targets, so a cancelled fault
+        With ``restore=True`` (the default) the slowdown channel this
+        injector owns is cleared from its target, so a cancelled fault
         actually ends instead of freezing the component at its last
         degraded rate.  Pass ``restore=False`` for the old behaviour
-        (stop driving, leave the applied factors in place).  Cancellation
-        cascades to child handles of a composite injector.
+        (stop driving, leave the applied factor in place).
         """
         self.cancelled = True
-        for child in self.children:
-            child.cancel(restore)
-        if not self.children:
-            # Leaf handles own a slowdown channel; a composite's own
-            # channel never touched a rate, so announcing it would
-            # promise a change that cannot happen.
-            for target in self.targets:
-                self.injector._announce(target, "cancel", restore=restore)
+        self.injector._announce(self.target, "cancel", restore=restore)
         if restore:
-            for target in self.targets:
-                target.clear_slowdown(self.injector.source)
+            self.target.clear_slowdown(self.injector.source)
 
 
 class FaultInjector:
@@ -90,9 +73,8 @@ class FaultInjector:
     ) -> InjectorHandle:
         """Start injecting faults into ``target``; returns a handle."""
         rng = rng or random.Random(0)
-        handle = InjectorHandle(self, [], [target])
-        process = sim.process(self._drive(sim, target, rng, handle))
-        handle.processes.append(process)
+        handle = InjectorHandle(self, target)
+        sim.process(self._drive(sim, target, rng, handle))
         self._announce(target, "attach")
         return handle
 
@@ -128,26 +110,3 @@ class FaultInjector:
             bus.injector_event(
                 target.name, self.source, action, kind=self.kind, **detail
             )
-
-
-class CompositeInjector(FaultInjector):
-    """Applies several injectors to the same target as one unit."""
-
-    kind = "composite"
-
-    def __init__(self, injectors: Sequence[FaultInjector]):
-        super().__init__()
-        if not injectors:
-            raise ValueError("composite needs at least one injector")
-        self.injectors = list(injectors)
-
-    def attach(self, sim, target, rng=None) -> InjectorHandle:
-        handle = InjectorHandle(self, [], [target])
-        for injector in self.injectors:
-            child = injector.attach(sim, target, rng)
-            handle.children.append(child)
-            handle.processes.extend(child.processes)
-        return handle
-
-    def _drive(self, sim, target, rng, handle):  # pragma: no cover
-        raise NotImplementedError("composite delegates to children")

@@ -13,34 +13,24 @@ TransientStutter       Sporadic slow episodes (Vesta variance, Rivera & Chien's
 PeriodicBackground     Deterministic background work: GC (Gribble), LFS
                        cleaners, thermal recalibration (Bolosky)
 IntermittentOffline    Short random full stalls (disks going off-line)
-CorrelatedGroupFault   SCSI bus resets stalling every disk on the chain
-                       (Talagala & Patterson: ~2 timeouts/day, 49-87% of errors)
 InterferenceLoad       CPU/memory hogs stealing a fraction of a node
                        (NOW-Sort 2x, Brown & Mowry 40x)
-FailStopAt             Classic absolute failure at a scheduled time
-RandomFailStop         Absolute failure at an exponentially distributed time
 =====================  ========================================================
 """
 
 from __future__ import annotations
 
-import random
-from typing import Optional, Sequence
+from typing import Optional
 
-from ..sim.engine import Simulator
-from .distributions import Distribution, Exponential, Fixed
-from .injector import FaultInjector, InjectorHandle
-from .model import DegradableMixin
+from .distributions import Distribution, Fixed
+from .injector import FaultInjector
 
 __all__ = [
     "StaticSkew",
     "TransientStutter",
     "PeriodicBackground",
     "IntermittentOffline",
-    "CorrelatedGroupFault",
     "InterferenceLoad",
-    "FailStopAt",
-    "RandomFailStop",
 ]
 
 
@@ -163,62 +153,6 @@ class IntermittentOffline(TransientStutter):
         super().__init__(interarrival, duration, Fixed(0.0), source)
 
 
-class CorrelatedGroupFault(FaultInjector):
-    """One fault process stalling a whole *group* simultaneously.
-
-    Models SCSI-chain resets: a timeout on any disk resets the bus and
-    every disk on the chain stalls for the reset duration.  Attach with
-    :meth:`attach_group`.
-    """
-
-    kind = "correlated-group"
-
-    def __init__(
-        self,
-        interarrival: Distribution,
-        duration: Distribution,
-        factor: float = 0.0,
-        source: Optional[str] = None,
-    ):
-        super().__init__(source)
-        if factor < 0:
-            raise ValueError(f"factor must be >= 0, got {factor}")
-        self.interarrival = interarrival
-        self.duration = duration
-        self.factor = factor
-
-    def attach_group(
-        self,
-        sim: Simulator,
-        targets: Sequence[DegradableMixin],
-        rng: Optional[random.Random] = None,
-    ) -> InjectorHandle:
-        """Start one shared fault process over all ``targets``."""
-        if not targets:
-            raise ValueError("need at least one target")
-        rng = rng or random.Random(0)
-        handle = InjectorHandle(self, [], list(targets))
-        process = sim.process(self._drive_group(sim, list(targets), rng, handle))
-        handle.processes.append(process)
-        return handle
-
-    def _drive(self, sim, target, rng, handle):
-        yield from self._drive_group(sim, [target], rng, handle)
-
-    def _drive_group(self, sim, targets, rng, handle):
-        while not handle.cancelled:
-            yield sim.timeout(self.interarrival.sample(rng))
-            if handle.cancelled:
-                return
-            duration = self.duration.sample(rng)
-            for target in targets:
-                if not target.stopped:
-                    target.set_slowdown(self.source, self.factor)
-            yield sim.timeout(duration)
-            for target in targets:
-                target.clear_slowdown(self.source)
-
-
 class InterferenceLoad(FaultInjector):
     """A competing application arriving at ``at`` and staying ``duration``.
 
@@ -258,39 +192,3 @@ class InterferenceLoad(FaultInjector):
             return
         yield sim.timeout(self.duration)
         target.clear_slowdown(self.source)
-
-
-class FailStopAt(FaultInjector):
-    """Absolute (correctness) failure at a fixed time."""
-
-    kind = "fail-stop"
-
-    def __init__(self, at: float, source: Optional[str] = None):
-        super().__init__(source)
-        if at < 0:
-            raise ValueError(f"at must be >= 0, got {at}")
-        self.at = at
-
-    def _drive(self, sim, target, rng, handle):
-        yield sim.timeout(self.at)
-        if handle.cancelled:
-            return
-        target.stop(cause=self.source)
-
-
-class RandomFailStop(FaultInjector):
-    """Absolute failure at an exponentially distributed time (MTTF)."""
-
-    kind = "random-fail-stop"
-
-    def __init__(self, mttf: float, source: Optional[str] = None):
-        super().__init__(source)
-        if mttf <= 0:
-            raise ValueError(f"mttf must be > 0, got {mttf}")
-        self.mttf = mttf
-
-    def _drive(self, sim, target, rng, handle):
-        yield sim.timeout(Exponential(self.mttf).sample(rng))
-        if handle.cancelled:
-            return
-        target.stop(cause=self.source)

@@ -14,12 +14,6 @@
 """
 
 from .cache import Cache, CacheConfig, RunCost, run_trace
-from .component import (
-    CacheComponent,
-    MemBankComponent,
-    ProcessorComponent,
-    TlbComponent,
-)
 from .membank import BankedMemory, StreamResult, perturbed_stream, run_stream
 from .paging import (
     PagedRunCost,
@@ -38,10 +32,6 @@ from .tlb import Tlb, divergence
 from .workloads import sequential_trace, strided_trace, working_set_loop, zipf_trace
 
 __all__ = [
-    "ProcessorComponent",
-    "CacheComponent",
-    "MemBankComponent",
-    "TlbComponent",
     "Cache",
     "CacheConfig",
     "RunCost",

@@ -49,7 +49,7 @@ class CacheConfig:
 class Cache:
     """Trace-driven set-associative cache with LRU and fault masking."""
 
-    #: Substrate tag (metadata; wrap in a CacheComponent for the full surface).
+    #: Substrate tag, read by :func:`repro.experiments.experiment_substrates`.
     substrate = "processor"
 
     def __init__(self, config: CacheConfig = CacheConfig()):

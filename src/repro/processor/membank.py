@@ -24,7 +24,7 @@ __all__ = ["BankedMemory", "StreamResult", "run_stream", "perturbed_stream"]
 class BankedMemory:
     """Interleaved banks with a fixed recovery time."""
 
-    #: Substrate tag (metadata; wrap in a MemBankComponent for the full surface).
+    #: Substrate tag, read by :func:`repro.experiments.experiment_substrates`.
     substrate = "processor"
 
     def __init__(self, n_banks: int = 8, bank_busy: int = 8):

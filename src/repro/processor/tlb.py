@@ -24,7 +24,7 @@ __all__ = ["Tlb", "divergence"]
 class Tlb:
     """A fully-associative TLB of ``entries`` page translations."""
 
-    #: Substrate tag (metadata; wrap in a TlbComponent for the full surface).
+    #: Substrate tag, read by :func:`repro.experiments.experiment_substrates`.
     substrate = "processor"
 
     POLICIES = ("lru", "random")

@@ -36,7 +36,7 @@ from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 from .spec import FamilySpec, ScenarioSpec
 
 if TYPE_CHECKING:  # pragma: no cover - types only
-    from ..faults.campaign import CampaignWorkload, Scenario, ScenarioOutcome
+    from ..faults.campaign import CampaignWorkload, Scenario
 
 __all__ = [
     "CompiledScenario",
@@ -88,7 +88,11 @@ def compile_family(spec: FamilySpec) -> Callable:
 
 @dataclass(frozen=True)
 class CompiledScenario:
-    """One spec, compiled: the workload plus scenario/run/eligibility hooks."""
+    """One spec, compiled: the workload plus scenario/eligibility hooks.
+
+    Run it through :func:`repro.faults.campaign.run_scenario` with
+    ``workload`` and :meth:`scenario`.
+    """
 
     spec: ScenarioSpec
     workload: "CampaignWorkload"
@@ -129,23 +133,6 @@ class CompiledScenario:
                                      seed=seed, events=())
         return campaign.generate_scenario(self.workload, self.spec.family,
                                           seed, index)
-
-    def run(self, policy: Optional[str] = None, seed: int = 7, index: int = 0,
-            check: bool = True, engine: str = "discrete") -> "ScenarioOutcome":
-        """One oracle-audited run via :func:`repro.faults.campaign.run_scenario`.
-
-        ``policy`` overrides the spec's own binding; one of the two must
-        name a policy.
-        """
-        from ..faults import campaign
-
-        chosen = policy if policy is not None else self.spec.policy
-        if chosen is None:
-            raise ValueError(
-                f"scenario {self.spec.name!r} binds no policy; pass policy="
-            )
-        return campaign.run_scenario(self.workload, self.scenario(seed, index),
-                                     chosen, check=check, engine=engine)
 
     def eligibility(self, policy: Optional[str] = None) -> Dict[str, Tuple[bool, str]]:
         """Engine -> (eligible, reason), resolved from the spec.

@@ -33,7 +33,9 @@ from .spec import (
 
 __all__ = ["SweepBounds", "generate_spec", "generate_specs"]
 
-#: Substrate -> member-name prefix for generated topologies.
+#: Substrate -> member-name prefix for generated topologies.  The prefix
+#: is all the drawn substrate changes: ``CampaignWorkload.build`` makes
+#: every member a ``DegradableServer`` whatever the substrate.
 _PREFIXES = {
     "storage": "disk",
     "network": "link",

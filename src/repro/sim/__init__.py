@@ -25,8 +25,8 @@ from .metrics import (
     LatencySummary,
     StreamingMoments,
 )
-from .fluid import FluidRamp, fifo_completions, fifo_uniform_ramps
-from .random import RandomStreams, derive_seed
+from .fluid import FluidRamp, fifo_uniform_ramps
+from .random import derive_seed
 from .resources import JobStats, RateServer, Store
 from .trace import TraceRecord
 
@@ -43,9 +43,7 @@ __all__ = [
     "RateServer",
     "JobStats",
     "FluidRamp",
-    "fifo_completions",
     "fifo_uniform_ramps",
-    "RandomStreams",
     "derive_seed",
     "TraceRecord",
     "LatencyRecorder",

@@ -6,19 +6,18 @@ FIFO :class:`~repro.sim.resources.RateServer` at a constant rate is
 discrete: each response time follows from the Lindley recurrence
 ``D[j] = max(0, D[j-1] - gap[j]) + s[j]``, which has a closed form.
 
-* :func:`fifo_uniform_ramps` specializes it to equally spaced arrivals
-  of equal work, the shape of a campaign workload's arrival stream.
-  Every response time then lies on at most two arithmetic ramps (a
-  saturated or draining queue, then the flat underloaded tail), each a
-  :class:`FluidRamp`, so the cost does not grow with the arrival count.
-  :class:`~repro.core.hybrid.HybridRunner` calls it once per replica
-  group in every fluid era, and carries each member's backlog across era
-  boundaries as ``busy_until``.
-* :func:`fifo_completions` is the general closed form, for arbitrary
-  arrival times and works.  It is the reference
-  ``tests/sim/test_fifo_reconstruction.py`` checks the ramps against:
-  both must match a real ``RateServer`` on random overload and drain
-  schedules to 1e-9 relative, and conserve work exactly.
+:func:`fifo_uniform_ramps` specializes it to equally spaced arrivals of
+equal work, the shape of a campaign workload's arrival stream.  Every
+response time then lies on at most two arithmetic ramps (a saturated or
+draining queue, then the flat underloaded tail), each a
+:class:`FluidRamp`, so the cost does not grow with the arrival count.
+:class:`~repro.core.hybrid.HybridRunner` calls it once per replica group
+in every fluid era, and carries each member's backlog across era
+boundaries as ``busy_until``.  ``tests/sim/test_fifo_reconstruction.py``
+checks the ramps against the general closed form for arbitrary arrival
+times and works, and both against a real ``RateServer`` on random
+overload and drain schedules: 1e-9 relative, with work conserved
+exactly.
 
 Rates are constant within a call.  The hybrid runner brackets every
 rate change with an exact discrete window, so no fluid era spans one.
@@ -28,11 +27,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Sequence
+from typing import List
 
 import numpy as np
 
-__all__ = ["FluidRamp", "fifo_completions", "fifo_uniform_ramps"]
+__all__ = ["FluidRamp", "fifo_uniform_ramps"]
 
 
 @dataclass(frozen=True, slots=True)
@@ -116,41 +115,3 @@ def fifo_uniform_ramps(
         out.append((s + x0, c, n_ramp))
     out.append((s, 0.0, count - n_ramp))
     return out
-
-
-def fifo_completions(
-    arrivals: Sequence[float],
-    works: Sequence[float],
-    rate: float,
-    busy_until: float = 0.0,
-) -> np.ndarray:
-    """Vectorized FIFO completion times for arbitrary arrival schedules.
-
-    The general closed form behind :func:`fifo_uniform_ramps` (which
-    exploits uniform spacing to stay O(1) in memory): with cumulative
-    service ``P[k] = sum(works[:k+1]) / rate``, job ``k`` completes at
-
-    ``C[k] = P[k] + max(busy_until, max_{i <= k}(arrivals[i] - P[i-1]))``
-
-    -- the inner max is the start of the busy period job ``k`` belongs
-    to.  Used as the oracle-side reference in the property tests; the
-    hybrid runner itself uses the ramp form.
-    """
-    a = np.asarray(arrivals, dtype=np.float64)
-    w = np.asarray(works, dtype=np.float64)
-    if a.ndim != 1 or a.shape != w.shape:
-        raise ValueError("arrivals and works must be matching 1-d sequences")
-    if a.size == 0:
-        return np.empty(0, dtype=np.float64)
-    if not rate > 0.0:
-        raise ValueError(f"rate must be > 0, got {rate}")
-    if (np.diff(a) < 0).any():
-        raise ValueError("arrivals must be nondecreasing")
-    if not (w > 0).all():
-        raise ValueError("works must be > 0")
-    cum = np.cumsum(w) / rate
-    prev = np.empty_like(cum)
-    prev[0] = 0.0
-    prev[1:] = cum[:-1]
-    busy_start = np.maximum.accumulate(a - prev)
-    return cum + np.maximum(busy_until, busy_start)

@@ -4,18 +4,17 @@
 * :mod:`repro.storage.badblocks` -- transparent bad-block remapping.
 * :mod:`repro.storage.disk` -- the disk model (a degradable server).
 * :mod:`repro.storage.bus` -- SCSI chains with correlated reset stalls.
-* :mod:`repro.storage.raid` -- RAID-0/1/10/5 with a real content model.
+* :mod:`repro.storage.raid` -- RAID-0/1 with a real content model.
 * :mod:`repro.storage.striping` -- uniform / proportional / adaptive
   striping (the paper's three scenarios).
-* :mod:`repro.storage.workload` -- scans, aged layouts, request streams.
+* :mod:`repro.storage.workload` -- scans and aged layouts.
 """
 
 from .badblocks import BadBlockMap
 from .bus import TALAGALA_MIX, BusError, ErrorMix, ScsiBus
 from .disk import HAWK_PARAMS, Disk, DiskParams
 from .geometry import Zone, ZoneGeometry, uniform_geometry, zoned_geometry
-from .lfs import LfsConfig, LfsStats, LogFs
-from .raid import Raid0, Raid1Pair, Raid5, Raid10
+from .raid import Raid0, Raid1Pair
 from .reconstruct import RebuildResult, Reconstructor
 from .striping import (
     AdaptiveStriping,
@@ -27,7 +26,6 @@ from .striping import (
 from .workload import (
     ScanResult,
     file_layout,
-    poisson_requests,
     read_layout,
     sequential_scan,
 )
@@ -47,13 +45,8 @@ __all__ = [
     "TALAGALA_MIX",
     "Raid0",
     "Raid1Pair",
-    "Raid10",
-    "Raid5",
     "Reconstructor",
     "RebuildResult",
-    "LogFs",
-    "LfsConfig",
-    "LfsStats",
     "StripingPolicy",
     "StripingResult",
     "UniformStriping",
@@ -63,5 +56,4 @@ __all__ = [
     "sequential_scan",
     "file_layout",
     "read_layout",
-    "poisson_requests",
 ]

@@ -89,15 +89,6 @@ class BadBlockMap:
             return 0
         return bisect_left(self._sorted, lba + nblocks) - bisect_left(self._sorted, lba)
 
-    def remapped_in_range_reference(self, lba: int, nblocks: int) -> int:
-        """The original scan-the-smaller-side count, kept as the
-        executable spec for the property tests and benchmark baseline."""
-        if nblocks <= 0:
-            return 0
-        if len(self._remapped) < nblocks:
-            return sum(1 for b in self._remapped if lba <= b < lba + nblocks)
-        return sum(1 for b in range(lba, lba + nblocks) if b in self._remapped)
-
     def __len__(self) -> int:
         return len(self._remapped)
 

@@ -157,8 +157,8 @@ class ScsiBus(CompositeComponent):
     def stop(self, cause: Optional[str] = None) -> None:
         """Without ``cause``: stop generating new errors (an in-progress
         reset completes), the historical control-surface call.  With a
-        ``cause`` (the Component fail-stop path, e.g. a ``FailStopAt``
-        injector attached by name): also fail-stop every disk on the chain.
+        ``cause`` (the Component protocol's fail-stop call): also
+        fail-stop every disk on the chain.
         """
         self._running = False
         if cause is not None:

@@ -13,8 +13,8 @@ The model is calibrated against the paper's 5400-RPM Seagate Hawk era
 (~5.5 MB/s sequential) by default but everything is parameterised.
 
 A content store (block -> value) rides along so RAID layers above can be
-tested for *data* correctness (mirror consistency, parity reconstruction),
-not just timing.
+tested for *data* correctness (mirror consistency, exact rebuilds), not
+just timing.
 """
 
 from __future__ import annotations
@@ -124,9 +124,9 @@ class Disk(DegradableServer):
         The transfer charge walks the geometry's precomputed boundary and
         rate arrays directly: one bisect locates the first zone, then each
         touched zone costs O(1).  The per-span arithmetic and accumulation
-        order are identical to :meth:`service_time_reference`, so results
-        are bit-identical to the historical loop (the equivalence property
-        tests compare with ``==``, not ``approx``).
+        order are identical to the historical per-zone loop, so results
+        are bit-identical to it (the equivalence property tests keep that
+        loop as their reference and compare with ``==``, not ``approx``).
         """
         if nblocks <= 0:
             raise ValueError(f"nblocks must be > 0, got {nblocks}")
@@ -154,45 +154,6 @@ class Disk(DegradableServer):
             i += 1
         time += self.badblocks.remapped_in_range(lba, nblocks) * self.params.effective_remap_penalty
         return time
-
-    def service_time_reference(self, lba: int, nblocks: int, sequential_hint: bool = False) -> float:
-        """The original per-zone interpreted loop, kept as the executable
-        spec: the equivalence property tests assert ``service_time`` matches
-        it bit for bit, and the models benchmark times it as the baseline.
-        """
-        if nblocks <= 0:
-            raise ValueError(f"nblocks must be > 0, got {nblocks}")
-        if not (0 <= lba and lba + nblocks <= self.geometry.capacity_blocks):
-            raise ValueError(
-                f"request [{lba}, {lba + nblocks}) outside disk of "
-                f"{self.geometry.capacity_blocks} blocks"
-            )
-        sequential = sequential_hint or (self._head is not None and lba == self._head)
-        time = 0.0 if sequential else self.params.positioning_time
-        # Transfer charged per-zone so requests spanning zones are exact.
-        remaining = nblocks
-        at = lba
-        while remaining > 0:
-            zone = self.geometry.zone_of(at)
-            # Blocks left in this zone from `at`.
-            zone_end = self._zone_end_reference(at)
-            span = min(remaining, zone_end - at)
-            time += span * self.params.block_size_mb / zone.rate
-            at += span
-            remaining -= span
-        time += self.badblocks.remapped_in_range_reference(lba, nblocks) \
-            * self.params.effective_remap_penalty
-        return time
-
-    def _zone_end_reference(self, lba: int) -> int:
-        """Linear-scan forebear of :meth:`ZoneGeometry.span_end` (spec for
-        the property tests and the benchmark baseline)."""
-        bound = 0
-        for zone in self.geometry.zones:
-            bound += zone.blocks
-            if lba < bound:
-                return bound
-        raise ValueError(f"lba {lba} out of range")  # pragma: no cover
 
     # -- I/O surface ---------------------------------------------------------------
 

@@ -10,14 +10,9 @@ Implements the arrays the paper's examples are built on:
   (completion is the *max*, so "the rate of each mirror is determined by
   the rate of its slowest disk", Section 3.2); reads are served by the
   less-loaded live member.
-* :class:`Raid10` -- mirrored pairs striped RAID-0 style: exactly the
-  Section 3.2 configuration of ``2 * N`` disks.
-* :class:`Raid5` -- rotating parity with read-modify-write small writes,
-  full-stripe writes, degraded reads and reconstruction.
 
-All data paths move real (modelled) content -- integers combined with XOR
-for parity -- so the test suite can check *data* invariants (mirrors
-identical, parity consistent, reconstruction exact), not just timing.
+All data paths move real (modelled) content, so the test suite can check
+*data* invariants (mirrors identical, rebuilds exact), not just timing.
 """
 
 from __future__ import annotations
@@ -30,20 +25,12 @@ from ..faults.spec import PerformanceSpec
 from ..sim.engine import Event, Process, Simulator
 from .disk import Disk
 
-__all__ = ["Raid0", "Raid1Pair", "Raid10", "Raid5"]
+__all__ = ["Raid0", "Raid1Pair"]
 
 
 def _member_spec_sum(disks: Sequence[Disk]) -> PerformanceSpec:
     """Aggregate spec for a striped array: sum of member nominal rates."""
     return PerformanceSpec(sum(d.spec.nominal_rate for d in disks))
-
-
-def _xor(*values: Any) -> int:
-    """XOR fold treating None (never-written) as zero."""
-    out = 0
-    for v in values:
-        out ^= 0 if v is None else int(v)
-    return out
 
 
 class Raid0(CompositeComponent):
@@ -210,189 +197,3 @@ class Raid1Pair(CompositeComponent):
         if len(live) < 2:
             return True
         return live[0].peek(lba) == live[1].peek(lba)
-
-
-class Raid10(CompositeComponent):
-    """Mirrored pairs, striped RAID-0 style (the Section 3.2 layout)."""
-
-    substrate = "storage"
-
-    def __init__(self, sim: Simulator, pairs: Sequence[Raid1Pair], name: str = ""):
-        if len(pairs) < 2:
-            raise ValueError("RAID-10 needs >= 2 mirror pairs")
-        self.sim = sim
-        self.pairs: List[Raid1Pair] = list(pairs)
-        self._init_component(
-            sim,
-            name or f"raid10({','.join(p.name for p in self.pairs)})",
-            self.pairs,
-            PerformanceSpec(sum(p.spec.nominal_rate for p in self.pairs)),
-        )
-
-    @classmethod
-    def from_disks(cls, sim: Simulator, disks: Sequence[Disk]) -> "Raid10":
-        """Build pairs from an even-length disk list (adjacent disks pair)."""
-        if len(disks) < 4 or len(disks) % 2:
-            raise ValueError("RAID-10 needs an even number (>= 4) of disks")
-        pairs = [
-            Raid1Pair(sim, disks[i], disks[i + 1]) for i in range(0, len(disks), 2)
-        ]
-        return cls(sim, pairs)
-
-    @property
-    def width(self) -> int:
-        """Number of mirror pairs (the striping width)."""
-        return len(self.pairs)
-
-    def locate(self, block: int) -> Tuple[int, int]:
-        """Map logical ``block`` to ``(pair_index, lba)``."""
-        if block < 0:
-            raise ValueError(f"block must be >= 0, got {block}")
-        row, pair_index = divmod(block, self.width)
-        return pair_index, row
-
-    def write(self, block: int, value: Any = None) -> Process:
-        """Write one logical block to its mirror pair."""
-        pair_index, lba = self.locate(block)
-        return self.pairs[pair_index].write(lba, 1, value=value)
-
-    def read(self, block: int) -> Process:
-        """Read one logical block; the process returns its value."""
-        pair_index, lba = self.locate(block)
-        return self.pairs[pair_index].read(lba, 1)
-
-    @property
-    def failed(self) -> bool:
-        """True when any pair has lost both members."""
-        return any(pair.failed for pair in self.pairs)
-
-
-class Raid5(CompositeComponent):
-    """Left-asymmetric rotating-parity array.
-
-    Logical blocks are grouped into stripes of ``width - 1`` data blocks
-    plus one parity block; the parity disk rotates per stripe.  Small
-    writes use read-modify-write (4 I/Os); :meth:`write_stripe` is the
-    full-stripe fast path (no reads).
-    """
-
-    substrate = "storage"
-
-    def __init__(self, sim: Simulator, disks: Sequence[Disk], name: str = ""):
-        if len(disks) < 3:
-            raise ValueError("RAID-5 needs >= 3 disks")
-        self.sim = sim
-        self.disks: List[Disk] = list(disks)
-        self._init_component(
-            sim,
-            name or f"raid5({','.join(d.name for d in self.disks)})",
-            self.disks,
-            _member_spec_sum(self.disks),
-        )
-
-    @property
-    def width(self) -> int:
-        """Number of member disks."""
-        return len(self.disks)
-
-    @property
-    def data_width(self) -> int:
-        """Data blocks per stripe."""
-        return self.width - 1
-
-    def parity_disk_of(self, stripe: int) -> int:
-        """The member holding parity for ``stripe``."""
-        return (self.width - 1) - (stripe % self.width)
-
-    def locate(self, block: int) -> Tuple[int, int, int]:
-        """Map logical ``block`` to ``(stripe, disk_index, lba)``."""
-        if block < 0:
-            raise ValueError(f"block must be >= 0, got {block}")
-        stripe, within = divmod(block, self.data_width)
-        parity = self.parity_disk_of(stripe)
-        data_members = [i for i in range(self.width) if i != parity]
-        return stripe, data_members[within], stripe
-
-    def write(self, block: int, value: Any = None) -> Process:
-        """Small write: read-modify-write of data and parity."""
-        stripe, disk_index, lba = self.locate(block)
-        parity_index = self.parity_disk_of(stripe)
-        data_disk = self.disks[disk_index]
-        parity_disk = self.disks[parity_index]
-
-        def go():
-            # Phase 1: read old data and old parity in parallel.
-            yield self.sim.all_of([data_disk.read(lba, 1), parity_disk.read(lba, 1)])
-            old_data = data_disk.peek(lba)
-            old_parity = parity_disk.peek(lba)
-            new_parity = _xor(old_parity, old_data, value)
-            # Phase 2: write new data and new parity in parallel.
-            yield self.sim.all_of(
-                [
-                    data_disk.write(lba, 1, value=value),
-                    parity_disk.write(lba, 1, value=new_parity),
-                ]
-            )
-            return None
-
-        return self.sim.process(go())
-
-    def write_stripe(self, stripe: int, values: Sequence[Any]) -> Process:
-        """Full-stripe write: parity computed in memory, no reads."""
-        if len(values) != self.data_width:
-            raise ValueError(f"need {self.data_width} values, got {len(values)}")
-        parity_index = self.parity_disk_of(stripe)
-        data_members = [i for i in range(self.width) if i != parity_index]
-        parity = _xor(*values)
-
-        def go():
-            writes = [
-                self.disks[m].write(stripe, 1, value=v)
-                for m, v in zip(data_members, values)
-            ]
-            writes.append(self.disks[parity_index].write(stripe, 1, value=parity))
-            yield self.sim.all_of(writes)
-            return None
-
-        return self.sim.process(go())
-
-    def read(self, block: int) -> Process:
-        """Read one block, reconstructing from peers if its disk is dead."""
-        stripe, disk_index, lba = self.locate(block)
-        disk = self.disks[disk_index]
-
-        def go():
-            if not disk.stopped:
-                yield disk.read(lba, 1)
-                return disk.peek(lba)
-            # Degraded read: XOR of every surviving member at this lba.
-            survivors = [d for d in self.disks if not d.stopped and d is not disk]
-            if len(survivors) < self.width - 1:
-                raise ComponentStopped(disk.name)  # two failures: unrecoverable
-            yield self.sim.all_of([d.read(lba, 1) for d in survivors])
-            return _xor(*(d.peek(lba) for d in survivors))
-
-        return self.sim.process(go())
-
-    def stripe_consistent(self, stripe: int) -> bool:
-        """True when the stripe's parity equals the XOR of its data."""
-        parity_index = self.parity_disk_of(stripe)
-        data = [
-            self.disks[i].peek(stripe) for i in range(self.width) if i != parity_index
-        ]
-        parity = self.disks[parity_index].peek(stripe)
-        return _xor(*data) == _xor(parity)
-
-    def reconstruct_block(self, stripe: int, failed_index: int) -> Process:
-        """Recompute a dead member's block at ``stripe`` from survivors."""
-        survivors = [
-            d for i, d in enumerate(self.disks) if i != failed_index and not d.stopped
-        ]
-        if len(survivors) < self.width - 1:
-            raise ComponentStopped(self.disks[failed_index].name)
-
-        def go():
-            yield self.sim.all_of([d.read(stripe, 1) for d in survivors])
-            return _xor(*(d.peek(stripe) for d in survivors))
-
-        return self.sim.process(go())

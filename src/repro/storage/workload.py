@@ -5,19 +5,16 @@ Covers the access patterns the paper's evidence relies on:
 * sequential scans (the Hawk bandwidth experiment, E3);
 * aged/fragmented file layouts (Section 2.2.1 "File Layout": sequential
   read performance across aged file systems varies by up to a factor of
-  two, E13);
-* open-loop request streams for availability measurements (E14).
+  two, E13).
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence
+from typing import List, Sequence
 
-from ..faults.distributions import Distribution
 from ..sim.engine import Process, Simulator
-from ..sim.metrics import AvailabilityMeter
 from .disk import Disk
 
 __all__ = [
@@ -25,7 +22,6 @@ __all__ = [
     "sequential_scan",
     "file_layout",
     "read_layout",
-    "poisson_requests",
 ]
 
 
@@ -117,59 +113,5 @@ def read_layout(sim: Simulator, disk: Disk, layout: Sequence[int]) -> Process:
         duration = sim.now - begin
         mb = len(layout) * disk.params.block_size_mb
         return ScanResult(len(layout), duration, mb / duration if duration > 0 else float("inf"))
-
-    return sim.process(go())
-
-
-def poisson_requests(
-    sim: Simulator,
-    issue: Callable[[], object],
-    interarrival: Distribution,
-    count: int,
-    rng: random.Random,
-    meter: Optional[AvailabilityMeter] = None,
-    deadline: Optional[float] = None,
-) -> Process:
-    """Open-loop request stream for availability measurement.
-
-    ``issue()`` must return a simulation event for one request (e.g.
-    ``lambda: disk.read(lba, 1)``).  Requests are *open loop*: arrivals
-    keep coming while earlier requests are still outstanding, which is
-    what makes slow components hurt availability rather than just
-    stretching the run.  Each completion is recorded into ``meter`` (a
-    failed or never-finished request records as unserved).  The process
-    returns the meter.
-    """
-    if count <= 0:
-        raise ValueError(f"count must be > 0, got {count}")
-    meter = meter or AvailabilityMeter(slo=1.0)
-    outstanding = []
-    closed = [False]  # set at the deadline; late completions then don't record
-
-    def one_request():
-        issued = sim.now
-        try:
-            yield issue()
-        except Exception:
-            if not closed[0]:
-                meter.record(None)
-            return
-        if not closed[0]:
-            meter.record(sim.now - issued)
-
-    def go():
-        for __ in range(count):
-            outstanding.append(sim.process(one_request()))
-            yield sim.timeout(interarrival.sample(rng))
-        pending = sim.all_of(outstanding)
-        if deadline is None:
-            yield pending
-        else:
-            yield sim.any_of([pending, sim.timeout(deadline)])
-            closed[0] = True
-            unfinished = sum(1 for p in outstanding if not p.triggered)
-            for __ in range(unfinished):
-                meter.record(None)
-        return meter
 
     return sim.process(go())

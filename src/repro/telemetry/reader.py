@@ -9,8 +9,8 @@ only if it decodes as UTF-8 AND parses as a JSON object carrying the
 lists of one length).  The first segment that fails -- or a trailing
 segment with no newline -- ends the valid prefix; everything before it
 is returned, the byte offset where validity ended is reported, and the
-reader **never raises** on truncation or garbage (the PR-5 ResultCache
-rule, applied to traces).
+reader **never raises** on truncation or garbage: damage shortens what
+is read, it never fails the read.
 
 Three conditions are errors rather than crash artifacts, because silently
 "recovering" from them would mis-read intact files:

@@ -1,5 +1,7 @@
 """Unit tests for the analysis utilities."""
 
+import json
+
 import pytest
 
 from repro.analysis import Table
@@ -55,3 +57,44 @@ class TestTable:
         assert len(table) == 0
         table.add_row(1)
         assert len(table) == 1
+
+
+class TestTableRoundTrip:
+    def _table(self):
+        table = Table("T: demo", ["name", "value", "flag"], note="a note")
+        table.add_row("pi", 3.14159, True)
+        table.add_row("count", 7, False)
+        table.add_row("nan", float("nan"), True)
+        table.add_row("inf", float("inf"), False)
+        return table
+
+    def test_round_trip_renders_identically(self):
+        table = self._table()
+        assert Table.from_dict(table.to_dict()).render() == table.render()
+
+    def test_round_trip_digest_is_stable(self):
+        table = self._table()
+        assert Table.from_dict(table.to_dict()).digest() == table.digest()
+
+    def test_round_trip_survives_json(self):
+        table = self._table()
+        payload = json.loads(json.dumps(table.to_dict()))
+        rebuilt = Table.from_dict(payload)
+        assert rebuilt.render() == table.render()
+        assert rebuilt.digest() == table.digest()
+
+    def test_digest_sees_full_precision(self):
+        """Cells that render identically still digest differently."""
+        a = Table("T", ["v"])
+        a.add_row(0.123456789)
+        b = Table("T", ["v"])
+        b.add_row(0.123456788)
+        assert a.render() == b.render()  # both display as 3 significant digits
+        assert a.digest() != b.digest()
+
+    def test_digest_changes_with_any_field(self):
+        base = self._table()
+        retitled = Table("T: other", base.columns, note=base.note)
+        for row in base.rows:
+            retitled.add_row(*row)
+        assert retitled.digest() != base.digest()

@@ -1,10 +1,10 @@
-"""Unit and property tests for allocators."""
+"""Unit and property tests for largest-remainder apportioning."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import ProportionalAllocator, StaticAllocator, apportion
+from repro.core import apportion
 
 
 class TestApportion:
@@ -48,69 +48,3 @@ class TestApportion:
         for share, weight in zip(shares, weights):
             ideal = total * weight / sum(weights)
             assert abs(share - ideal) < 1.0
-
-
-class TestStaticAllocator:
-    def test_equal_weights(self):
-        weights = StaticAllocator().weights({"a": 10.0, "b": 1.0, "c": 5.0})
-        assert weights == {"a": pytest.approx(1 / 3), "b": pytest.approx(1 / 3), "c": pytest.approx(1 / 3)}
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            StaticAllocator().weights({})
-
-
-class TestProportionalAllocator:
-    def test_weights_match_rate_ratios(self):
-        weights = ProportionalAllocator().weights({"a": 6.0, "b": 3.0, "c": 1.0})
-        assert weights["a"] == pytest.approx(0.6)
-        assert weights["b"] == pytest.approx(0.3)
-        assert weights["c"] == pytest.approx(0.1)
-
-    def test_weights_sum_to_one(self):
-        weights = ProportionalAllocator().weights({"a": 5.5, "b": 5.5, "c": 2.75})
-        assert sum(weights.values()) == pytest.approx(1.0)
-
-    def test_exclusion_drops_crawling_component(self):
-        alloc = ProportionalAllocator(exclude_below=0.1)
-        weights = alloc.weights({"a": 10.0, "b": 10.0, "c": 0.5})
-        assert weights["c"] == 0.0
-        assert weights["a"] == pytest.approx(0.5)
-
-    def test_no_exclusion_keeps_slow_component(self):
-        """The paper's warning: discarding slow-but-working parts wastes
-        resources.  Default behaviour keeps them."""
-        weights = ProportionalAllocator().weights({"a": 10.0, "b": 0.5})
-        assert weights["b"] > 0.0
-
-    def test_exclusion_never_empties_pool(self):
-        alloc = ProportionalAllocator(exclude_below=0.99)
-        weights = alloc.weights({"a": 10.0, "b": 9.0})
-        assert weights["a"] > 0.0  # the best component always survives
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            ProportionalAllocator(exclude_below=1.5)
-        alloc = ProportionalAllocator()
-        with pytest.raises(ValueError):
-            alloc.weights({})
-        with pytest.raises(ValueError):
-            alloc.weights({"a": -1.0})
-        with pytest.raises(ValueError):
-            alloc.weights({"a": 0.0, "b": 0.0})
-
-    @given(
-        st.dictionaries(
-            st.text(min_size=1, max_size=4),
-            st.floats(min_value=0.001, max_value=1000.0),
-            min_size=1,
-            max_size=10,
-        )
-    )
-    @settings(max_examples=50)
-    def test_weights_normalised_and_ordered(self, rates):
-        weights = ProportionalAllocator().weights(rates)
-        assert sum(weights.values()) == pytest.approx(1.0)
-        ranked_rates = sorted(rates, key=rates.get)
-        ranked_weights = sorted(weights, key=weights.get)
-        assert ranked_rates == ranked_weights or len(set(rates.values())) < len(rates)

@@ -16,7 +16,6 @@ from repro.core import (
 from repro.faults import (
     DegradableServer,
     Exponential,
-    FailStopAt,
     TransientStutter,
     Uniform,
 )
@@ -115,7 +114,7 @@ class TestTraceOfRealComponents:
         TransientStutter(Exponential(2.0), Uniform(0.5, 1.0), Uniform(0.1, 0.5)).attach(
             sim, server, random.Random(7)
         )
-        FailStopAt(at=20.0).attach(sim, server)
+        sim.call_later(20.0, server.stop)
         sim.run(until=60.0)
         trace = trace_of(server)
         assert check_trace(trace) == []
@@ -137,6 +136,6 @@ class TestTraceOfRealComponents:
             sim, server, rng
         )
         if with_death:
-            FailStopAt(at=rng.uniform(1.0, 30.0)).attach(sim, server)
+            sim.call_later(rng.uniform(1.0, 30.0), server.stop)
         sim.run(until=40.0)
         assert check_trace(trace_of(server)) == []

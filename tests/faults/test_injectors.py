@@ -5,17 +5,12 @@ import random
 import pytest
 
 from repro.faults import (
-    CompositeInjector,
-    ComponentState,
-    CorrelatedGroupFault,
     DegradableServer,
-    FailStopAt,
     Fixed,
     IntermittentOffline,
     InterferenceLoad,
     PerformanceFault,
     PeriodicBackground,
-    RandomFailStop,
     StaticSkew,
     TransientStutter,
     Uniform,
@@ -140,47 +135,6 @@ class TestIntermittentOffline:
         assert rates == [0.0]
 
 
-class TestCorrelatedGroupFault:
-    def test_group_stalls_together(self):
-        sim = Simulator()
-        disks = [DegradableServer(sim, f"disk{i}", 10.0) for i in range(4)]
-        injector = CorrelatedGroupFault(interarrival=Fixed(5.0), duration=Fixed(2.0))
-        injector.attach_group(sim, disks, random.Random(0))
-        rates = []
-
-        def probe():
-            yield sim.timeout(6.0)  # inside stall [5, 7)
-            rates.append([d.effective_rate for d in disks])
-            yield sim.timeout(2.0)  # after stall
-            rates.append([d.effective_rate for d in disks])
-
-        sim.process(probe())
-        sim.run(until=9.0)
-        assert rates[0] == [0.0] * 4
-        assert rates[1] == [10.0] * 4
-
-    def test_skips_stopped_members(self):
-        sim = Simulator()
-        disks = [DegradableServer(sim, f"disk{i}", 10.0) for i in range(2)]
-        disks[0].stop()
-        CorrelatedGroupFault(Fixed(1.0), Fixed(1.0)).attach_group(sim, disks, random.Random(0))
-        sim.run(until=1.5)
-        assert disks[0].state is ComponentState.STOPPED
-        assert disks[1].effective_rate == 0.0
-
-    def test_empty_group_rejected(self):
-        sim = Simulator()
-        with pytest.raises(ValueError):
-            CorrelatedGroupFault(Fixed(1.0), Fixed(1.0)).attach_group(sim, [], random.Random(0))
-
-    def test_single_target_attach_works(self):
-        sim, target = make_target()
-        CorrelatedGroupFault(Fixed(2.0), Fixed(1.0)).attach(sim, target, random.Random(0))
-        sim.run(until=10.0)
-        episodes = [f for f in target.fault_log if isinstance(f, PerformanceFault)]
-        assert len(episodes) >= 2
-
-
 class TestInterferenceLoad:
     def test_share_reduces_rate(self):
         sim, target = make_target()
@@ -212,83 +166,10 @@ class TestInterferenceLoad:
             InterferenceLoad(share=0.5, duration=0.0)
 
 
-class TestFailStop:
-    def test_fail_stop_at(self):
-        sim, target = make_target()
-        FailStopAt(at=4.0).attach(sim, target)
-        sim.run()
-        assert target.stopped
-        assert target.fault_log[-1].time == 4.0
-
-    def test_random_fail_stop_deterministic_per_seed(self):
-        def stop_time(seed):
-            sim, target = make_target()
-            RandomFailStop(mttf=100.0).attach(sim, target, random.Random(seed))
-            sim.run()
-            return target.fault_log[-1].time
-
-        assert stop_time(3) == stop_time(3)
-        assert stop_time(3) != stop_time(4)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            FailStopAt(at=-1.0)
-        with pytest.raises(ValueError):
-            RandomFailStop(mttf=0.0)
-
-
-class TestCompositeInjector:
-    def test_children_all_apply(self):
-        sim, target = make_target()
-        composite = CompositeInjector(
-            [StaticSkew(0.5), InterferenceLoad(share=0.5, at=1.0, duration=2.0)]
-        )
-        composite.attach(sim, target)
-        rates = []
-
-        def probe():
-            yield sim.timeout(0.5)
-            rates.append(target.effective_rate)
-            yield sim.timeout(1.0)
-            rates.append(target.effective_rate)
-            yield sim.timeout(2.0)
-            rates.append(target.effective_rate)
-
-        sim.process(probe())
-        sim.run()
-        assert rates == [5.0, 2.5, 5.0]
-
-    def test_empty_composite_rejected(self):
-        with pytest.raises(ValueError):
-            CompositeInjector([])
-
-    def test_cancel_restores_all_children_slowdowns(self):
-        """Compose-then-cancel: every child channel is cleared, so the
-        component returns to nominal instead of freezing degraded."""
-        sim, target = make_target()
-        composite = CompositeInjector(
-            [StaticSkew(0.5), InterferenceLoad(share=0.5)]
-        )
-        handle = composite.attach(sim, target)
-        rates = []
-
-        def probe():
-            yield sim.timeout(1.0)
-            rates.append(target.effective_rate)  # both faults applied
-            handle.cancel()
-            rates.append(target.effective_rate)  # both channels cleared
-            yield sim.timeout(5.0)
-            rates.append(target.effective_rate)  # and nothing comes back
-
-        sim.process(probe())
-        sim.run()
-        assert rates == [2.5, 10.0, 10.0]
-        assert handle.cancelled
-        assert all(child.cancelled for child in handle.children)
-
+class TestInjectorHandle:
     def test_cancel_without_restore_keeps_applied_factors(self):
         sim, target = make_target()
-        handle = CompositeInjector([StaticSkew(0.5)]).attach(sim, target)
+        handle = StaticSkew(0.5).attach(sim, target)
         sim.run(until=1.0)
         handle.cancel(restore=False)
         assert target.effective_rate == 5.0
@@ -361,17 +242,6 @@ class TestInjectorAnnouncements:
         # a fluid listener interrupts before the rate actually moves.
         assert kinds.index(events[0].kind) < len(kinds) - 1
         assert target.effective_rate == 10.0
-
-    def test_composite_cancel_announces_each_child(self):
-        system, target, records = self.make_watched_target()
-        handle = CompositeInjector([StaticSkew(0.5), StaticSkew(0.8)]).attach(
-            system, target
-        )
-        system.run(until=1.0)
-        records.clear()
-        handle.cancel(restore=False)
-        actions = [e.detail["action"] for e in self.events(records)]
-        assert actions == ["cancel", "cancel"]
 
     def test_silent_without_listeners(self):
         # No bus subscriber: the announcement short-circuits on wants().

@@ -1,9 +1,12 @@
 """Acceptance test for the unified Component protocol.
 
-One System hosting every public component class from all four
-substrates: each must be reachable through ``System.components`` with a
-non-None spec, and both a fault injector and a ThresholdDetector must
-attach to each purely by its registered name -- no object references.
+One System hosting every public component class of the storage, network
+and cluster substrates: each must be reachable through
+``System.components`` with a non-None spec, and both a fault injector
+and a ThresholdDetector must attach to each purely by its registered
+name -- no object references.  The processor substrate has no component
+class: its cache, TLB and memory-bank models are plain cost models that
+the processor experiments drive directly.
 """
 
 import pytest
@@ -12,21 +15,11 @@ from repro.cluster import Memory, Node, ReplicatedDht
 from repro.core import System
 from repro.faults import StaticSkew
 from repro.network import Fabric, Link, Switch
-from repro.processor import (
-    BankedMemory,
-    Cache,
-    CacheComponent,
-    MemBankComponent,
-    Tlb,
-    TlbComponent,
-)
 from repro.storage import (
     Disk,
     DiskParams,
     Raid0,
     Raid1Pair,
-    Raid5,
-    Raid10,
     ScsiBus,
     uniform_geometry,
 )
@@ -42,10 +35,11 @@ def build_full_system():
     """One instance of every public component class, one registry."""
     sim = System()
 
-    # storage: Disk, ScsiBus, Raid0, Raid1Pair, Raid10, Raid5
-    raid10 = Raid10.from_disks(sim, [make_disk(sim, f"d{i}") for i in range(4)])
-    raid0 = Raid0(sim, [make_disk(sim, f"r0d{i}") for i in range(2)], name="raid0")
-    raid5 = Raid5(sim, [make_disk(sim, f"r5d{i}") for i in range(3)], name="raid5")
+    # storage: Disk, ScsiBus, Raid0, Raid1Pair
+    disks = [make_disk(sim, f"d{i}") for i in range(4)]
+    Raid1Pair(sim, disks[0], disks[1])
+    Raid1Pair(sim, disks[2], disks[3])
+    Raid0(sim, [make_disk(sim, f"r0d{i}") for i in range(2)], name="raid0")
     ScsiBus(sim, [make_disk(sim, f"busd{i}") for i in range(2)], name="scsi0")
 
     # network: Link, Switch, Fabric
@@ -54,20 +48,14 @@ def build_full_system():
     fabric = Fabric(sim, name="fabric")
     fabric.add_link("n1", "n2", bandwidth=50.0)
 
-    # processor: spec-bearing adapters over the cycle-level models
-    CacheComponent(sim, Cache(), name="cache0")
-    MemBankComponent(sim, BankedMemory(), name="membank0")
-    TlbComponent(sim, Tlb(), name="tlb0")
-
     # cluster: Memory, Node, ReplicatedDht
     Memory(256.0, sim, "mem0")
     Node(sim, "node0")
     ReplicatedDht(sim, n_pairs=2, name="dht0")
 
     expected_types = {
-        "storage": {Disk, ScsiBus, Raid0, Raid1Pair, Raid10, Raid5},
+        "storage": {Disk, ScsiBus, Raid0, Raid1Pair},
         "network": {Link, Switch, Fabric},
-        "processor": {CacheComponent, MemBankComponent, TlbComponent},
         "cluster": {Memory, Node, ReplicatedDht},
     }
     return sim, expected_types

@@ -21,7 +21,7 @@ from repro.faults import (
     TransientStutter,
 )
 from repro.network import Switch, SwitchConfig
-from repro.sim import RandomStreams, Simulator
+from repro.sim import Simulator, derive_seed
 from repro.storage import (
     AdaptiveStriping,
     Disk,
@@ -182,7 +182,6 @@ class TestFullStackDeterminism:
 
         def run_once(seed):
             sim = Simulator()
-            streams = RandomStreams(seed)
             disks = [make_disk(sim, f"d{i}") for i in range(8)]
             pairs = [
                 Raid1Pair(sim, disks[2 * i], disks[2 * i + 1]) for i in range(4)
@@ -191,14 +190,14 @@ class TestFullStackDeterminism:
 
             TransientStutter(
                 Exponential(3.0), Uniform(0.5, 1.5), Uniform(0.2, 0.8)
-            ).attach(sim, disks[0], streams.get("stutter"))
+            ).attach(sim, disks[0], random.Random(derive_seed(seed, "stutter")))
             bus = ScsiBus(
                 sim,
                 disks,
                 error_interarrival=Exponential(9.0),
                 reset_duration=Uniform(0.2, 1.0),
                 mix=ErrorMix(timeout=1.0, parity=0.0, network=0.0, other=0.0),
-                rng=streams.get("bus"),
+                rng=random.Random(derive_seed(seed, "bus")),
             )
             bus.start()
             result = sim.run(

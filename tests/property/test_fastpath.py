@@ -13,10 +13,12 @@ experiment depends on:
   perturb the order of the live events around them.
 """
 
+import random
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim import RandomStreams, RateServer, Simulator
+from repro.sim import RateServer, Simulator, derive_seed
 
 rate_schedules = st.lists(
     st.tuples(
@@ -102,7 +104,7 @@ class TestDeterminismWithDefunctEntries:
 
         def run_once():
             sim = Simulator()
-            rng = RandomStreams(seed).get("storm")
+            rng = random.Random(derive_seed(seed, "storm"))
             server = RateServer(sim, rate=1.0)
             trace = []
 

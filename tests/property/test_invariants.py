@@ -19,7 +19,6 @@ from repro.storage import (
     Disk,
     DiskParams,
     Raid1Pair,
-    Raid5,
     uniform_geometry,
 )
 
@@ -28,54 +27,6 @@ PARAMS = DiskParams(rpm=5400, avg_seek=0.011, block_size_mb=0.5)
 
 def make_disks(sim, n):
     return [Disk(sim, f"d{i}", uniform_geometry(100_000, 5.5), PARAMS) for i in range(n)]
-
-
-class TestRaid5ParityInvariant:
-    @given(
-        st.lists(
-            st.tuples(
-                st.integers(min_value=0, max_value=29),  # logical block
-                st.integers(min_value=0, max_value=255),  # value
-            ),
-            min_size=1,
-            max_size=40,
-        )
-    )
-    @settings(max_examples=40, deadline=None)
-    def test_parity_consistent_after_any_write_sequence(self, writes):
-        sim = Simulator()
-        raid = Raid5(sim, make_disks(sim, 4))
-        touched_stripes = set()
-        for block, value in writes:
-            sim.run(until=raid.write(block, value=value))
-            touched_stripes.add(raid.locate(block)[0])
-        for stripe in touched_stripes:
-            assert raid.stripe_consistent(stripe)
-
-    @given(
-        st.lists(
-            st.tuples(
-                st.integers(min_value=0, max_value=29),
-                st.integers(min_value=0, max_value=255),
-            ),
-            min_size=1,
-            max_size=25,
-        ),
-        st.integers(min_value=0, max_value=3),
-    )
-    @settings(max_examples=30, deadline=None)
-    def test_any_single_disk_reconstructible(self, writes, failed_index):
-        """After arbitrary writes, killing any one member loses nothing."""
-        sim = Simulator()
-        disks = make_disks(sim, 4)
-        raid = Raid5(sim, disks)
-        expected = {}
-        for block, value in writes:
-            sim.run(until=raid.write(block, value=value))
-            expected[block] = value
-        disks[failed_index].stop()
-        for block, value in expected.items():
-            assert sim.run(until=raid.read(block)) == value
 
 
 class TestMirrorInvariant:

@@ -1,7 +1,8 @@
 """Equivalence of the analytic model fast paths and their references.
 
-The PR that introduced the analytic paths kept the original interpreted
-loops as ``*_reference`` methods — the executable spec.  These tests
+The original interpreted loops live on in
+:mod:`tests.property.reference_models` as ``*_reference`` functions — the
+executable spec.  These tests
 drive both sides over a few hundred seeded random geometries, remap
 populations and request streams and require *exact* agreement (``==``,
 not ``approx``) everywhere the fast path claims bit-identity; only the
@@ -16,6 +17,8 @@ from repro.sim.engine import Simulator
 from repro.storage.badblocks import BadBlockMap
 from repro.storage.disk import Disk, DiskParams
 from repro.storage.geometry import Zone, ZoneGeometry, zoned_geometry
+
+from .reference_models import remapped_in_range_reference, service_time_reference
 
 
 def _random_geometry(rng: random.Random) -> ZoneGeometry:
@@ -51,7 +54,7 @@ class TestServiceTimeEquivalence:
                 nblocks = rng.randint(1, capacity - lba)
                 hint = rng.random() < 0.5
                 assert disk.service_time(lba, nblocks, hint) == \
-                    disk.service_time_reference(lba, nblocks, hint)
+                    service_time_reference(disk, lba, nblocks, hint)
 
     def test_whole_disk_and_single_block_requests(self):
         rng = random.Random(7)
@@ -59,9 +62,9 @@ class TestServiceTimeEquivalence:
             disk = _random_disk(rng, 0.05)
             capacity = disk.geometry.capacity_blocks
             assert disk.service_time(0, capacity) == \
-                disk.service_time_reference(0, capacity)
+                service_time_reference(disk, 0, capacity)
             assert disk.service_time(capacity - 1, 1) == \
-                disk.service_time_reference(capacity - 1, 1)
+                service_time_reference(disk, capacity - 1, 1)
 
     def test_head_state_respected_both_paths(self):
         """The sequential-head fast path must agree after real reads."""
@@ -74,7 +77,7 @@ class TestServiceTimeEquivalence:
             if at + nblocks > capacity:
                 at = 0
             assert disk.service_time(at, nblocks) == \
-                disk.service_time_reference(at, nblocks)
+                service_time_reference(disk, at, nblocks)
             disk.read(at, nblocks)
             at += nblocks if rng.random() < 0.7 else rng.randrange(capacity // 2)
 
@@ -150,7 +153,7 @@ class TestRemapCountEquivalence:
                 lba = rng.randrange(capacity)
                 nblocks = rng.randint(1, capacity - lba) if capacity > lba else 1
                 assert bmap.remapped_in_range(lba, nblocks) == \
-                    bmap.remapped_in_range_reference(lba, nblocks)
+                    remapped_in_range_reference(bmap, lba, nblocks)
 
     def test_grown_defects_keep_sorted_invariant(self):
         rng = random.Random(8)
@@ -163,4 +166,4 @@ class TestRemapCountEquivalence:
             lba = rng.randrange(10_000)
             nblocks = rng.randint(1, 500)
             assert bmap.remapped_in_range(lba, nblocks) == \
-                bmap.remapped_in_range_reference(lba, nblocks)
+                remapped_in_range_reference(bmap, lba, nblocks)

@@ -1,6 +1,4 @@
-"""Property tests for LFS and DHT durability invariants."""
-
-import random
+"""Property tests for DHT durability invariants."""
 
 import pytest
 from hypothesis import given, settings
@@ -8,55 +6,6 @@ from hypothesis import strategies as st
 
 from repro.cluster import ReplicatedDht
 from repro.sim import Simulator
-from repro.storage import Disk, DiskParams, LfsConfig, LogFs, uniform_geometry
-
-PARAMS = DiskParams(rpm=10_000, avg_seek=0.005, block_size_mb=0.5)
-
-
-class TestLfsInvariants:
-    @given(st.lists(st.integers(min_value=0, max_value=30), min_size=1, max_size=200))
-    @settings(max_examples=30, deadline=None)
-    def test_location_map_consistent_after_any_write_sequence(self, block_ids):
-        """Every live block's recorded location is inside a segment that
-        claims it; segment accounting never leaks or double-frees."""
-        sim = Simulator()
-        disk = Disk(sim, "log", uniform_geometry(16 * 16, 40.0), PARAMS)
-        fs = LogFs(sim, disk, LfsConfig(segment_blocks=16, n_segments=16,
-                                        clean_low_water=3, clean_high_water=6))
-
-        def writer():
-            for block_id in block_ids:
-                yield fs.write(block_id)
-
-        sim.run(until=sim.process(writer()))
-        # Live set is exactly the distinct ids written.
-        assert fs.live_blocks() == len(set(block_ids))
-        # The location map and the per-segment live sets agree.
-        for block_id in set(block_ids):
-            segment, offset = fs._where[block_id]
-            assert block_id in fs._live[segment]
-            assert 0 <= offset < fs.config.segment_blocks
-        # No segment is both free and holding live data.
-        for segment in fs._free:
-            assert not fs._live[segment]
-        # Appends counted exactly.
-        assert fs.stats.appends == len(block_ids)
-
-    @given(st.integers(min_value=0, max_value=10_000))
-    @settings(max_examples=15, deadline=None)
-    def test_heavy_churn_never_wedges(self, seed):
-        sim = Simulator()
-        disk = Disk(sim, "log", uniform_geometry(12 * 16, 40.0), PARAMS)
-        fs = LogFs(sim, disk, LfsConfig(segment_blocks=16, n_segments=12,
-                                        clean_low_water=3, clean_high_water=6))
-        rng = random.Random(seed)
-
-        def writer():
-            for __ in range(300):
-                yield fs.write(rng.randrange(40))
-
-        sim.run(until=sim.process(writer()))
-        assert fs.stats.appends == 300
 
 
 class TestDhtDurability:

@@ -89,22 +89,6 @@ class TestScenarioFactory:
     def test_fault_free_spec_yields_the_empty_schedule(self):
         assert compile_spec(_spec()).scenario().events == ()
 
-    def test_run_requires_a_policy_binding(self):
-        with pytest.raises(ValueError) as err:
-            compile_spec(_spec()).run()
-        assert "binds no policy" in str(err.value)
-
-    def test_run_honours_the_spec_policy(self):
-        compiled = compile_spec(_spec(policy="no-mitigation"))
-        outcome = compiled.run()
-        assert outcome.policy == "no-mitigation"
-        assert outcome.n_requests == 40
-        assert not outcome.violations
-
-    def test_run_policy_argument_overrides_the_spec(self):
-        compiled = compile_spec(_spec(policy="no-mitigation"))
-        assert compiled.run(policy="stutter-aware").policy == "stutter-aware"
-
 
 class TestEligibility:
     def test_discrete_is_always_eligible(self):

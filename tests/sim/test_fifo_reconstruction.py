@@ -1,9 +1,10 @@
 """Property tests: closed-form FIFO delay reconstruction vs the discrete engine.
 
 The hybrid engine's saturated regime rests on
-:func:`~repro.sim.fluid.fifo_completions` (Lindley recurrence in closed
-form) and :func:`~repro.sim.fluid.fifo_uniform_ramps` (its uniform-
-schedule specialization to at most two arithmetic ramps).  These
+:func:`~repro.sim.fluid.fifo_uniform_ramps`, the uniform-schedule
+specialization of the closed-form Lindley recurrence to at most two
+arithmetic ramps; :func:`tests.sim.reference_fifo.fifo_completions` is
+the general closed form it specializes.  These
 properties drive both against a real :class:`~repro.sim.resources.RateServer`
 on a :class:`~repro.sim.engine.Simulator` over random overload/drain
 schedules: every per-request completion time must agree to 1e-9
@@ -16,8 +17,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.sim.engine import Simulator
-from repro.sim.fluid import fifo_completions, fifo_uniform_ramps
+from repro.sim.fluid import fifo_uniform_ramps
 from repro.sim.resources import RateServer
+
+from .reference_fifo import fifo_completions
 
 _REL = 1e-9
 

@@ -8,10 +8,12 @@ These pin the invariants DESIGN.md commits to:
 * RateServer conserves work across arbitrary rate-change schedules.
 """
 
+import random
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim import RandomStreams, RateServer, Simulator
+from repro.sim import RateServer, Simulator, derive_seed
 
 
 delays = st.lists(
@@ -59,7 +61,7 @@ class TestDeterminismProperties:
     def test_same_seed_same_trace(self, seed, njobs):
         def run_once():
             sim = Simulator()
-            rng = RandomStreams(seed).get("workload")
+            rng = random.Random(derive_seed(seed, "workload"))
             server = RateServer(sim, rate=1.0)
             completions = []
 

@@ -1,6 +1,6 @@
-"""Unit tests for deterministic random streams."""
+"""Unit tests for deterministic named seeds."""
 
-from repro.sim import RandomStreams, derive_seed
+from repro.sim import derive_seed
 
 
 class TestDeriveSeed:
@@ -17,41 +17,3 @@ class TestDeriveSeed:
         # Pin a concrete value so accidental algorithm changes are caught.
         assert derive_seed(0, "x") == derive_seed(0, "x")
         assert isinstance(derive_seed(0, "x"), int)
-
-
-class TestRandomStreams:
-    def test_same_name_returns_same_stream(self):
-        streams = RandomStreams(7)
-        assert streams.get("a") is streams.get("a")
-
-    def test_sequences_reproducible(self):
-        seq1 = [RandomStreams(7).get("a").random() for __ in range(5)]
-        seq2 = [RandomStreams(7).get("a").random() for __ in range(5)]
-        assert seq1 == seq2
-
-    def test_streams_independent_of_creation_order(self):
-        s1 = RandomStreams(7)
-        s1.get("noise")  # extra stream created first
-        a_after = s1.get("a").random()
-        s2 = RandomStreams(7)
-        a_only = s2.get("a").random()
-        assert a_after == a_only
-
-    def test_different_names_give_different_sequences(self):
-        streams = RandomStreams(7)
-        a = [streams.get("a").random() for __ in range(3)]
-        b = [streams.get("b").random() for __ in range(3)]
-        assert a != b
-
-    def test_fork_is_deterministic_and_distinct(self):
-        f1 = RandomStreams(7).fork("disks")
-        f2 = RandomStreams(7).fork("disks")
-        assert f1.seed == f2.seed
-        assert f1.seed != RandomStreams(7).seed
-        assert f1.get("a").random() == f2.get("a").random()
-
-    def test_contains(self):
-        streams = RandomStreams(0)
-        assert "a" not in streams
-        streams.get("a")
-        assert "a" in streams

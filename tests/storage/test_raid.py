@@ -4,7 +4,7 @@ import pytest
 
 from repro.faults import ComponentStopped
 from repro.sim import Simulator
-from repro.storage import Disk, DiskParams, Raid0, Raid1Pair, Raid5, Raid10, uniform_geometry
+from repro.storage import Disk, DiskParams, Raid0, Raid1Pair, uniform_geometry
 
 FAST_PARAMS = DiskParams(rpm=5400, avg_seek=0.011, block_size_mb=0.5)
 
@@ -155,148 +155,3 @@ class TestRaid1Pair:
         d1, d2 = make_disks(sim, 2)
         pair = Raid1Pair(sim, d1, d2)
         assert pair.nominal_service_time(0, 11) == pytest.approx(1.0)
-
-
-class TestRaid10:
-    def test_from_disks_pairs_adjacent(self):
-        sim = Simulator()
-        disks = make_disks(sim, 8)
-        raid = Raid10.from_disks(sim, disks)
-        assert raid.width == 4
-        assert raid.pairs[0].primary is disks[0]
-        assert raid.pairs[0].secondary is disks[1]
-
-    def test_locate_stripes_over_pairs(self):
-        sim = Simulator()
-        raid = Raid10.from_disks(sim, make_disks(sim, 8))
-        assert raid.locate(0) == (0, 0)
-        assert raid.locate(3) == (3, 0)
-        assert raid.locate(4) == (0, 1)
-
-    def test_write_mirrors_within_pair(self):
-        sim = Simulator()
-        disks = make_disks(sim, 8)
-        raid = Raid10.from_disks(sim, disks)
-        sim.run(until=raid.write(2, value=11))
-        assert disks[4].peek(0) == 11
-        assert disks[5].peek(0) == 11
-
-    def test_read_roundtrip(self):
-        sim = Simulator()
-        raid = Raid10.from_disks(sim, make_disks(sim, 8))
-        sim.run(until=raid.write(5, value=42))
-        assert sim.run(until=raid.read(5)) == 42
-
-    def test_failed_only_when_pair_lost(self):
-        sim = Simulator()
-        disks = make_disks(sim, 8)
-        raid = Raid10.from_disks(sim, disks)
-        disks[0].stop()
-        assert not raid.failed
-        disks[1].stop()
-        assert raid.failed
-
-    def test_validation(self):
-        sim = Simulator()
-        with pytest.raises(ValueError):
-            Raid10.from_disks(sim, make_disks(sim, 3))
-        with pytest.raises(ValueError):
-            Raid10.from_disks(sim, make_disks(sim, 2))
-        raid = Raid10.from_disks(sim, make_disks(sim, 4))
-        with pytest.raises(ValueError):
-            raid.locate(-2)
-
-
-class TestRaid5:
-    def test_parity_rotates(self):
-        sim = Simulator()
-        raid = Raid5(sim, make_disks(sim, 4))
-        assert raid.parity_disk_of(0) == 3
-        assert raid.parity_disk_of(1) == 2
-        assert raid.parity_disk_of(3) == 0
-        assert raid.parity_disk_of(4) == 3
-
-    def test_locate_skips_parity_member(self):
-        sim = Simulator()
-        raid = Raid5(sim, make_disks(sim, 4))
-        # Stripe 0: parity on disk 3, data on 0,1,2.
-        assert raid.locate(0) == (0, 0, 0)
-        assert raid.locate(2) == (0, 2, 0)
-        # Stripe 1: parity on disk 2, data on 0,1,3.
-        assert raid.locate(3) == (1, 0, 1)
-        assert raid.locate(5) == (1, 3, 1)
-
-    def test_small_write_maintains_parity(self):
-        sim = Simulator()
-        raid = Raid5(sim, make_disks(sim, 4))
-        sim.run(until=raid.write(0, value=0b1010))
-        sim.run(until=raid.write(1, value=0b0110))
-        assert raid.stripe_consistent(0)
-
-    def test_overwrite_maintains_parity(self):
-        sim = Simulator()
-        raid = Raid5(sim, make_disks(sim, 4))
-        sim.run(until=raid.write(0, value=7))
-        sim.run(until=raid.write(0, value=9))
-        assert raid.stripe_consistent(0)
-        assert sim.run(until=raid.read(0)) == 9
-
-    def test_full_stripe_write_consistent(self):
-        sim = Simulator()
-        raid = Raid5(sim, make_disks(sim, 4))
-        sim.run(until=raid.write_stripe(2, [1, 2, 3]))
-        assert raid.stripe_consistent(2)
-
-    def test_full_stripe_write_needs_no_reads(self):
-        sim = Simulator()
-        disks = make_disks(sim, 4)
-        raid = Raid5(sim, disks)
-        sim.run(until=raid.write_stripe(0, [1, 2, 3]))
-        assert all(d.reads == 0 for d in disks)
-
-    def test_small_write_is_four_ios(self):
-        sim = Simulator()
-        disks = make_disks(sim, 4)
-        raid = Raid5(sim, disks)
-        sim.run(until=raid.write(0, value=5))
-        assert sum(d.reads for d in disks) == 2
-        assert sum(d.writes for d in disks) == 2
-
-    def test_degraded_read_reconstructs(self):
-        sim = Simulator()
-        disks = make_disks(sim, 4)
-        raid = Raid5(sim, disks)
-        sim.run(until=raid.write_stripe(0, [10, 20, 30]))
-        __, failed_index, __ = raid.locate(1)
-        disks[failed_index].stop()
-        assert sim.run(until=raid.read(1)) == 20
-
-    def test_reconstruct_block_matches_lost_data(self):
-        sim = Simulator()
-        disks = make_disks(sim, 4)
-        raid = Raid5(sim, disks)
-        sim.run(until=raid.write_stripe(0, [10, 20, 30]))
-        lost = disks[1].peek(0)
-        disks[1].stop()
-        value = sim.run(until=raid.reconstruct_block(0, 1))
-        assert value == lost
-
-    def test_two_failures_unrecoverable(self):
-        sim = Simulator()
-        disks = make_disks(sim, 4)
-        raid = Raid5(sim, disks)
-        sim.run(until=raid.write_stripe(0, [10, 20, 30]))
-        disks[0].stop()
-        disks[1].stop()
-        with pytest.raises(ComponentStopped):
-            sim.run(until=raid.read(0))
-
-    def test_validation(self):
-        sim = Simulator()
-        with pytest.raises(ValueError):
-            Raid5(sim, make_disks(sim, 2))
-        raid = Raid5(sim, make_disks(sim, 4))
-        with pytest.raises(ValueError):
-            raid.locate(-1)
-        with pytest.raises(ValueError):
-            raid.write_stripe(0, [1, 2])

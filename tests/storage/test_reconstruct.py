@@ -9,7 +9,6 @@ from repro.storage import (
     Disk,
     DiskParams,
     Raid1Pair,
-    Raid10,
     Reconstructor,
     uniform_geometry,
 )
@@ -134,8 +133,8 @@ class TestFailStopMidRebuild:
             Disk(sim, f"d{i}", uniform_geometry(100_000, 5.5), PARAMS)
             for i in range(4)
         ]
-        array = Raid10.from_disks(sim, disks)
-        pair = array.pairs[0]
+        pair = Raid1Pair(sim, disks[0], disks[1])
+        other = Raid1Pair(sim, disks[2], disks[3])
         for lba in range(8):
             sim.run(until=pair.write(lba, 1, value=lba))
         pair.secondary.stop()  # d1 dies; d0 is the survivor being copied
@@ -166,5 +165,5 @@ class TestFailStopMidRebuild:
         assert len(failures) == 2
         assert all(exc.component == "d0" for exc in failures)
         assert all("d0" in str(exc) for exc in failures)
-        # The other stripe pairs are untouched by the local disaster.
-        assert array.pairs[1].stopped is False
+        # The other mirror pair is untouched by the local disaster.
+        assert other.stopped is False

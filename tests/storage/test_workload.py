@@ -4,13 +4,11 @@ import random
 
 import pytest
 
-from repro.faults import Exponential, Fixed
-from repro.sim import AvailabilityMeter, Simulator
+from repro.sim import Simulator
 from repro.storage import (
     Disk,
     DiskParams,
     file_layout,
-    poisson_requests,
     read_layout,
     sequential_scan,
     uniform_geometry,
@@ -105,106 +103,3 @@ class TestReadLayout:
         disk = make_disk(sim)
         with pytest.raises(ValueError):
             read_layout(sim, disk, [])
-
-
-class TestPoissonRequests:
-    def test_all_requests_recorded(self):
-        sim = Simulator()
-        disk = make_disk(sim)
-        rng = random.Random(0)
-        meter = AvailabilityMeter(slo=1.0)
-        proc = poisson_requests(
-            sim,
-            issue=lambda: disk.read(rng.randrange(100_000), 1),
-            interarrival=Exponential(0.5),
-            count=50,
-            rng=rng,
-            meter=meter,
-        )
-        result = sim.run(until=proc)
-        assert result.offered == 50
-
-    def test_healthy_disk_high_availability(self):
-        sim = Simulator()
-        disk = make_disk(sim)
-        rng = random.Random(0)
-        meter = AvailabilityMeter(slo=0.5)
-        proc = poisson_requests(
-            sim,
-            issue=lambda: disk.read(rng.randrange(100_000), 1),
-            interarrival=Fixed(0.2),  # well under capacity
-            count=100,
-            rng=rng,
-            meter=meter,
-        )
-        result = sim.run(until=proc)
-        assert result.availability() > 0.95
-
-    def test_stalled_disk_kills_availability(self):
-        sim = Simulator()
-        disk = make_disk(sim)
-        disk.set_slowdown("stall", 0.01)
-        rng = random.Random(0)
-        meter = AvailabilityMeter(slo=0.5)
-        proc = poisson_requests(
-            sim,
-            issue=lambda: disk.read(rng.randrange(100_000), 1),
-            interarrival=Fixed(0.2),
-            count=50,
-            rng=rng,
-            meter=meter,
-            deadline=60.0,
-        )
-        result = sim.run(until=proc)
-        assert result.availability() < 0.2
-
-    def test_deadline_counts_unfinished_as_unserved(self):
-        sim = Simulator()
-        disk = make_disk(sim)
-        disk.set_slowdown("stall", 0.0)  # nothing ever completes
-        rng = random.Random(0)
-        meter = AvailabilityMeter(slo=1.0)
-        proc = poisson_requests(
-            sim,
-            issue=lambda: disk.read(0, 1),
-            interarrival=Fixed(0.1),
-            count=10,
-            rng=rng,
-            meter=meter,
-            deadline=5.0,
-        )
-        result = sim.run(until=proc)
-        assert result.offered == 10
-        assert result.availability() == 0.0
-
-    def test_failing_issue_records_unserved(self):
-        sim = Simulator()
-        disk = make_disk(sim)
-        disk.stop()
-        rng = random.Random(0)
-
-        def issue():
-            return disk.read(0, 1)  # raises ComponentStopped
-
-        meter = AvailabilityMeter(slo=1.0)
-
-        def guarded():
-            try:
-                return issue()
-            except Exception:
-                ev = sim.event()
-                ev.fail(RuntimeError("request lost"))
-                return ev
-
-        proc = poisson_requests(
-            sim, guarded, Fixed(0.1), count=5, rng=rng, meter=meter
-        )
-        result = sim.run(until=proc)
-        assert result.offered == 5
-        assert result.availability() == 0.0
-
-    def test_count_validation(self):
-        sim = Simulator()
-        disk = make_disk(sim)
-        with pytest.raises(ValueError):
-            poisson_requests(sim, lambda: disk.read(0, 1), Fixed(1.0), 0, random.Random(0))

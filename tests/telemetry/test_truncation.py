@@ -1,11 +1,11 @@
-"""Crash-truncation recovery: the PR-5 ResultCache rule, for traces.
+"""Crash-truncation recovery: a torn trace reads as its valid prefix.
 
 A trace survives a crash precisely when the reader can recover the
-valid prefix of a torn file.  The sweep here mirrors
-``tests/analysis/test_cache.py::test_mid_byte_truncation_is_a_miss_at_every_offset``:
-cut the file at *every* byte offset and demand the reader (and the
-replay built on it) recover without ever raising, report exactly where
-validity ended, and never mis-count a half-written record as whole.
+valid prefix of a torn file; damage shortens what is read, it never
+fails the read.  The sweep here cuts the file at *every* byte offset and
+demands that the reader (and the replay built on it) recover without
+ever raising, report exactly where validity ended, and never mis-count
+a half-written record as whole.
 The campaign recording and the golden soak (two windows, so two
 ``recs`` blocks between window lines) are both swept.
 """

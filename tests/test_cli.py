@@ -38,11 +38,16 @@ class TestCli:
         assert main(["run", "e99"]) == 2
         assert "unknown experiment" in capsys.readouterr().err
 
-    def test_report_contains_all_sections(self, capsys):
+    def test_report_contains_all_sections(self, capsys, tmp_path, monkeypatch):
+        # Every place a per-user cache could land points at one empty
+        # directory: the report computes every table and writes nothing.
+        for var in ("HOME", "XDG_CACHE_HOME", "REPRO_CACHE_DIR"):
+            monkeypatch.setenv(var, str(tmp_path))
         assert main(["report"]) == 0
         out = capsys.readouterr().out
         assert out.count("## ") == len(ALL_EXPERIMENTS)
         assert "Paper:" in out and "Measured:" in out
+        assert list(tmp_path.iterdir()) == []
 
     def test_report_flags_are_shared_with_the_module_cli(self, capsys):
         from repro.experiments import report
@@ -53,8 +58,17 @@ class TestCli:
                 run(argv)
             option_blocks.append(capsys.readouterr().out.rsplit("\n\n", 1)[-1])
         assert option_blocks[0] == option_blocks[1]
-        for flag in ("--workers N", "--no-cache", "--cache-dir PATH"):
-            assert flag in option_blocks[0]
+        flags = [
+            line.split("  ")[1]
+            for line in option_blocks[0].splitlines()
+            if line.startswith("  -")
+        ]
+        assert flags == ["-h, --help", "--workers N"]
+
+        with pytest.raises(SystemExit) as exc:
+            main(["report", "--no-cache"])
+        assert exc.value.code == 2
+        assert "--no-cache" in capsys.readouterr().err
 
     def test_campaign_prints_scorecard_and_digest(self, capsys):
         argv = [
