@@ -20,7 +20,7 @@ import random
 from repro.cluster import ReplicatedDht
 from repro.core import System
 from repro.faults import PeriodicBackground
-from repro.sim import LatencyRecorder
+from repro.sim import LatencySummary
 
 N_OPS = 800
 GAP = 0.02  # 50 puts/s offered
@@ -34,12 +34,12 @@ def run_config(label, with_gc, placement, seed=3):
     if with_gc:
         # Registry wiring: the GC pause reaches the brick by its name.
         sim.inject("brick0", PeriodicBackground(period=5.0, duration=1.0, factor=0.0))
-    recorder = LatencyRecorder()
+    latencies = []
     rng = random.Random(seed)
 
     def one(key):
         latency = yield dht.put(key)
-        recorder.record(latency)
+        latencies.append(latency)
 
     def client():
         for i in range(N_OPS):
@@ -48,7 +48,7 @@ def run_config(label, with_gc, placement, seed=3):
 
     sim.process(client())
     sim.run(until=N_OPS * GAP * 20)
-    summary = recorder.summary()
+    summary = LatencySummary.of(latencies)
     print(f"  {label:<28} p50 {summary.p50 * 1000:7.1f} ms   "
           f"p99 {summary.p99 * 1000:7.1f} ms   "
           f"max {summary.maximum * 1000:7.1f} ms   "

@@ -171,7 +171,7 @@ def scale_workload(workload: "CampaignWorkload", n_requests: int) -> "CampaignWo
 
 
 def scale_scenario(workload: "CampaignWorkload", family: str, seed: int = 7,
-                   index: int = 0, base_requests: Optional[int] = None) -> "Scenario":
+                   index: int = 0) -> "Scenario":
     """Draw a scenario whose fault windows keep a *fixed* virtual extent.
 
     The stock families size onsets and durations from the workload's
@@ -179,14 +179,13 @@ def scale_scenario(workload: "CampaignWorkload", family: str, seed: int = 7,
     with it and a hybrid run would stay mostly discrete.  For scale
     studies the interesting regime is the opposite: a fault window of
     the stock workload's extent embedded in a much longer fault-free
-    run.  This draws the scenario against ``base_requests`` (default:
-    the stock request count for the workload's name, else the
-    workload's own) and reuses it under the scaled workload -- valid
-    because the component names do not depend on ``n_requests``.
+    run.  This draws the scenario against the stock request count for
+    the workload's name (else the workload's own) and reuses it under
+    the scaled workload -- valid because the component names do not
+    depend on ``n_requests``.
     """
-    if base_requests is None:
-        stock = campaign.WORKLOADS.get(workload.name)
-        base_requests = stock.n_requests if stock is not None else workload.n_requests
+    stock = campaign.WORKLOADS.get(workload.name)
+    base_requests = stock.n_requests if stock is not None else workload.n_requests
     base = replace(workload, n_requests=base_requests)
     return campaign.generate_scenario(base, family, seed, index)
 

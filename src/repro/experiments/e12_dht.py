@@ -16,19 +16,19 @@ from ..analysis.report import Table
 from ..cluster.dht import ReplicatedDht
 from ..core.system import System
 from ..faults.library import PeriodicBackground
-from ..sim.metrics import LatencyRecorder
+from ..sim.metrics import LatencySummary
 
 __all__ = ["run"]
 
 
-def _drive(sim, dht, n_ops: int, gap: float, reuse: float, seed: int) -> LatencyRecorder:
+def _drive(sim, dht, n_ops: int, gap: float, reuse: float, seed: int) -> LatencySummary:
     """Insert-heavy stream (the DDS workload): mostly new keys, some reuse."""
     rng = random.Random(seed)
-    recorder = LatencyRecorder()
+    latencies = []
 
     def one(key):
         latency = yield dht.put(key)
-        recorder.record(latency)
+        latencies.append(latency)
 
     def source():
         for i in range(n_ops):
@@ -41,10 +41,10 @@ def _drive(sim, dht, n_ops: int, gap: float, reuse: float, seed: int) -> Latency
 
     sim.process(source())
     sim.run(until=max(1000.0, n_ops * gap * 20))
-    return recorder
+    return LatencySummary.of(latencies)
 
 
-def _one(gc: bool, placement: str, n_ops: int, gap: float, seed: int) -> LatencyRecorder:
+def _one(gc: bool, placement: str, n_ops: int, gap: float, seed: int) -> LatencySummary:
     sim = System()
     ReplicatedDht(sim, n_pairs=4, brick_rate=100.0, op_work=1.0, placement=placement)
     dht = sim.components.get("dht")
@@ -74,6 +74,6 @@ def run(n_ops: int = 800, gap: float = 0.02, seed: int = 3) -> Table:
         "adaptive placement of new keys limits the damage",
     )
     for label, gc, placement in CONFIGURATIONS:
-        summary = _one(gc, placement, n_ops, gap, seed).summary()
+        summary = _one(gc, placement, n_ops, gap, seed)
         table.add_row(label, summary.p50, summary.p99, summary.maximum)
     return table

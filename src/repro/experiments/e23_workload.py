@@ -20,7 +20,7 @@ from typing import Sequence
 from ..analysis.report import Table
 from ..cluster.dht import ReplicatedDht
 from ..sim.engine import Simulator
-from ..sim.metrics import LatencyRecorder
+from ..sim.metrics import LatencySummary
 
 __all__ = ["run"]
 
@@ -42,11 +42,11 @@ def _drive(placement: str, hot_fraction: float, n_ops: int, gap: float, seed: in
                         placement=placement)
     rng = random.Random(seed)
     keys = _zipf_keys(n_ops, n_hot=3, hot_fraction=hot_fraction, rng=rng)
-    recorder = LatencyRecorder()
+    latencies = []
 
     def one(key):
         latency = yield dht.put(key)
-        recorder.record(latency)
+        latencies.append(latency)
 
     def source():
         for key in keys:
@@ -55,7 +55,7 @@ def _drive(placement: str, hot_fraction: float, n_ops: int, gap: float, seed: in
 
     sim.process(source())
     sim.run(until=n_ops * gap * 20)
-    return recorder.summary()
+    return LatencySummary.of(latencies)
 
 
 def run(

@@ -36,10 +36,7 @@ the repo benchmark's ``scale`` workload times the 10^6-client rows
 
 from __future__ import annotations
 
-import statistics
-from typing import List, Sequence
-
-import numpy as np
+from typing import Sequence
 
 from ..analysis.report import Table
 from ..core.hybrid import (
@@ -49,18 +46,11 @@ from ..core.hybrid import (
     scale_workload,
 )
 from ..faults import campaign
+from ..sim.metrics import LatencySummary
 
 __all__ = ["run"]
 
 _REL_TOL = 1e-9
-
-
-def _p99(latencies: Sequence[float]) -> float:
-    if not len(latencies):
-        return 0.0
-    arr = np.asarray(latencies)
-    k = int(0.99 * (arr.size - 1))
-    return float(np.partition(arr, k)[k])
 
 
 def _close(a: float, b: float) -> bool:
@@ -79,26 +69,22 @@ def _matches(d, h) -> bool:
             return False
     if len(d.latencies) != len(h.latencies):
         return False
-    if len(d.latencies) and not (
-        _close(statistics.fmean(d.latencies), statistics.fmean(h.latencies))
-        and _close(_p99(d.latencies), _p99(h.latencies))
-    ):
-        return False
-    return True
+    ds, hs = LatencySummary.of(d.latencies), LatencySummary.of(h.latencies)
+    return _close(ds.mean, hs.mean) and _close(ds.p99, hs.p99)
 
 
 def _row(table: Table, workload: str, policy: str, outcome,
          engine: str, check: str) -> None:
     n = outcome.n_requests
-    mean = statistics.fmean(outcome.latencies) if len(outcome.latencies) else 0.0
+    summary = LatencySummary.of(outcome.latencies)
     issued = outcome.issued_work
     table.add_row(
         workload,
         policy,
         n,
         engine,
-        round(mean, 6),
-        round(_p99(outcome.latencies), 6),
+        round(summary.mean, 6),
+        round(summary.p99, 6),
         round(100.0 * outcome.slo_violations / n, 4) if n else 0.0,
         round(100.0 * outcome.wasted_work / issued, 4) if issued else 0.0,
         check,

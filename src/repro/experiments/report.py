@@ -184,7 +184,7 @@ def generate(
         "",
         "Generated by `python -m repro.experiments.report`.  The paper is a",
         "position paper with no numbered tables or figures; the experiment",
-        "ids E1–E28 and ablations A1–A7 are defined in DESIGN.md and cover",
+        "ids E1–E29 and ablations A1–A7 are defined in DESIGN.md and cover",
         "every quantitative claim in the text plus the Section 3.2 worked",
         "example and the Section 3.3 benefit claims.  Absolute numbers come",
         "from a simulator calibrated to the paper's era (5.5 MB/s Hawks, 2 s",

@@ -43,7 +43,7 @@ from ..analysis.report import Table
 from ..core.system import System
 from ..policy import POLICIES, MitigationPolicy, make_policy
 from ..sim.engine import PRIORITY_NORMAL
-from ..sim.metrics import ExactQuantile, LatencyRecorder, StreamingMoments
+from ..sim.metrics import ExactQuantile, LatencySummary, StreamingMoments
 from .component import DegradableServer
 from .spec import PerformanceSpec
 
@@ -894,10 +894,8 @@ class CampaignResult:
 
 def _score_cell(workload: str, family: str, policy: str,
                 outcomes: Sequence[ScenarioOutcome]) -> CellScore:
-    recorder = LatencyRecorder(name="cell")
-    for outcome in outcomes:
-        recorder.record_many(outcome.latencies)
-    summary = recorder.summary()
+    latencies = [o.latencies for o in outcomes]
+    summary = LatencySummary.of(np.concatenate(latencies) if latencies else ())
     requests = sum(o.n_requests for o in outcomes)
     slo_violations = sum(o.slo_violations for o in outcomes)
     issued = sum(o.issued_work for o in outcomes)
@@ -1251,11 +1249,13 @@ def run_soak(
     soak) plus any ``extra_events`` pinned to that window as
     ``(window_index, event)`` pairs in window-local time.
 
-    Fault extents are drawn against the *stock* request count (the
-    :func:`repro.core.hybrid.scale_scenario` convention), so scaling
-    ``n_requests`` to 10^6 embeds stock-sized fault windows in a much
-    longer fault-free stretch and the hybrid engine keeps the run
-    mostly fluid.
+    Fault extents are drawn from the workload each window runs, with
+    ``n_requests`` applied, so onsets and durations scale with the
+    window's span.  A window smaller than stock keeps its fault edges
+    inside its horizon; a window larger than stock stutters for the
+    same share of its span as a stock one, unlike
+    :func:`repro.core.hybrid.scale_scenario`, which draws stock-sized
+    faults.
 
     Every window statistic is exact: mean, p50 and p99 come from the
     window's whole latency array, and the rolling mean and p99 from the

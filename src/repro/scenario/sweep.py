@@ -93,7 +93,7 @@ class SweepResult:
     def table(self):
         """The rolled-up scorecard, one row per policy drawn."""
         from ..analysis.report import Table
-        from ..sim.metrics import LatencyRecorder
+        from ..sim.metrics import LatencySummary
 
         by_policy: Dict[str, List[SweepRun]] = {}
         for run in self.runs:
@@ -115,10 +115,7 @@ class SweepResult:
         )
         for policy in sorted(by_policy):
             runs = by_policy[policy]
-            recorder = LatencyRecorder(name="sweep")
-            for run in runs:
-                recorder.record_many(run.latencies)
-            summary = recorder.summary()
+            summary = LatencySummary.of(np.concatenate([r.latencies for r in runs]))
             requests = sum(r.n_requests for r in runs)
             issued = sum(r.issued_work for r in runs)
             wasted = sum(r.wasted_work for r in runs)

@@ -21,7 +21,6 @@ from .engine import (
 from .metrics import (
     AvailabilityMeter,
     ExactQuantile,
-    LatencyRecorder,
     LatencySummary,
     StreamingMoments,
 )
@@ -46,7 +45,6 @@ __all__ = [
     "fifo_uniform_ramps",
     "derive_seed",
     "TraceRecord",
-    "LatencyRecorder",
     "LatencySummary",
     "AvailabilityMeter",
     "StreamingMoments",

@@ -4,21 +4,19 @@ The paper's benefits argument (Section 3.3) is framed in terms of
 *availability* as defined by Gray & Reuter: "the fraction of the offered
 load that is processed with acceptable response times."
 :class:`AvailabilityMeter` implements exactly that definition;
-:class:`LatencyRecorder` provides the latency view the experiments
-report.
+:class:`LatencySummary` is the latency view the experiments report.
 
 Exact statistics
 ----------------
 
-The availability meter keeps exact counts.  The latency recorder retains
-every sample, quantiles are computed over the full sorted sample set, and
-every number in EXPERIMENTS.md is reproducible bit for bit.
-
-Whole sample arrays (campaign outcomes, soak windows) are folded in one
-numpy pass: :meth:`StreamingMoments.of` builds the Welford state from
-every sample, and :class:`ExactQuantile` is one ``np.quantile`` over
-every sample.  Nothing here estimates: a statistic is exact, or the
-program does not report it.
+The availability meter keeps exact counts.  Latency statistics are
+folded from whole sample arrays in one numpy pass:
+:meth:`StreamingMoments.of` builds the Welford state from every sample,
+and :class:`ExactQuantile` is one ``np.quantile`` over every sample.
+:meth:`LatencySummary.of` is those two folds, so a scorecard cell, a
+soak window and a trace line compute the same numbers the same way.
+Nothing here estimates: a statistic is exact, or the program does not
+report it.
 """
 
 from __future__ import annotations
@@ -30,7 +28,6 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 __all__ = [
-    "LatencyRecorder",
     "AvailabilityMeter",
     "LatencySummary",
     "StreamingMoments",
@@ -105,7 +102,8 @@ class StreamingMoments:
         The state :meth:`push` would build, computed from every sample at
         once: count and extremes exact, the mean and the centred sum of
         squares as numpy pairwise sums (deterministic, within O(log n)
-        ulps).  Soak windows and trace run-end records use this.
+        ulps).  Soak windows, trace run-end records and
+        :meth:`LatencySummary.of` use this.
         """
         moments = cls()
         values = np.asarray(values, dtype=np.float64)
@@ -169,9 +167,7 @@ class ExactQuantile:
     ``window`` records carry :meth:`to_dict`, and replay rebuilds it
     with :meth:`from_dict`.  The definition is numpy's default
     ``"linear"`` method: interpolate between the order statistics around
-    position ``q * (n - 1)`` -- the same point
-    :meth:`LatencyRecorder.quantile` interpolates at, with numpy's own
-    rounding of the interpolation.
+    position ``q * (n - 1)``.
     """
 
     __slots__ = ("q", "_value")
@@ -186,8 +182,7 @@ class ExactQuantile:
     def of(cls, values, qs: Sequence[float]) -> List["ExactQuantile"]:
         """One exact quantile per entry of ``qs``, from one numpy pass.
 
-        An empty sample set reports 0.0 for every ``q``, as
-        :meth:`LatencyRecorder.quantile` does.
+        An empty sample set reports 0.0 for every ``q``.
         """
         values = np.asarray(values, dtype=np.float64)
         if not values.size:
@@ -212,102 +207,32 @@ class ExactQuantile:
 
 @dataclass(frozen=True)
 class LatencySummary:
-    """Summary statistics for a batch of latencies."""
+    """The latency statistics a scorecard reports, from every sample."""
 
     count: int
     mean: float
-    minimum: float
     maximum: float
     p50: float
-    p90: float
     p99: float
-    stddev: float
 
+    @classmethod
+    def of(cls, samples) -> "LatencySummary":
+        """Summarize a whole sample array (any float sequence or array).
 
-class LatencyRecorder:
-    """Collects per-request latencies and summarises them.
-
-    Every sample is retained; the sorted view needed by
-    :meth:`quantile` / :meth:`summary` is cached and invalidated on
-    :meth:`record` / :meth:`record_many`, so repeated summary calls over
-    a stable sample set cost O(1) instead of re-sorting each time.
-    (Mutate samples through those two only; writing to ``samples``
-    directly bypasses the cache invalidation.)
-    """
-
-    def __init__(self, name: str = "latency"):
-        self.name = name
-        self.samples: List[float] = []
-        self._sorted: Optional[List[float]] = None
-
-    def record(self, latency: float) -> None:
-        """Record one request latency."""
-        if latency < 0:
-            raise ValueError(f"latency must be >= 0, got {latency}")
-        self.samples.append(latency)
-        self._sorted = None
-
-    def record_many(self, latencies) -> None:
-        """Record a batch of latencies (any float sequence or array), in order.
-
-        Stores the same Python floats, in the same order, as calling
-        :meth:`record` on each value, so every summary is bit-identical;
-        only the per-sample call overhead is gone.
+        Count, mean and maximum come from :meth:`StreamingMoments.of`,
+        p50 and p99 from :meth:`ExactQuantile.of`: the folds soak windows
+        and trace lines carry.  An empty set summarizes to zeros; a
+        negative latency raises ``ValueError``.
         """
-        values = np.asarray(latencies, dtype=np.float64)
-        if np.any(values < 0):
-            raise ValueError(
-                f"latency must be >= 0, got {float(values[values < 0][0])}"
-            )
-        self.samples.extend(values.tolist())
-        self._sorted = None
-
-    def _ordered(self) -> List[float]:
-        """The cached sorted view of the samples."""
-        if self._sorted is None or len(self._sorted) != len(self.samples):
-            self._sorted = sorted(self.samples)
-        return self._sorted
-
-    def __len__(self) -> int:
-        return len(self.samples)
-
-    @staticmethod
-    def _quantile(ordered: List[float], q: float) -> float:
-        """Linear-interpolated quantile of a pre-sorted list."""
-        if not ordered:
-            return 0.0
-        if len(ordered) == 1:
-            return ordered[0]
-        pos = q * (len(ordered) - 1)
-        lo = int(math.floor(pos))
-        hi = int(math.ceil(pos))
-        frac = pos - lo
-        return ordered[lo] * (1 - frac) + ordered[hi] * frac
-
-    def quantile(self, q: float) -> float:
-        """The q-quantile (q in [0, 1]) of recorded latencies."""
-        if not 0.0 <= q <= 1.0:
-            raise ValueError(f"q must be in [0, 1], got {q}")
-        return self._quantile(self._ordered(), q)
-
-    def summary(self) -> LatencySummary:
-        """Full summary of the recorded latencies, from every sample."""
-        if not self.samples:
-            return LatencySummary(0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
-        ordered = self._ordered()
-        n = len(ordered)
-        mean = sum(ordered) / n
-        var = sum((x - mean) ** 2 for x in ordered) / n
-        return LatencySummary(
-            count=n,
-            mean=mean,
-            minimum=ordered[0],
-            maximum=ordered[-1],
-            p50=self._quantile(ordered, 0.50),
-            p90=self._quantile(ordered, 0.90),
-            p99=self._quantile(ordered, 0.99),
-            stddev=math.sqrt(var),
-        )
+        values = np.asarray(samples, dtype=np.float64)
+        if not values.size:
+            return cls(0, 0.0, 0.0, 0.0, 0.0)
+        moments = StreamingMoments.of(values)
+        if moments.minimum < 0:
+            raise ValueError(f"latency must be >= 0, got {moments.minimum}")
+        p50, p99 = ExactQuantile.of(values, (0.5, 0.99))
+        return cls(moments.count, moments.mean, moments.maximum,
+                   p50.value(), p99.value())
 
 
 class AvailabilityMeter:

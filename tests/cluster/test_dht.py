@@ -6,7 +6,7 @@ import pytest
 
 from repro.cluster import ReplicatedDht
 from repro.faults import ComponentStopped, PeriodicBackground
-from repro.sim import LatencyRecorder, Simulator
+from repro.sim import LatencySummary, Simulator
 
 
 def make_dht(sim, placement="hash", n_pairs=4, brick_rate=100.0):
@@ -16,12 +16,12 @@ def make_dht(sim, placement="hash", n_pairs=4, brick_rate=100.0):
 
 
 def drive_puts(sim, dht, n_ops, gap, key_fn):
-    """Open-loop put stream; returns put latencies."""
-    recorder = LatencyRecorder()
+    """Open-loop put stream; returns the put latencies' summary."""
+    latencies = []
 
     def one(key):
         latency = yield dht.put(key)
-        recorder.record(latency)
+        latencies.append(latency)
 
     def source():
         for i in range(n_ops):
@@ -30,7 +30,7 @@ def drive_puts(sim, dht, n_ops, gap, key_fn):
 
     sim.process(source())
     sim.run(until=max(500.0, n_ops * gap * 10))
-    return recorder
+    return LatencySummary.of(latencies)
 
 
 class TestBasicOperation:
@@ -106,13 +106,12 @@ class TestGcPauseShapes:
                     sim, dht.bricks[0]
                 )
             rng = random.Random(0)
-            rec = drive_puts(
+            return drive_puts(
                 sim, dht, n_ops=400, gap=0.02, key_fn=lambda i: f"k{rng.randrange(64)}"
             )
-            return rec
 
-        healthy = run(False).summary()
-        paused = run(True).summary()
+        healthy = run(False)
+        paused = run(True)
         assert paused.p99 > 20 * healthy.p99
         assert paused.maximum > 0.5  # a put rode out most of a pause
 

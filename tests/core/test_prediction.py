@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from repro.core import PredictionOutcome, StutterTrendPredictor, score_predictions
+from repro.core import StutterTrendPredictor, score_predictions
 
 
 def feed_poisson(predictor, component, rate, horizon, rng, stop_at=None):

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core import PullScheduler
-from repro.faults import ComponentStopped, DegradableServer
+from repro.faults import DegradableServer
 from repro.sim import Simulator
 
 

@@ -1,7 +1,5 @@
 """Unit tests for FailStutterSystem and the routing policies."""
 
-import random
-
 import pytest
 
 from repro.core import (
@@ -12,7 +10,7 @@ from repro.core import (
     RoundRobinRouter,
     WeightedRouter,
 )
-from repro.faults import ComponentState, ComponentStopped, DegradableServer, PerformanceSpec
+from repro.faults import ComponentStopped, DegradableServer, PerformanceSpec
 from repro.sim import Simulator
 
 SPEC = PerformanceSpec(nominal_rate=10.0, tolerance=0.2)

@@ -60,10 +60,10 @@ class TestE26Shape:
         assert len(table) == 2 * 3 * 5  # workloads x families x policies
 
     def test_digest_pinned_across_the_spec_migration(self, table):
-        # Recorded against the last hand-wired WORKLOADS/FAMILIES
-        # registries; the spec-file bundle must reproduce the campaign
-        # byte-for-byte (see tests/scenario/test_bundle_migration.py for
-        # the draw-level identity this rests on).
+        # Every full-precision cell, its statistics from
+        # LatencySummary.of; the spec-file bundle must reproduce the
+        # campaign byte-for-byte (see tests/scenario/test_bundle_migration.py
+        # for the draw-level identity this rests on).
         assert table.digest() == (
-            "2558036a474d1086b8ac9a1819718cbc2bdc392d025a641ce0d5bf3ac267474f"
+            "356e64c167de8a9bd5d5a89c0b4b16b64addec86be85b9e915eee6a16b409bab"
         )

@@ -51,9 +51,9 @@ class TestE27Shape:
                 assert r["check"] == "--"
 
     def test_digest_pinned_across_the_spec_migration(self, table):
-        # Recorded against the last hand-wired WORKLOADS/FAMILIES
-        # registries; the spec-file bundle must reproduce every hybrid
-        # run byte-for-byte.
+        # Every full-precision cell, its statistics from
+        # LatencySummary.of; the spec-file bundle must reproduce every
+        # hybrid run byte-for-byte.
         assert table.digest() == (
-            "18e1fedde6b6dc1bfad7c8e9c987d1504c1ab5c59e1d24dc33ad9ea57cbf0595"
+            "fdfcd0b50c3a5526b5cd3deb3aec08c051dc50b04ba61eac6c764d30f74bd0b5"
         )

@@ -22,7 +22,6 @@ from repro.faults.campaign import (
     run_scenario,
     run_soak,
 )
-from repro.sim.metrics import LatencyRecorder
 from repro.telemetry import record_soak, replay_trace
 
 FAST = CampaignWorkload(
@@ -55,16 +54,6 @@ class TestLatencyArrays:
 
     def test_slo_violations_count_the_array(self, outcome):
         assert outcome.slo_violations == int(np.sum(outcome.latencies > outcome.slo))
-
-    def test_bulk_load_summarizes_like_per_sample_record(self, outcome):
-        bulk, one_by_one = LatencyRecorder(), LatencyRecorder()
-        bulk.record_many(outcome.latencies)
-        for latency in outcome.latencies.tolist():
-            one_by_one.record(latency)
-        assert bulk.samples == one_by_one.samples
-        assert bulk.summary() == one_by_one.summary()
-        with pytest.raises(ValueError, match="latency must be >= 0"):
-            bulk.record_many([0.5, -1.0])
 
 
 class TestDigestV2:

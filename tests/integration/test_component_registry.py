@@ -9,8 +9,6 @@ class: its cache, TLB and memory-bank models are plain cost models that
 the processor experiments drive directly.
 """
 
-import pytest
-
 from repro.cluster import Memory, Node, ReplicatedDht
 from repro.core import System
 from repro.faults import StaticSkew

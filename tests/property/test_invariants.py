@@ -5,8 +5,6 @@ and random fault schedules against whole components, checking the
 invariants that make the reproduction trustworthy.
 """
 
-import random
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st

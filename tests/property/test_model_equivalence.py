@@ -16,7 +16,7 @@ import random
 from repro.sim.engine import Simulator
 from repro.storage.badblocks import BadBlockMap
 from repro.storage.disk import Disk, DiskParams
-from repro.storage.geometry import Zone, ZoneGeometry, zoned_geometry
+from repro.storage.geometry import Zone, ZoneGeometry
 
 from .reference_models import remapped_in_range_reference, service_time_reference
 

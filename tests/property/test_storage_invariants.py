@@ -1,6 +1,5 @@
 """Property tests for DHT durability invariants."""
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 

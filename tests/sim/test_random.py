@@ -14,6 +14,6 @@ class TestDeriveSeed:
         assert derive_seed(1, "faults") != derive_seed(2, "faults")
 
     def test_known_value_is_stable(self):
-        # Pin a concrete value so accidental algorithm changes are caught.
-        assert derive_seed(0, "x") == derive_seed(0, "x")
-        assert isinstance(derive_seed(0, "x"), int)
+        # Pin a concrete value so accidental algorithm changes are caught:
+        # a new derivation reseeds E06, E16 and E19.
+        assert derive_seed(0, "x") == 15838549821452497134

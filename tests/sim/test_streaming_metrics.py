@@ -1,11 +1,9 @@
-"""Unit tests for the online moments and the latency recorder."""
+"""Unit tests for the online moments."""
 
 import math
 import random
 
-import pytest
-
-from repro.sim.metrics import LatencyRecorder, StreamingMoments
+from repro.sim.metrics import StreamingMoments
 
 
 class TestStreamingMoments:
@@ -46,14 +44,3 @@ class TestStreamingMoments:
     def test_no_dict(self):
         assert not hasattr(StreamingMoments(), "__dict__")
 
-
-class TestStreamingLatencyRecorder:
-    """A latency stream fed one sample at a time or as a batch."""
-
-    def test_negative_rejected_both_modes(self):
-        recorder = LatencyRecorder()
-        with pytest.raises(ValueError):
-            recorder.record(-0.1)
-        with pytest.raises(ValueError):
-            recorder.record_many([0.2, -0.1])
-        assert recorder.samples == []  # a rejected batch stores nothing

@@ -10,7 +10,6 @@ The shape targets, with N pairs at B MB/s and one pair at b < B:
 
 import pytest
 
-from repro.faults import ComponentStopped
 from repro.sim import Simulator
 from repro.storage import (
     AdaptiveStriping,

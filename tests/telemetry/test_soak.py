@@ -15,7 +15,6 @@ import pytest
 from repro.faults import campaign
 from repro.faults.campaign import (
     FaultEvent,
-    Scenario,
     SoakWindow,
     generate_scenario,
     merge_soak_events,
