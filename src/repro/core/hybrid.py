@@ -84,9 +84,8 @@ import numpy as np
 
 from ..faults import campaign
 from ..faults.model import ComponentState
-from ..sim.fluid import FluidRamp, fifo_uniform_ramps
+from ..sim.fluid import fifo_uniform_ramps
 from ..sim.trace import COMPLETION
-from .system import System
 
 if TYPE_CHECKING:  # pragma: no cover - types only
     from ..faults.campaign import CampaignWorkload, Scenario, ScenarioOutcome
@@ -138,8 +137,6 @@ def feasibility_reason(workload: "CampaignWorkload",
     Per-*era* refusals (queueing on a multi-live group mid-run) are
     necessarily runtime checks and stay inside the runner.
     """
-    service = workload.expected_service
-    cohort_gap = workload.gap * workload.n_pairs
     delay = policy.hybrid_action_delay()
     if delay is None:
         # Timer-free policies extend into the saturated regime: the
@@ -147,13 +144,14 @@ def feasibility_reason(workload: "CampaignWorkload",
         # per-era checks in _fluid_flow enforce that any group which
         # actually queues is pinned to a single live member.
         return None
-    if not cohort_gap > service * (1.0 + 1e-9):
+    shape = shape_feasibility(workload)
+    if shape is not None:
         return (
-            f"per-member arrival spacing {cohort_gap:.6g}s must exceed "
-            f"the nominal service time {service:.6g}s (fault-free "
-            "servers must idle between arrivals for fluid exactness "
-            f"under the timer-bearing policy {policy.name!r})"
+            f"{shape} (fault-free servers must idle between arrivals for "
+            "fluid exactness under the timer-bearing policy "
+            f"{policy.name!r})"
         )
+    service = workload.expected_service
     if delay <= service * (1.0 + 1e-9):
         return (
             f"policy {policy.name!r} may act after {delay:.6g}s, "
@@ -253,24 +251,23 @@ def _split_ramps(segments, n: int):
 class HybridRunner:
     """One (scenario, policy) run: fluid between fault windows, discrete inside.
 
-    Produces the same :class:`~repro.faults.campaign.ScenarioOutcome`
-    shape as the discrete engine, so the invariant oracle, the digest
-    machinery and the scorecard aggregation all apply unchanged.  The
-    constructor raises :class:`HybridInfeasible` for a pair outside the
-    exact regime at bind time; :meth:`run` raises it for a per-era
-    refusal.
+    The discrete windows run on a
+    :class:`~repro.faults.campaign.CampaignEngine`, which builds the
+    run's System, and the run's outcome comes from that engine's
+    :meth:`~repro.faults.campaign.CampaignEngine.outcome` with the fluid
+    eras' counts added, so the invariant oracle, the digest machinery
+    and the scorecard aggregation all apply unchanged.  The constructor
+    raises :class:`HybridInfeasible` for a pair outside the exact regime
+    at bind time; :meth:`run` raises it for a per-era refusal.
     """
 
     def __init__(self, workload: "CampaignWorkload", scenario: "Scenario",
                  policy):
         self.workload = workload
         self.scenario = scenario
-        self.system = System()
-        self.groups = workload.build(self.system)
         self.policy = campaign._fresh_policy(policy)
-        self.engine = campaign.CampaignEngine(
-            self.system, workload, self.groups, self.policy
-        )
+        self.engine = campaign.CampaignEngine(workload, self.policy)
+        self.system = self.engine.system
         # Bind-time feasibility, settled once the policy has bound and
         # before a caller can attach an observer (a trace sink) to
         # ``system``: an infeasible pair never yields a runner.
@@ -280,7 +277,7 @@ class HybridRunner:
             raise HybridInfeasible(reason)
         self.names = self.engine.component_names()
         self.index_of = {name: k for k, name in enumerate(self.names)}
-        self.members = [self.system.components.get(name) for name in self.names]
+        self.members = list(self.engine.members.values())
         n_members = len(self.names)
         #: The fluid bank: analytic clock, per-member service rates, and
         #: per-member obligation horizon -- the instant every job already
@@ -307,8 +304,9 @@ class HybridRunner:
         self._open: dict = {}
         #: Recorder samples already banked into ``_chunks``.
         self._captured = 0
-        #: Chronological result chunks: ("fluid", [FluidRamp...]) or
-        #: ("window", [latency...]).
+        #: Chronological result chunks: ("fluid", [(first, step, count)
+        #: ramp segment...]) or ("window", [latency...]).  Fluid ramps
+        #: stay three numbers each until :meth:`_finish`.
         self._chunks: List[Tuple[str, object]] = []
         #: Fluid completions awaiting replay into the policy
         #: (name, count, work, latency), chronological.
@@ -496,7 +494,7 @@ class HybridRunner:
         spacing = n_groups * gap
         delay = self._action_delay
         failed = 0
-        ramps: List[FluidRamp] = []
+        ramps: List[Tuple[float, float, int]] = []
         # A window open or the end-of-run tail always consumes pending
         # eras before the next flow; one compact era record per member.
         for g in range(n_groups):
@@ -561,9 +559,7 @@ class HybridRunner:
             n_done = int(np.searchsorted(completions, segment_end, side="right"))
             done, tail = _split_ramps(segments, n_done)
             if n_done:
-                ramps.extend(
-                    FluidRamp(m, f0, st, cnt) for f0, st, cnt in done
-                )
+                ramps.extend(done)
                 self._pending.append((route, n_done, work, service))
                 self.member_jobs[m] += n_done
                 self.fluid_jobs += n_done
@@ -913,7 +909,7 @@ class HybridRunner:
         """
         w = self.workload
         horizon = w.horizon
-        ramps: List[FluidRamp] = []
+        ramps: List[Tuple[float, float, int]] = []
         for m in sorted(self._pending_eras):
             era = self._pending_eras[m]
             if era.last_completion > horizon:
@@ -922,9 +918,7 @@ class HybridRunner:
                     f"t={era.last_completion:.6g}s, past the horizon "
                     f"{horizon:.6g}s -- the discrete engine would truncate"
                 )
-            ramps.extend(
-                FluidRamp(m, f0, st, cnt) for f0, st, cnt in era.tail
-            )
+            ramps.extend(era.tail)
             self.member_jobs[m] += era.count
             self.fluid_jobs += era.count
         self._pending_eras.clear()
@@ -972,51 +966,21 @@ class HybridRunner:
 
     def _finish(self) -> "ScenarioOutcome":
         self._capture_samples()  # resolutions from the tail drain
-        w = self.workload
-        engine = self.engine
-        slo = w.slo
         parts: List[np.ndarray] = []
         for kind, data in self._chunks:
             if kind == "fluid":
-                parts.extend(ramp.values() for ramp in data)
+                parts.extend(first + step * np.arange(count, dtype=np.float64)
+                             for first, step, count in data)
             else:
                 parts.append(np.asarray(data, dtype=np.float64))
         latencies = (np.concatenate(parts) if parts
                      else np.empty(0, dtype=np.float64))
-        # Fluid work totals come from integer job counts times the unit
-        # work -- one multiplication, not a million-term float sum -- so
-        # the oracle's conservation splits hold to the same slack as a
-        # discrete run even at 10^6 requests.
-        fluid_work = self.fluid_jobs * w.work
-        server_work = {}
-        for k, name in enumerate(self.names):
-            server_work[name] = (
-                self.members[k].work_completed
-                + int(self.member_jobs[k]) * w.work
-                # Fluid-era share of jobs handed over mid-service.
-                + engine.preseed_served.get(name, 0.0)
-            )
-        return campaign.ScenarioOutcome(
-            workload=w.name,
-            family=self.scenario.family,
-            scenario_index=self.scenario.index,
-            policy=self.policy.name,
-            n_requests=len(engine.requests) + self.fluid_jobs + self.fluid_failed,
-            slo=slo,
-            latencies=latencies,
-            slo_violations=int(np.count_nonzero(latencies > slo)),
-            issued_work=engine.issued_work + fluid_work,
-            completed_work=engine.completed_work + fluid_work,
-            claimed_work=engine.claimed_work + fluid_work,
-            wasted_work=engine.wasted_work,
-            failed_work=engine.failed_work,
-            outstanding_attempts=sum(r.outstanding for r in engine.requests),
-            unresolved_requests=sum(1 for r in engine.requests if not r.resolved),
-            failed_requests=engine.failed_requests + self.fluid_failed,
-            server_work=server_work,
-            engine="hybrid",
-            discrete_requests=len(engine.requests),
+        outcome = self.engine.outcome(
+            self.scenario, latencies, self.fluid_jobs, self.fluid_failed,
+            self.member_jobs,
         )
+        outcome.engine = "hybrid"
+        return outcome
 
 
 def run_scenario_hybrid(workload: "CampaignWorkload", scenario: "Scenario",

@@ -2,13 +2,12 @@
 
 Every module exposes ``run(**params) -> repro.analysis.Table`` with
 defaults sized for quick regeneration.  ``ALL_EXPERIMENTS`` maps the
-experiment id to its runner; ``run_all`` regenerates everything (this is
-what EXPERIMENTS.md records).
+experiment id to its runner.
 """
 
 import inspect
 import sys
-from typing import Callable, Dict, List
+from typing import Callable, Dict
 
 from ..analysis.report import Table
 from ..core.component import SUBSTRATES
@@ -54,7 +53,6 @@ from . import (
 __all__ = [
     "ALL_EXPERIMENTS",
     "experiment_substrates",
-    "run_all",
 ]
 
 ALL_EXPERIMENTS: Dict[str, Callable[..., Table]] = {
@@ -119,8 +117,3 @@ def experiment_substrates() -> Dict[str, str]:
                 found.add(substrate)
         tags[key] = "+".join(sorted(found)) if found else "core"
     return tags
-
-
-def run_all() -> List[Table]:
-    """Regenerate every experiment table, in index order."""
-    return [ALL_EXPERIMENTS[key]() for key in ALL_EXPERIMENTS]

@@ -19,7 +19,8 @@ This experiment certifies the trade is free, then uses it:
 * **Scale rows** -- the same scenario shape driven with 10^6 clients,
   hybrid only (a discrete run at this size takes minutes; hybrid takes
   milliseconds).  The ``check`` column reruns the scenario and says
-  ``replay-ok`` only if the outcome digest is byte-identical; the
+  ``replay-ok`` only if the invariant oracle's determinism check passes
+  (same engine, byte-identical outcome digest); the
   ``oracle`` column audits work conservation and no-hang exactly as the
   discrete engine's runs are audited.
 * **Saturated rows** -- the same certification on the ``surge``
@@ -122,6 +123,7 @@ def run(
             "in closed form and hands the backlog across window edges."
         ),
     )
+    oracle = campaign.InvariantOracle()
     for name in list(workloads) + list(saturated_workloads):
         cell_policies = saturated_policies if name in saturated_workloads else policies
         stock = campaign.WORKLOADS[name]
@@ -142,6 +144,7 @@ def run(
                  "exact" if _matches(discrete, hybrid) else "DIVERGED")
             first = run_scenario_hybrid(big, big_scenario, policy)
             rerun = run_scenario_hybrid(big, big_scenario, policy)
-            replay = "replay-ok" if first.digest() == rerun.digest() else "REPLAY-DIFF"
+            replay = ("REPLAY-DIFF" if oracle.check_determinism(first, rerun)
+                      else "replay-ok")
             _row(table, name, policy, first, "hybrid", replay)
     return table

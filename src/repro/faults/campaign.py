@@ -363,18 +363,21 @@ class ScenarioOutcome:
 class CampaignEngine:
     """Runs one scenario under one policy, owning all work accounting.
 
-    The policy routes; the engine issues.  Every attempt flows through
-    :meth:`attempt`, every completion lands in :meth:`_on_attempt`, and
-    the counters those maintain are what the oracle audits -- a policy
-    cannot report success it did not earn.
+    The engine builds its own :class:`~repro.core.system.System` and
+    registers the workload's replica groups on it, then binds the
+    policy.  The policy routes; the engine issues.  Every attempt flows
+    through :meth:`attempt`, every completion lands in
+    :meth:`_on_attempt`, and the counters those maintain are what the
+    oracle audits -- a policy cannot report success it did not earn.
+    :meth:`outcome` is the one place a :class:`ScenarioOutcome` is
+    built, on either engine.
     """
 
-    def __init__(self, system: System, workload: CampaignWorkload,
-                 groups: Sequence[Tuple[str, ...]], policy: MitigationPolicy):
-        self.system = system
+    def __init__(self, workload: CampaignWorkload, policy: MitigationPolicy):
+        self.system = system = System()
         self.sim = system
         self.workload = workload
-        self.groups = [tuple(g) for g in groups]
+        self.groups = workload.build(system)
         self.policy = policy
         self.requests: List[Request] = []
         #: One response time per claimed request, in resolution order.
@@ -587,7 +590,6 @@ class CampaignEngine:
         self.completed_work += request.work
         claimed = not request.resolved
         if claimed:
-            # _resolve(request, latency), inlined: this runs per request.
             latency = now - request.submitted_at
             request.resolved = True
             request.callbacks = None
@@ -600,19 +602,6 @@ class CampaignEngine:
             self.wasted_work += request.work
         if self._on_completed is not None:
             self._on_completed(request, name, now - started, claimed)
-
-    def _resolve(self, request: Request, latency: float) -> None:
-        """Resolve ``request`` as claimed with ``latency``.
-
-        :meth:`_on_attempt` carries the same steps inline.
-        """
-        request.resolved = True
-        request.callbacks = None
-        request.latency = latency
-        self.claimed_work += request.work
-        self.latencies.append(latency)
-        if self.on_request_resolved is not None:
-            self.on_request_resolved(request)
 
     def _submit_one(self, index: int) -> None:
         request = Request(
@@ -662,33 +651,55 @@ class CampaignEngine:
         # Arrival i at i * gap, after every fault edge at the same instant.
         self.sim.call_series(workload.n_requests, workload.gap, self._submit_one)
         self.sim.run(until=workload.horizon)
-        outstanding = sum(r.outstanding for r in self.requests)
-        unresolved = sum(1 for r in self.requests if not r.resolved)
-        latencies = np.array(self.latencies, dtype=np.float64)
-        outcome = ScenarioOutcome(
+        return self.outcome(scenario, np.array(self.latencies, dtype=np.float64))
+
+    def outcome(self, scenario: Scenario, latencies: np.ndarray,
+                fluid_jobs: int = 0, fluid_failed: int = 0,
+                member_jobs: Sequence[int] = ()) -> ScenarioOutcome:
+        """The run's outcome: the engine's counters plus any fluid share.
+
+        ``latencies`` holds every resolved request's response time, in
+        resolution order.  The hybrid runner also passes the requests
+        its fluid eras resolved analytically (``fluid_jobs``, of which
+        ``member_jobs`` counts each member's, in
+        :meth:`component_names` order) and failed at arrival
+        (``fluid_failed``); the discrete engine has none.
+        """
+        workload = self.workload
+        work = workload.work
+        # Fluid work totals come from integer job counts times the unit
+        # work -- one multiplication, not a million-term float sum -- so
+        # the oracle's conservation splits hold to the same slack as a
+        # discrete run even at 10^6 requests.
+        fluid_work = fluid_jobs * work
+        fluid_served = dict(zip(self.members, member_jobs))
+        requests = self.requests
+        return ScenarioOutcome(
             workload=workload.name,
             family=scenario.family,
             scenario_index=scenario.index,
             policy=self.policy.name,
-            n_requests=len(self.requests),
+            n_requests=len(requests) + fluid_jobs + fluid_failed,
             slo=workload.slo,
             latencies=latencies,
             slo_violations=int(np.count_nonzero(latencies > workload.slo)),
-            issued_work=self.issued_work,
-            completed_work=self.completed_work,
-            claimed_work=self.claimed_work,
+            issued_work=self.issued_work + fluid_work,
+            completed_work=self.completed_work + fluid_work,
+            claimed_work=self.claimed_work + fluid_work,
             wasted_work=self.wasted_work,
             failed_work=self.failed_work,
-            outstanding_attempts=outstanding,
-            unresolved_requests=unresolved,
-            failed_requests=self.failed_requests,
+            outstanding_attempts=sum(r.outstanding for r in requests),
+            unresolved_requests=sum(1 for r in requests if not r.resolved),
+            failed_requests=self.failed_requests + fluid_failed,
             server_work={
-                name: member.work_completed
+                name: (member.work_completed
+                       + int(fluid_served.get(name, 0)) * work
+                       # Fluid-era share of jobs handed over mid-service.
+                       + self.preseed_served.get(name, 0.0))
                 for name, member in self.members.items()
             },
-            discrete_requests=len(self.requests),
+            discrete_requests=len(requests),
         )
-        return outcome
 
 
 class InvariantOracle:
@@ -703,8 +714,9 @@ class InvariantOracle:
       no attempt is still in flight.  A policy that drops requests on
       the floor is caught here rather than scored as zero-latency.
     * **Seed determinism** -- rerunning the same (scenario, policy) must
-      reproduce the outcome digest byte-identically; hidden state across
-      runs (module globals, wall-clock reads) is detected.
+      take the same engine and reproduce the outcome digest
+      byte-identically; hidden state across runs (module globals,
+      wall-clock reads) is detected.
     """
 
     def check(self, outcome: ScenarioOutcome) -> List[str]:
@@ -742,7 +754,17 @@ class InvariantOracle:
 
     def check_determinism(self, first: ScenarioOutcome,
                           second: ScenarioOutcome) -> List[str]:
-        """Digest comparison for a same-seed rerun."""
+        """Engine, then digest comparison for a same-seed rerun.
+
+        The digest leaves the engine out (both engines' outcomes of one
+        run digest alike), so a rerun that took the other engine is
+        refused by name before the digests are compared.
+        """
+        if second.engine != first.engine:
+            return [
+                f"determinism: rerun took the {second.engine} engine "
+                f"after a {first.engine} first run"
+            ]
         a, b = first.digest(), second.digest()
         if a != b:
             return [f"determinism: rerun digest {b[:12]} != {a[:12]}"]
@@ -801,11 +823,9 @@ def run_scenario(workload: CampaignWorkload, scenario: Scenario,
         except HybridInfeasible as exc:
             # Outside the exact regime: the discrete oracle takes over.
             fallback = str(exc)
-    system = System()
-    groups = workload.build(system)
-    campaign_engine = CampaignEngine(system, workload, groups, _fresh_policy(policy))
+    campaign_engine = CampaignEngine(workload, _fresh_policy(policy))
     if sink is not None:
-        system.telemetry.subscribe_all(sink.on_record)
+        campaign_engine.system.telemetry.subscribe_all(sink.on_record)
     outcome = campaign_engine.run(scenario)
     outcome.fallback = fallback
     if check:

@@ -3,8 +3,9 @@
 :func:`compile_spec` turns a :class:`~repro.scenario.spec.ScenarioSpec`
 into a :class:`CompiledScenario`: the spec's topology and arrival
 schedule become a :class:`~repro.faults.campaign.CampaignWorkload`
-(whose ``build`` wires :class:`~repro.faults.component.DegradableServer`
-instances through the ComponentRegistry), its fault binding becomes a
+(which the :class:`~repro.faults.campaign.CampaignEngine` builds as
+:class:`~repro.faults.component.DegradableServer` instances registered
+through the ComponentRegistry), its fault binding becomes a
 :class:`~repro.faults.campaign.Scenario` factory, and engine eligibility
 (discrete / hybrid) is probed from the spec via the *same*
 predicates the engines enforce at runtime
@@ -166,22 +167,18 @@ class CompiledScenario:
         return verdicts
 
     def _bound_policy(self, name: str):
-        """A fresh policy bound to this workload on a throwaway System.
+        """A fresh policy bound to a throwaway engine on this workload.
 
         Timer parameters (``base_timeout``, estimator floors, hedge
         delays) only exist after ``bind``, so the feasibility probe
-        binds against real wiring -- the same construction
-        ``run_scenario`` performs -- and discards it.
+        binds against real wiring -- the ``CampaignEngine`` that
+        ``run_scenario`` builds -- and discards it.
         """
-        from ..core.system import System
         from ..faults import campaign
 
-        system = System()
-        groups = self.workload.build(system)
-        engine = campaign.CampaignEngine(
-            system, self.workload, groups, campaign._fresh_policy(name)
-        )
-        return engine.policy
+        return campaign.CampaignEngine(
+            self.workload, campaign._fresh_policy(name)
+        ).policy
 
 
 def compile_spec(spec: ScenarioSpec) -> CompiledScenario:

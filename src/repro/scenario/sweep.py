@@ -4,10 +4,11 @@
 :mod:`repro.scenario.generate`, compiles each, and runs it under its
 drawn policy with the :class:`~repro.faults.campaign.InvariantOracle`
 as the universal pass/fail: work conservation, no-hang at the horizon,
-and (by default) a same-seed rerun whose outcome digest must match
-byte-for-byte.  The rolled-up :class:`SweepResult` scorecard aggregates
-per policy, and :meth:`SweepResult.digest` hashes every run's
-``(spec digest, outcome digest, engine used)`` triple -- the replay
+and (by default) a same-seed rerun that must take the same engine and
+match the outcome digest byte-for-byte.  The :class:`SweepResult` keeps
+each run as a ``(spec digest, ScenarioOutcome)`` pair; its scorecard
+aggregates per policy, and :meth:`SweepResult.digest` hashes every
+run's ``(spec digest, outcome digest, engine)`` triple -- the replay
 identity ``python -m repro sweep`` prints and CI compares across
 reruns.
 
@@ -16,7 +17,7 @@ fluid/discrete path; a scenario outside the exact regime (at bind time
 or per-era) falls back to the discrete oracle *by name*: the
 :class:`~repro.core.hybrid.HybridInfeasible` reason, which
 :func:`~repro.faults.campaign.run_scenario` keeps as the outcome's
-``fallback``, is recorded in ``SweepResult.fallbacks`` rather than
+``fallback``, is listed by ``SweepResult.fallbacks`` rather than
 silently swallowed.
 """
 
@@ -24,57 +25,49 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 import numpy as np
 
 from .compile import compile_spec
 from .generate import SweepBounds, generate_spec
 
-__all__ = ["SweepRun", "SweepResult", "run_sweep"]
+if TYPE_CHECKING:  # pragma: no cover - types only
+    from ..faults.campaign import ScenarioOutcome
 
-
-@dataclass(frozen=True)
-class SweepRun:
-    """One generated scenario's audited outcome, sweep-side view."""
-
-    index: int
-    spec_name: str
-    spec_digest: str
-    policy: str
-    engine_used: str
-    outcome_digest: str
-    n_requests: int
-    failed_requests: int
-    slo_violations: int
-    issued_work: float
-    wasted_work: float
-    latencies: np.ndarray = field(compare=False, repr=False)
-    violations: Tuple[str, ...]
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
+__all__ = ["SweepResult", "run_sweep"]
 
 
 @dataclass
 class SweepResult:
-    """Everything one generative sweep produced."""
+    """Everything one generative sweep produced.
+
+    ``runs`` holds one ``(spec digest, outcome)`` pair per generated
+    scenario, in generation order; each outcome's ``workload`` is its
+    spec's name and its ``violations`` include the determinism check.
+    """
 
     seed: int
     count: int
     engine: str
-    runs: List[SweepRun]
-    #: ``(spec name, HybridInfeasible reason)`` per discrete fallback.
-    fallbacks: List[Tuple[str, str]] = field(default_factory=list)
+    runs: List[Tuple[str, "ScenarioOutcome"]]
+
+    @property
+    def fallbacks(self) -> List[Tuple[str, str]]:
+        """``(spec name, HybridInfeasible reason)`` per discrete fallback."""
+        return [
+            (outcome.workload, outcome.fallback)
+            for __, outcome in self.runs
+            if outcome.fallback is not None
+        ]
 
     @property
     def violations(self) -> List[str]:
         return [
-            f"{run.spec_name}[{run.policy}]: {violation}"
-            for run in self.runs
-            for violation in run.violations
+            f"{outcome.workload}[{outcome.policy}]: {violation}"
+            for __, outcome in self.runs
+            for violation in outcome.violations
         ]
 
     @property
@@ -84,8 +77,8 @@ class SweepResult:
     def digest(self) -> str:
         """SHA-256 over every run's (spec, outcome, engine) identity."""
         payload = [
-            [run.spec_digest, run.outcome_digest, run.engine_used]
-            for run in self.runs
+            [spec_digest, outcome.digest(), outcome.engine]
+            for spec_digest, outcome in self.runs
         ]
         blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(blob.encode("utf-8")).hexdigest()
@@ -95,9 +88,9 @@ class SweepResult:
         from ..analysis.report import Table
         from ..sim.metrics import LatencySummary
 
-        by_policy: Dict[str, List[SweepRun]] = {}
-        for run in self.runs:
-            by_policy.setdefault(run.policy, []).append(run)
+        by_policy: Dict[str, List["ScenarioOutcome"]] = {}
+        for __, outcome in self.runs:
+            by_policy.setdefault(outcome.policy, []).append(outcome)
         table = Table(
             f"Generative sweep: seed {self.seed}, {self.count} scenarios, "
             f"engine {self.engine}",
@@ -123,7 +116,7 @@ class SweepResult:
             table.add_row(
                 policy,
                 len(runs),
-                sum(1 for r in runs if r.engine_used == "hybrid"),
+                sum(1 for r in runs if r.engine == "hybrid"),
                 requests,
                 summary.mean,
                 summary.p99,
@@ -147,9 +140,10 @@ def run_sweep(
     """Run ``count`` generated scenarios; every run oracle-audited.
 
     With ``verify_determinism`` (the default) each scenario runs twice
-    and the outcome digests must match -- under ``engine="hybrid"`` the
-    rerun retries the hybrid path, so an unstable fallback decision
-    would surface as a determinism violation, not vanish.
+    and the oracle's determinism check compares them -- under
+    ``engine="hybrid"`` the rerun retries the hybrid path, so an
+    unstable fallback decision would surface as a determinism
+    violation, not vanish.
     """
     if engine not in ("discrete", "hybrid"):
         raise ValueError(
@@ -158,42 +152,16 @@ def run_sweep(
     from ..faults.campaign import InvariantOracle, run_scenario
 
     oracle = InvariantOracle()
-    runs: List[SweepRun] = []
-    fallbacks: List[Tuple[str, str]] = []
+    runs: List[Tuple[str, "ScenarioOutcome"]] = []
     for index in range(count):
         spec = generate_spec(seed, index, bounds)
         compiled = compile_spec(spec)
         scenario = compiled.scenario(seed=seed, index=index)
-        policy = spec.policy
-        outcome = run_scenario(compiled.workload, scenario, policy,
+        outcome = run_scenario(compiled.workload, scenario, spec.policy,
                                engine=engine)
-        if outcome.fallback is not None:
-            fallbacks.append((spec.name, outcome.fallback))
-        violations = list(outcome.violations)
         if verify_determinism:
-            rerun = run_scenario(compiled.workload, scenario, policy,
+            rerun = run_scenario(compiled.workload, scenario, spec.policy,
                                  check=False, engine=engine)
-            if rerun.engine != outcome.engine:
-                violations.append(
-                    f"determinism: rerun took the {rerun.engine} engine "
-                    f"after a {outcome.engine} first run"
-                )
-            else:
-                violations.extend(oracle.check_determinism(outcome, rerun))
-        runs.append(SweepRun(
-            index=index,
-            spec_name=spec.name,
-            spec_digest=spec.digest(),
-            policy=policy,
-            engine_used=outcome.engine,
-            outcome_digest=outcome.digest(),
-            n_requests=outcome.n_requests,
-            failed_requests=outcome.failed_requests,
-            slo_violations=outcome.slo_violations,
-            issued_work=outcome.issued_work,
-            wasted_work=outcome.wasted_work,
-            latencies=outcome.latencies,
-            violations=tuple(violations),
-        ))
-    return SweepResult(seed=seed, count=count, engine=engine, runs=runs,
-                       fallbacks=fallbacks)
+            outcome.violations.extend(oracle.check_determinism(outcome, rerun))
+        runs.append((spec.digest(), outcome))
+    return SweepResult(seed=seed, count=count, engine=engine, runs=runs)

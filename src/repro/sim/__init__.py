@@ -24,7 +24,7 @@ from .metrics import (
     LatencySummary,
     StreamingMoments,
 )
-from .fluid import FluidRamp, fifo_uniform_ramps
+from .fluid import fifo_uniform_ramps
 from .random import derive_seed
 from .resources import JobStats, RateServer, Store
 from .trace import TraceRecord
@@ -41,7 +41,6 @@ __all__ = [
     "Store",
     "RateServer",
     "JobStats",
-    "FluidRamp",
     "fifo_uniform_ramps",
     "derive_seed",
     "TraceRecord",

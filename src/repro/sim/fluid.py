@@ -10,10 +10,11 @@ discrete: each response time follows from the Lindley recurrence
 equal work, the shape of a campaign workload's arrival stream.  Every
 response time then lies on at most two arithmetic ramps (a saturated or
 draining queue, then the flat underloaded tail), each a
-:class:`FluidRamp`, so the cost does not grow with the arrival count.
-:class:`~repro.core.hybrid.HybridRunner` calls it once per replica group
-in every fluid era, and carries each member's backlog across era
-boundaries as ``busy_until``.  ``tests/sim/test_fifo_reconstruction.py``
+``(first, step, count)`` segment, so the cost does not grow with the
+arrival count.  :class:`~repro.core.hybrid.HybridRunner` calls it once
+per replica group in every fluid era, keeps the segments until the run
+ends, and carries each member's backlog across era boundaries as
+``busy_until``.  ``tests/sim/test_fifo_reconstruction.py``
 checks the ramps against the general closed form for arbitrary arrival
 times and works, and both against a real ``RateServer`` on random
 overload and drain schedules: 1e-9 relative, with work conserved
@@ -26,33 +27,9 @@ rate change with an exact discrete window, so no fluid era spans one.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import List
 
-import numpy as np
-
-__all__ = ["FluidRamp", "fifo_uniform_ramps"]
-
-
-@dataclass(frozen=True, slots=True)
-class FluidRamp:
-    """``count`` fluid-resolved jobs whose response times form a ramp.
-
-    Job ``j`` (0-based within the ramp) saw response time
-    ``first + step * j``.  An underloaded run is the ``step == 0`` case;
-    a saturated FIFO run compresses into one ramp with
-    ``step = service - spacing`` instead of one sample per job, so the
-    queueing regime keeps the scale-friendly memory story.
-    """
-
-    server: int
-    first: float
-    step: float
-    count: int
-
-    def values(self) -> np.ndarray:
-        """Materialize the per-job response times (length ``count``)."""
-        return self.first + self.step * np.arange(self.count, dtype=np.float64)
+__all__ = ["fifo_uniform_ramps"]
 
 
 def fifo_uniform_ramps(

@@ -10,7 +10,6 @@ from dataclasses import replace
 
 import pytest
 
-from repro.core.system import System
 from repro.faults.campaign import (
     FAMILIES,
     WORKLOADS,
@@ -119,7 +118,12 @@ class _FabricatingPolicy(MitigationPolicy):
     name = "fabricator"
 
     def start(self, request):
-        self.engine._resolve(request, 0.0)
+        # Resolve the request as claimed without issuing an attempt.
+        engine = self.engine
+        request.resolved = True
+        request.latency = 0.0
+        engine.claimed_work += request.work
+        engine.latencies.append(0.0)
 
 
 class _StatefulPolicy(MitigationPolicy):
@@ -155,6 +159,23 @@ class TestInvariantOracle:
         violations = InvariantOracle().check_determinism(first, second)
         assert violations and "determinism" in violations[0]
 
+    def test_determinism_check_refuses_a_rerun_on_another_engine(self):
+        # The digest leaves the engine out, so only the engine check
+        # can tell these two outcomes of one run apart.
+        workload = replace(WORKLOADS["raid10"], n_requests=200)
+        scenario = generate_scenario(workload, "magnitude", seed=7, index=0)
+        first = run_scenario(workload, scenario, "no-mitigation",
+                             engine="hybrid")
+        second = run_scenario(workload, scenario, "no-mitigation",
+                              engine="hybrid")
+        assert first.engine == "hybrid"
+        assert first.digest() == second.digest()
+        second.engine = "discrete"
+        assert InvariantOracle().check_determinism(first, second) == [
+            "determinism: rerun took the discrete engine after a hybrid "
+            "first run"
+        ]
+
     def test_clean_run_has_no_violations(self):
         scenario = generate_scenario(FAST, "magnitude", seed=7, index=0)
         outcome = run_scenario(FAST, scenario, "fixed-timeout")
@@ -174,9 +195,8 @@ class _TimerSpy(FixedTimeoutPolicy):
 
 
 def _engine(policy):
-    system = System()
-    groups = FAST.build(system)
-    return system, CampaignEngine(system, FAST, groups, policy)
+    engine = CampaignEngine(FAST, policy)
+    return engine.system, engine
 
 
 class TestPolicyTimers:

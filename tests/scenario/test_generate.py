@@ -90,9 +90,22 @@ class TestRunSweep:
         assert result.ok
         # The digest covers (spec, outcome, engine) per run.
         assert len(result.runs) == 2
-        for run in result.runs:
-            assert run.engine_used == "discrete"
-            assert run.outcome_digest
+        for spec_digest, outcome in result.runs:
+            assert spec_digest
+            assert outcome.engine == "discrete"
+            assert outcome.digest()
+
+    @pytest.mark.parametrize("engine, digest", [
+        ("discrete",
+         "ac38b757bab763e46cb25202a2493a3381e8a8bdb5148f3ade95f9e1b37b4b8a"),
+        ("hybrid",
+         "d4608e0d48f698fe18608b7f763e44abc8bcf74adb9d7a5cd3af4a32c4e59fe1"),
+    ])
+    def test_sweep_digest_is_pinned(self, engine, digest):
+        # The identity `repro sweep --seed 7 --count 25` prints.
+        result = run_sweep(seed=7, count=25, engine=engine,
+                           verify_determinism=False)
+        assert result.digest() == digest
 
     def test_unknown_engine_is_rejected(self):
         with pytest.raises(ValueError):
@@ -130,11 +143,11 @@ class TestHybridFallback:
         assert names == [f"gen-2-{i}" for i in range(3)]
         for _, reason in result.fallbacks:
             assert "arrival spacing" in reason
-        for run in result.runs:
-            assert run.engine_used == "discrete"
+        for __, outcome in result.runs:
+            assert outcome.engine == "discrete"
 
     def test_feasible_hybrid_sweep_records_no_fallbacks(self):
         result = run_sweep(seed=2, count=3, engine="hybrid")
         assert result.ok, result.violations
         assert result.fallbacks == []
-        assert all(r.engine_used == "hybrid" for r in result.runs)
+        assert all(outcome.engine == "hybrid" for __, outcome in result.runs)
