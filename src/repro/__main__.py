@@ -73,6 +73,16 @@ def _cmd_run(ids) -> int:
     return 0
 
 
+def _report_violations(violations) -> int:
+    """Print the oracle's violations to stderr; the exit status (0 or 1)."""
+    if not violations:
+        return 0
+    print(f"{len(violations)} oracle violations:", file=sys.stderr)
+    for violation in violations:
+        print(f"  {violation}", file=sys.stderr)
+    return 1
+
+
 def _cmd_campaign(args) -> int:
     from .faults.campaign import FAMILIES, WORKLOADS, run_campaign
     from .policy import policy_names
@@ -137,12 +147,7 @@ def _cmd_campaign(args) -> int:
     print(f"scorecard digest: {table.digest()}")
     if args.trace:
         print(f"trace: {args.trace}")
-    if result.violations:
-        print(f"{len(result.violations)} oracle violations:", file=sys.stderr)
-        for violation in result.violations:
-            print(f"  {violation}", file=sys.stderr)
-        return 1
-    return 0
+    return _report_violations(result.violations)
 
 
 def _cmd_soak(args, engine: str) -> int:
@@ -200,12 +205,7 @@ def _cmd_soak(args, engine: str) -> int:
             retain_windows=True,
         )
         print(result.table().render())
-    if result.violations:
-        print(f"{len(result.violations)} oracle violations:", file=sys.stderr)
-        for violation in result.violations:
-            print(f"  {violation}", file=sys.stderr)
-        return 1
-    return 0
+    return _report_violations(result.violations)
 
 
 def _cmd_replay(args) -> int:
@@ -246,12 +246,7 @@ def _cmd_sweep(args) -> int:
         print(f"{len(result.fallbacks)} hybrid-infeasible scenarios ran discrete:")
         for name, reason in result.fallbacks:
             print(f"  {name}: {reason}")
-    if result.violations:
-        print(f"{len(result.violations)} oracle violations:", file=sys.stderr)
-        for violation in result.violations:
-            print(f"  {violation}", file=sys.stderr)
-        return 1
-    return 0
+    return _report_violations(result.violations)
 
 
 def _int_at_least(minimum: int, kind: str):

@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 from statistics import median
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
+from ..faults.model import ComponentStopped
 from ..sim.engine import Process, Simulator
 from ..sim.resources import Store
 
@@ -136,7 +137,7 @@ class HedgingScheduler:
         def run_copy(worker_index: int, index: int, info: _Outstanding):
             try:
                 yield execute(worker_index, info.task)
-            except Exception:
+            except (ComponentStopped, TimeoutError):
                 info.copies -= 1
                 if info.copies <= 0 and index not in result.winners:
                     outstanding.pop(index, None)

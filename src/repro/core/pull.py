@@ -17,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Sequence
 
+from ..faults.model import ComponentStopped
 from ..sim.engine import Process, Simulator
 from ..sim.resources import Store
 
@@ -55,8 +56,9 @@ class PullScheduler:
 
     ``execute(worker_index, task)`` must return a simulation event (or
     process) that fires when the task is done on that worker.  If the
-    event *fails*, the task is requeued for the surviving workers and
-    the failing worker is retired.
+    event fails with ``ComponentStopped`` or the watchdog's
+    ``TimeoutError``, the task is requeued for the surviving workers and
+    the failing worker is retired; any other exception propagates.
 
     ``inflight_per_worker`` claims ahead of completion; 1 (default) is
     maximally adaptive.
@@ -103,7 +105,7 @@ class PullScheduler:
                 index, task = item
                 try:
                     yield execute(worker_index, task)
-                except Exception:
+                except (ComponentStopped, TimeoutError):
                     queue.put((index, task))
                     result.requeues += 1
                     result.retired_workers += 1

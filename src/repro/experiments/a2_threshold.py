@@ -21,6 +21,7 @@ from typing import Sequence
 from ..analysis.report import Table
 from ..core.system import FailStutterSystem, WeightedRouter
 from ..faults.component import DegradableServer
+from ..faults.model import ComponentStopped
 from ..faults.spec import PerformanceSpec
 from ..sim.engine import Simulator
 from ..sim.metrics import AvailabilityMeter
@@ -44,7 +45,7 @@ def _one(t_value: float, n_servers: int, n_requests: int, gap: float, slo: float
         issued = sim.now
         try:
             yield system.submit(1.0)
-        except Exception:
+        except (ComponentStopped, TimeoutError):
             meter.record(None)
             return
         meter.record(sim.now - issued)

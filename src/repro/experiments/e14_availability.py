@@ -31,6 +31,7 @@ from ..core.system import (
     WeightedRouter,
 )
 from ..faults.component import DegradableServer
+from ..faults.model import ComponentStopped
 from ..faults.spec import PerformanceSpec
 from ..sim.metrics import AvailabilityMeter
 
@@ -81,7 +82,7 @@ def _run_policy(
         issued = sim.now
         try:
             yield system.submit(1.0)
-        except Exception:
+        except (ComponentStopped, TimeoutError):
             meter.record(None)
             return
         meter.record(sim.now - issued)

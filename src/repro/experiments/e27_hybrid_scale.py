@@ -13,12 +13,17 @@ This experiment certifies the trade is free, then uses it:
 
 * **Overlap rows** -- at a size both engines can run, each policy's
   scenario is executed discretely *and* hybrid.  The ``check`` column
-  says ``exact`` only if request counts, SLO violations, failure counts
-  and work totals match exactly and mean/p99 latency match to float
-  noise (1e-9 relative).
+  says ``exact`` only if the invariant oracle's equivalence check
+  passes: the request, SLO-miss, failure, unresolved and in-flight
+  counts match exactly, and the work totals, each member's work and
+  every sorted response time agree to 1e-9 relative.  A pair outside
+  the hybrid engine's exact regime runs discrete, as ``run_scenario``
+  does for any caller; its row names the engine that ran and says
+  ``infeasible``, and the pair gets no scale row.
 * **Scale rows** -- the same scenario shape driven with 10^6 clients,
   hybrid only (a discrete run at this size takes minutes; hybrid takes
-  milliseconds).  The ``check`` column reruns the scenario and says
+  milliseconds), so these runs raise rather than fall back to the
+  discrete engine.  The ``check`` column reruns the scenario and says
   ``replay-ok`` only if the invariant oracle's determinism check passes
   (same engine, byte-identical outcome digest); the
   ``oracle`` column audits work conservation and no-hang exactly as the
@@ -28,7 +33,8 @@ This experiment certifies the trade is free, then uses it:
   and the fluid path must reconstruct per-request FIFO queueing delays
   in closed form.  Only timer-free policies are in the exact regime
   there (``no-mitigation`` and ``stutter-aware``); timer-bearing
-  policies raise :class:`~repro.core.hybrid.HybridInfeasible` at bind.
+  policies are refused at bind
+  (:class:`~repro.core.hybrid.HybridInfeasible`) and read ``infeasible``.
 
 No wall-clock columns appear here (EXPERIMENTS.md must be byte-stable);
 the repo benchmark's ``scale`` workload times the 10^6-client rows
@@ -40,39 +46,11 @@ from __future__ import annotations
 from typing import Sequence
 
 from ..analysis.report import Table
-from ..core.hybrid import (
-    HybridInfeasible,
-    run_scenario_hybrid,
-    scale_scenario,
-    scale_workload,
-)
+from ..core.hybrid import run_scenario_hybrid, scale_scenario, scale_workload
 from ..faults import campaign
 from ..sim.metrics import LatencySummary
 
 __all__ = ["run"]
-
-_REL_TOL = 1e-9
-
-
-def _close(a: float, b: float) -> bool:
-    return abs(a - b) <= _REL_TOL * max(abs(a), abs(b), 1e-30)
-
-
-def _matches(d, h) -> bool:
-    """Discrete/hybrid equivalence: counts exact, latencies to float noise."""
-    if (d.n_requests, d.slo_violations, d.failed_requests) != (
-        h.n_requests, h.slo_violations, h.failed_requests
-    ):
-        return False
-    for field in ("issued_work", "completed_work", "claimed_work",
-                  "wasted_work", "failed_work"):
-        if abs(getattr(d, field) - getattr(h, field)) > _REL_TOL:
-            return False
-    if len(d.latencies) != len(h.latencies):
-        return False
-    ds, hs = LatencySummary.of(d.latencies), LatencySummary.of(h.latencies)
-    return _close(ds.mean, hs.mean) and _close(ds.p99, hs.p99)
-
 
 def _row(table: Table, workload: str, policy: str, outcome,
          engine: str, check: str) -> None:
@@ -134,14 +112,15 @@ def run(
         for policy in cell_policies:
             discrete = campaign.run_scenario(overlap, overlap_scenario, policy)
             _row(table, name, policy, discrete, "discrete", "--")
-            try:
-                hybrid = run_scenario_hybrid(overlap, overlap_scenario, policy)
-            except HybridInfeasible:
-                table.add_row(name, policy, overlap_requests, "hybrid",
-                              0.0, 0.0, 0.0, 0.0, "infeasible", "--")
+            hybrid = campaign.run_scenario(overlap, overlap_scenario, policy,
+                                           engine="hybrid")
+            if hybrid.fallback is not None:
+                _row(table, name, policy, hybrid, hybrid.engine, "infeasible")
                 continue
-            _row(table, name, policy, hybrid, "hybrid",
-                 "exact" if _matches(discrete, hybrid) else "DIVERGED")
+            _row(table, name, policy, hybrid, hybrid.engine,
+                 "DIVERGED" if oracle.check_equivalence(discrete, hybrid)
+                 else "exact")
+            # Hybrid or raise: a fallback would run 10^6 requests discretely.
             first = run_scenario_hybrid(big, big_scenario, policy)
             rerun = run_scenario_hybrid(big, big_scenario, policy)
             replay = ("REPLAY-DIFF" if oracle.check_determinism(first, rerun)

@@ -17,16 +17,20 @@ reruns.  A substrate is drawn too, but it only picks the members' name
 prefix: ``CampaignWorkload.build`` makes every member a
 :class:`~repro.faults.component.DegradableServer`.
 
-The expected shape of the table: every row's ``oracle`` column says
-``ok`` on both engines, the discrete and hybrid rows agree on request
-counts and failure counts per policy, and the sweep digest printed in
-the note is replay-stable -- the machinery, not any particular
-scenario, is what is being certified.
+With both engines swept, each spec's hybrid run is also checked against
+its discrete run by the oracle's equivalence check (counts exactly, work
+and sorted latencies to 1e-9 relative); a disagreement is a violation
+in the hybrid row's ``oracle`` column.  The expected shape of the table:
+every row's ``oracle`` column says ``ok`` on both engines, so the
+discrete and hybrid rows agree, and each engine's sweep digest is
+replay-stable -- the machinery, not any particular scenario, is what is
+being certified.
 """
 
 from __future__ import annotations
 
 from ..analysis.report import Table
+from ..faults.campaign import InvariantOracle
 from ..scenario import run_sweep
 
 __all__ = ["run"]
@@ -56,9 +60,15 @@ def run(
             "by name; the sweep digest is replay-stable per engine."
         ),
     )
-    for engine in engines:
-        result = run_sweep(seed=seed, count=count, engine=engine,
-                           verify_determinism=verify_determinism)
+    sweeps = {engine: run_sweep(seed=seed, count=count, engine=engine,
+                                verify_determinism=verify_determinism)
+              for engine in engines}
+    if "discrete" in sweeps and "hybrid" in sweeps:
+        oracle = InvariantOracle()
+        for (__, discrete), (__, hybrid) in zip(sweeps["discrete"].runs,
+                                                sweeps["hybrid"].runs):
+            hybrid.violations.extend(oracle.check_equivalence(discrete, hybrid))
+    for engine, result in sweeps.items():
         digest = result.digest()[:12]
         for row in result.table().rows:
             table.add_row(engine, *row, digest)

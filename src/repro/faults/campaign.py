@@ -73,6 +73,11 @@ __all__ = [
 #: Work-accounting comparisons use this absolute slack for float sums.
 _EPS = 1e-6
 
+#: Two engines' runs of one (scenario, policy) agree when every work
+#: total, member's work and sorted latency differs by no more than this
+#: share of the larger value (:meth:`InvariantOracle.check_equivalence`).
+EQUIVALENCE_REL_TOL = 1e-9
+
 #: Version of :meth:`ScenarioOutcome.digest`'s byte layout.  Version 1
 #: hashed one JSON document with the latencies inlined as a list.
 OUTCOME_DIGEST_VERSION = 2
@@ -703,7 +708,7 @@ class CampaignEngine:
 
 
 class InvariantOracle:
-    """Audits engine counters for the three campaign invariants.
+    """Audits engine counters for the four campaign invariants.
 
     * **Work conservation** -- completed work splits exactly into claimed
       plus wasted; issued work splits into completed, failed and still-
@@ -717,6 +722,9 @@ class InvariantOracle:
       take the same engine and reproduce the outcome digest
       byte-identically; hidden state across runs (module globals,
       wall-clock reads) is detected.
+    * **Engine equivalence** -- one (scenario, policy) run on two
+      engines must agree: counts exactly, work and latencies to
+      :data:`EQUIVALENCE_REL_TOL`.
     """
 
     def check(self, outcome: ScenarioOutcome) -> List[str]:
@@ -769,6 +777,49 @@ class InvariantOracle:
         if a != b:
             return [f"determinism: rerun digest {b[:12]} != {a[:12]}"]
         return []
+
+    def check_equivalence(self, reference: ScenarioOutcome,
+                          candidate: ScenarioOutcome) -> List[str]:
+        """Where ``candidate`` departs from ``reference``, the same
+        (scenario, policy) run on another engine.
+
+        The five counts must match exactly.  The five work totals, each
+        member's served work and the sorted per-request latencies may
+        differ by float noise only: the engines add the same values in
+        different orders and forms, so a difference beyond
+        :data:`EQUIVALENCE_REL_TOL` of the larger value is a divergence.
+        """
+        violations = []
+        for name in ("n_requests", "slo_violations", "failed_requests",
+                     "unresolved_requests", "outstanding_attempts"):
+            a, b = getattr(reference, name), getattr(candidate, name)
+            if a != b:
+                violations.append(f"equivalence: {name} {b} != reference {a}")
+        totals = [(name, getattr(reference, name), getattr(candidate, name))
+                  for name in ("issued_work", "completed_work", "claimed_work",
+                               "wasted_work", "failed_work")]
+        members = sorted(reference.server_work.keys() | candidate.server_work.keys())
+        totals += [(f"server_work[{member}]",
+                    reference.server_work.get(member, 0.0),
+                    candidate.server_work.get(member, 0.0))
+                   for member in members]
+        for name, a, b in totals:
+            if abs(a - b) > EQUIVALENCE_REL_TOL * max(abs(a), abs(b)):
+                violations.append(
+                    f"equivalence: {name} {float(b)} != reference {float(a)}")
+        a, b = np.sort(reference.latencies), np.sort(candidate.latencies)
+        if a.size != b.size:
+            violations.append(
+                f"equivalence: {b.size} latencies != reference {a.size}")
+        elif a.size:
+            excess = np.abs(a - b) - EQUIVALENCE_REL_TOL * np.maximum(
+                np.abs(a), np.abs(b))
+            worst = int(np.argmax(excess))
+            if excess[worst] > 0:
+                violations.append(
+                    f"equivalence: sorted latency {worst} {float(b[worst])} "
+                    f"!= reference {float(a[worst])}")
+        return violations
 
 
 PolicyLike = Union[str, MitigationPolicy, Callable[[], MitigationPolicy]]

@@ -129,6 +129,21 @@ class TestWorkerFailure:
         assert len(result.winners) == 12
         assert result.requeues >= 1
 
+    def test_a_task_bug_is_not_a_requeue(self):
+        # Only a fail-stop or a watchdog timeout fails a copy; any other
+        # exception is a bug and surfaces out of the run.
+        sim = Simulator()
+        servers = make_pool(sim)
+
+        def execute(worker_index, task):
+            if worker_index == 2:
+                raise AttributeError("planted")
+            return servers[worker_index].submit(task)
+
+        proc = HedgingScheduler(hedge_after=50.0).run(sim, [1.0] * 8, 4, execute)
+        with pytest.raises(AttributeError, match="planted"):
+            sim.run(until=proc)
+
     def test_hedged_copy_survives_original_worker_death(self):
         sim = Simulator()
         servers = make_pool(sim)

@@ -2,8 +2,9 @@
 
 The hybrid runner's whole value proposition is that fluid fast-forwarding
 between fault transitions is *exact*, not approximate: at any size both
-engines can run, every count must match exactly and every latency
-statistic must match to float noise.  These tests drive that claim across
+engines can run, ``InvariantOracle.check_equivalence`` must find no
+difference: every count exact, every work total, member's work and
+sorted latency to float noise.  These tests drive that claim across
 workloads, scenario families and policies at stock sizes, plus the two
 properties the scale path leans on (digest-determinism of reruns, and
 graceful handling of rate changes nobody announced).
@@ -12,7 +13,6 @@ Marked ``hybrid``; the full matrix is additionally ``slow``, so the fast
 tier runs the one-family subset and CI's hybrid step runs every case.
 """
 
-import statistics
 from dataclasses import replace
 
 import pytest
@@ -33,31 +33,10 @@ pytestmark = pytest.mark.hybrid
 POLICIES = ("fixed-timeout", "adaptive-timeout", "retry-backoff",
             "hedged", "stutter-aware")
 FAMILIES = ("magnitude", "onset", "duration", "correlated", "failstop")
-_REL = 1e-9
-
-
-def _p99(latencies):
-    ordered = sorted(latencies)
-    return ordered[int(0.99 * (len(ordered) - 1))]
-
-
-def _close(a, b):
-    return abs(a - b) <= _REL * max(abs(a), abs(b), 1e-30)
 
 
 def _assert_equivalent(discrete, hybrid):
-    assert (discrete.n_requests, discrete.slo_violations,
-            discrete.failed_requests) == (
-        hybrid.n_requests, hybrid.slo_violations, hybrid.failed_requests
-    )
-    for field in ("issued_work", "completed_work", "claimed_work",
-                  "wasted_work", "failed_work"):
-        assert abs(getattr(discrete, field) - getattr(hybrid, field)) <= _REL, field
-    assert len(discrete.latencies) == len(hybrid.latencies)
-    if len(discrete.latencies):
-        assert _close(statistics.fmean(discrete.latencies),
-                      statistics.fmean(hybrid.latencies))
-        assert _close(_p99(discrete.latencies), _p99(hybrid.latencies))
+    assert campaign.InvariantOracle().check_equivalence(discrete, hybrid) == []
     assert not discrete.violations and not hybrid.violations
 
 
@@ -101,8 +80,6 @@ class TestScalePathProperties:
         assert not first.violations
 
     def test_infeasible_workload_raises_by_name(self):
-        from dataclasses import replace
-
         workload = campaign.WORKLOADS["dht"]
         # Arrivals tighter than the nominal service time break the
         # fluid-exactness precondition; the engine must refuse loudly
@@ -144,8 +121,6 @@ class TestEngineRecord:
     def test_hybrid_outcome_counts_its_discrete_requests(self):
         """The requests the runner's discrete engine simulated; like the
         engine and the fallback, no part of the digest."""
-        from dataclasses import replace
-
         workload = campaign.WORKLOADS["raid10"]
         scenario = campaign.generate_scenario(workload, "magnitude", 7, 0)
         runner = HybridRunner(workload, scenario, "stutter-aware")

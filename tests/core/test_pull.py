@@ -70,6 +70,21 @@ class TestPullScheduler:
         assert result.requeues >= 1
         assert result.tasks_per_worker(4)[2] <= 2
 
+    def test_a_task_bug_is_not_a_requeue(self):
+        # Only a fail-stop or a watchdog timeout retires a worker; any
+        # other exception is a bug and surfaces out of the run.
+        sim = Simulator()
+        servers = make_pool(sim)
+
+        def execute(worker_index, task):
+            if worker_index == 2:
+                raise AttributeError("planted")
+            return servers[worker_index].submit(task)
+
+        proc = PullScheduler().run(sim, [1.0] * 8, 4, execute)
+        with pytest.raises(AttributeError, match="planted"):
+            sim.run(until=proc)
+
     def test_all_workers_failing_raises(self):
         sim = Simulator()
         servers = make_pool(sim, 2)

@@ -50,6 +50,18 @@ class TestE27Shape:
             if r["engine"] == "discrete":
                 assert r["check"] == "--"
 
+    def test_an_infeasible_pair_runs_discrete_and_gets_no_scale_row(self):
+        # A timer policy on the saturated workload is refused at bind:
+        # the hybrid request runs discrete, as run_scenario runs it.
+        table = e27_hybrid_scale.run(
+            overlap_requests=1200, scale_requests=40_000, workloads=(),
+            saturated_policies=("fixed-timeout",),
+        )
+        discrete, fell_back = _rows(table)
+        assert fell_back["engine"] == "discrete"
+        assert fell_back["check"] == "infeasible"
+        assert {**fell_back, "check": "--"} == discrete
+
     def test_digest_pinned_across_the_spec_migration(self, table):
         # Every full-precision cell, its statistics from
         # LatencySummary.of; the spec-file bundle must reproduce every

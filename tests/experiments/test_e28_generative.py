@@ -56,3 +56,26 @@ class TestE28Shape:
         second = e28_generative.run(count=4, engines=("discrete",),
                                     verify_determinism=False)
         assert first.render() == second.render()
+
+
+class TestE28EngineAgreement:
+    def test_a_hybrid_run_off_its_discrete_run_marks_the_hybrid_row(
+            self, monkeypatch):
+        # One spec's response times 1e-6 relative off its discrete run:
+        # its hybrid row is flagged, and no other row.
+        sweep = e28_generative.run_sweep
+        planted = []
+
+        def skewed(**kwargs):
+            result = sweep(**kwargs)
+            if kwargs["engine"] == "hybrid":
+                __, outcome = result.runs[0]
+                outcome.latencies = outcome.latencies * (1 + 1e-6)
+                planted.append(outcome.policy)
+            return result
+
+        monkeypatch.setattr(e28_generative, "run_sweep", skewed)
+        rows = _rows(e28_generative.run(count=4, verify_determinism=False))
+        flagged = [(r["engine"], r["policy"], r["oracle"]) for r in rows
+                   if r["oracle"] != "ok"]
+        assert flagged == [("hybrid", planted[0], "VIOLATED(1)")]

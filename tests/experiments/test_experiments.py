@@ -7,6 +7,7 @@ numbers.
 
 import pytest
 
+from repro.core.system import WeightedRouter
 from repro.experiments import (
     ALL_EXPERIMENTS,
     a1_notification,
@@ -198,6 +199,10 @@ class TestE13Layout:
         assert min(fractions) < 0.55  # up to ~2x loss
 
 
+def _planted_bug(router, system, work):
+    raise AttributeError("planted")
+
+
 class TestE14Availability:
     @pytest.fixture(scope="class")
     def table(self):
@@ -217,6 +222,12 @@ class TestE14Availability:
         assert weighted[2] > 0.95
         assert watchdog[2] > 0.95 and watchdog[3] > 0.95
 
+    def test_a_router_bug_is_not_an_unserved_request(self, monkeypatch):
+        # Only a fail-stop or a watchdog timeout scores as unserved.
+        monkeypatch.setattr(WeightedRouter, "pick", _planted_bug)
+        with pytest.raises(AttributeError, match="planted"):
+            e14_availability.run(n_requests=20)
+
 
 class TestAblations:
     def test_a1_policy_tradeoff(self):
@@ -234,6 +245,11 @@ class TestAblations:
         assert low[1] < min(row[1] for row in table.rows[1:])  # low T is worst
         assert low[3] is True or low[3] == "yes" or low[3] == True  # noqa: E712
         assert mid[3] == False  # noqa: E712
+
+    def test_a2_router_bug_is_not_an_unserved_request(self, monkeypatch):
+        monkeypatch.setattr(WeightedRouter, "pick", _planted_bug)
+        with pytest.raises(AttributeError, match="planted"):
+            a2_threshold.run(n_requests=20)
 
     def test_a3_smoother_detectors_fewer_false_positives(self):
         table = a3_detectors.run()

@@ -23,6 +23,7 @@ from repro.faults.campaign import (
     run_scenario,
 )
 from repro.policy import POLICIES, FixedTimeoutPolicy, MitigationPolicy, make_policy
+from repro.sim.metrics import LatencySummary
 
 pytestmark = pytest.mark.campaign
 
@@ -138,6 +139,13 @@ class _StatefulPolicy(MitigationPolicy):
         return group[type(self)._calls % len(group)]
 
 
+def _clean_outcome():
+    scenario = generate_scenario(FAST, "magnitude", seed=7, index=0)
+    outcome = run_scenario(FAST, scenario, "fixed-timeout")
+    assert outcome.violations == []
+    return outcome
+
+
 class TestInvariantOracle:
     def test_no_hang_detects_dropped_requests(self):
         scenario = generate_scenario(FAST, "failstop", seed=7, index=0)
@@ -180,6 +188,53 @@ class TestInvariantOracle:
         scenario = generate_scenario(FAST, "magnitude", seed=7, index=0)
         outcome = run_scenario(FAST, scenario, "fixed-timeout")
         assert InvariantOracle().check(outcome) == []
+
+    def test_equivalence_accepts_float_noise_on_a_large_work_total(self):
+        # 1e-8 on 1e5 is 1e-13 relative: what summing the same work in
+        # another order leaves, and no divergence.
+        outcome = replace(_clean_outcome(), issued_work=1e5, completed_work=1e5)
+        noisy = replace(outcome, issued_work=1e5 + 1e-8,
+                        completed_work=1e5 - 1e-8)
+        assert noisy.issued_work != outcome.issued_work
+        assert InvariantOracle().check_equivalence(outcome, noisy) == []
+
+    def test_equivalence_refuses_runs_one_request_apart_by_name(self):
+        scenario = generate_scenario(FAST, "magnitude", seed=7, index=0)
+        reference = run_scenario(FAST, scenario, "fixed-timeout")
+        longer = run_scenario(replace(FAST, n_requests=81), scenario,
+                              "fixed-timeout")
+        violations = InvariantOracle().check_equivalence(reference, longer)
+        assert violations[0] == "equivalence: n_requests 81 != reference 80"
+
+    def test_equivalence_refuses_response_times_moved_by_a_microsecond(self):
+        outcome = _clean_outcome()
+        latencies = outcome.latencies.copy()
+        latencies[0] += 1e-6
+        latencies[1] -= 1e-6
+        moved = replace(outcome, latencies=latencies)
+        # Mean and p99 cannot tell the two runs apart...
+        before = LatencySummary.of(outcome.latencies)
+        after = LatencySummary.of(latencies)
+        assert after.mean == pytest.approx(before.mean, rel=1e-12)
+        assert after.p99 == before.p99
+        # ...the sorted response times can.
+        violations = InvariantOracle().check_equivalence(outcome, moved)
+        assert len(violations) == 1
+        assert violations[0].startswith("equivalence: sorted latency ")
+
+    def test_equivalence_refuses_work_served_by_the_wrong_member(self):
+        outcome = _clean_outcome()
+        first, second = sorted(outcome.server_work)[:2]
+        moved = dict(outcome.server_work)
+        moved[first] -= FAST.work
+        moved[second] += FAST.work
+        violations = InvariantOracle().check_equivalence(
+            outcome, replace(outcome, server_work=moved))
+        assert violations == [
+            f"equivalence: server_work[{name}] {float(moved[name])} "
+            f"!= reference {float(outcome.server_work[name])}"
+            for name in (first, second)
+        ]
 
 
 class _TimerSpy(FixedTimeoutPolicy):

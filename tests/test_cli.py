@@ -207,3 +207,16 @@ class TestCli:
         first = capsys.readouterr().out
         assert main(argv) == 0
         assert capsys.readouterr().out == first
+
+    def test_oracle_violations_go_to_stderr_with_status_1(self, capsys,
+                                                          monkeypatch):
+        from repro.faults.campaign import InvariantOracle
+
+        monkeypatch.setattr(InvariantOracle, "check",
+                            lambda self, outcome: ["planted"])
+        assert main(["sweep", "--count", "2", "--no-verify"]) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert lines[0] == "2 oracle violations:"
+        assert len(lines) == 3
+        assert all(line.startswith("  ") and line.endswith("]: planted")
+                   for line in lines[1:])
