@@ -162,9 +162,7 @@ def feasibility_reason(workload: "CampaignWorkload",
 
 
 def scale_workload(workload: "CampaignWorkload", n_requests: int) -> "CampaignWorkload":
-    """The same workload, driven with ``n_requests`` arrivals."""
-    if n_requests < 1:
-        raise ValueError(f"n_requests must be >= 1, got {n_requests}")
+    """The same workload, driven with ``n_requests`` arrivals (>= 1)."""
     return replace(workload, n_requests=n_requests)
 
 

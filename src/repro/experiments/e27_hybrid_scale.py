@@ -48,24 +48,23 @@ from typing import Sequence
 from ..analysis.report import Table
 from ..core.hybrid import run_scenario_hybrid, scale_scenario, scale_workload
 from ..faults import campaign
-from ..sim.metrics import LatencySummary
+from ..sim.metrics import LatencySummary, Tally
 
 __all__ = ["run"]
 
 def _row(table: Table, workload: str, policy: str, outcome,
          engine: str, check: str) -> None:
-    n = outcome.n_requests
     summary = LatencySummary.of(outcome.latencies)
-    issued = outcome.issued_work
+    tally = Tally.of(outcome)
     table.add_row(
         workload,
         policy,
-        n,
+        tally.requests,
         engine,
         round(summary.mean, 6),
         round(summary.p99, 6),
-        round(100.0 * outcome.slo_violations / n, 4) if n else 0.0,
-        round(100.0 * outcome.wasted_work / issued, 4) if issued else 0.0,
+        round(100.0 * tally.slo_fraction, 4),
+        round(100.0 * tally.waste_fraction, 4),
         check,
         "ok" if not outcome.violations else "VIOLATION",
     )

@@ -32,7 +32,7 @@ import gc
 import hashlib
 import json
 from collections import deque
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from heapq import heappush
 from random import Random
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
@@ -43,7 +43,7 @@ from ..analysis.report import Table
 from ..core.system import System
 from ..policy import POLICIES, MitigationPolicy, make_policy
 from ..sim.engine import PRIORITY_NORMAL
-from ..sim.metrics import ExactQuantile, LatencySummary, StreamingMoments
+from ..sim.metrics import ExactQuantile, LatencySummary, StreamingMoments, Tally
 from .component import DegradableServer
 from .spec import PerformanceSpec
 
@@ -61,7 +61,6 @@ __all__ = [
     "InvariantOracle",
     "run_scenario",
     "run_campaign",
-    "CellScore",
     "CampaignResult",
     "SoakWindow",
     "SoakResult",
@@ -155,6 +154,10 @@ class CampaignWorkload:
     horizon_factor: float = 6.0
     group_size: int = 2
     tolerance: float = 0.2
+
+    def __post_init__(self):
+        if self.n_requests < 1:
+            raise ValueError(f"n_requests must be >= 1, got {self.n_requests}")
 
     @property
     def expected_service(self) -> float:
@@ -324,15 +327,6 @@ class ScenarioOutcome:
             "engine": self.engine,
             "fallback": self.fallback,
         }
-
-    @property
-    def waste_fraction(self) -> float:
-        """Share of issued work that was duplicate (unclaimed) service."""
-        return self.wasted_work / self.issued_work if self.issued_work > 0 else 0.0
-
-    @property
-    def slo_fraction(self) -> float:
-        return self.slo_violations / self.n_requests if self.n_requests else 0.0
 
     def digest(self) -> str:
         """SHA-256 over the full-precision run outcome (oracle identity).
@@ -890,49 +884,27 @@ def run_scenario(workload: CampaignWorkload, scenario: Scenario,
 
 
 @dataclass
-class CellScore:
-    """Aggregate score for one (workload, family, policy) cell."""
-
-    workload: str
-    family: str
-    policy: str
-    requests: int
-    mean: float
-    p50: float
-    p99: float
-    maximum: float
-    slo_fraction: float
-    waste_fraction: float
-    violations: List[str] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-
-@dataclass
 class CampaignResult:
-    """Everything a campaign produced: raw outcomes plus the scorecard."""
+    """Everything a campaign produced: every run's outcome, in run order."""
 
     seed: int
     scenarios_per_family: int
     outcomes: List[ScenarioOutcome]
-    cells: List[CellScore]
 
     @property
     def violations(self) -> List[str]:
-        return [v for cell in self.cells for v in cell.violations]
-
-    def cell(self, workload: str, family: str, policy: str) -> CellScore:
-        for candidate in self.cells:
-            if (candidate.workload, candidate.family, candidate.policy) == (
-                workload, family, policy,
-            ):
-                return candidate
-        raise KeyError(f"no cell ({workload}, {family}, {policy})")
+        """Every oracle violation in run order, prefixed with its run."""
+        return [
+            f"{o.workload}/{o.family}[{o.scenario_index}]/{o.policy}: {v}"
+            for o in self.outcomes
+            for v in o.violations
+        ]
 
     def table(self) -> Table:
-        """The scorecard, one row per (workload, family, policy) cell."""
+        """The scorecard, one row per (workload, family, policy) cell.
+
+        Each row is folded from its cell's outcomes on every call.
+        """
         table = Table(
             f"E26: fault-campaign scorecard (seed {self.seed}, "
             f"{self.scenarios_per_family} scenarios/family)",
@@ -947,48 +919,26 @@ class CampaignResult:
                 "and same-seed rerun determinism on every scenario."
             ),
         )
-        for cell in self.cells:
+        cells: Dict[Tuple[str, str, str], List[ScenarioOutcome]] = {}
+        for o in self.outcomes:
+            cells.setdefault((o.workload, o.family, o.policy), []).append(o)
+        for (workload, family, policy), runs in cells.items():
+            summary = LatencySummary.of(np.concatenate([o.latencies for o in runs]))
+            tally = sum(map(Tally.of, runs), Tally())
+            bad = sum(len(o.violations) for o in runs)
             table.add_row(
-                cell.workload,
-                cell.family,
-                cell.policy,
-                cell.mean,
-                cell.p50,
-                cell.p99,
-                cell.maximum,
-                100.0 * cell.slo_fraction,
-                100.0 * cell.waste_fraction,
-                "ok" if cell.ok else f"VIOLATED({len(cell.violations)})",
+                workload,
+                family,
+                policy,
+                summary.mean,
+                summary.p50,
+                summary.p99,
+                summary.maximum,
+                100.0 * tally.slo_fraction,
+                100.0 * tally.waste_fraction,
+                "ok" if not bad else f"VIOLATED({bad})",
             )
         return table
-
-
-def _score_cell(workload: str, family: str, policy: str,
-                outcomes: Sequence[ScenarioOutcome]) -> CellScore:
-    latencies = [o.latencies for o in outcomes]
-    summary = LatencySummary.of(np.concatenate(latencies) if latencies else ())
-    requests = sum(o.n_requests for o in outcomes)
-    slo_violations = sum(o.slo_violations for o in outcomes)
-    issued = sum(o.issued_work for o in outcomes)
-    wasted = sum(o.wasted_work for o in outcomes)
-    violations = [
-        f"{o.family}[{o.scenario_index}]: {v}"
-        for o in outcomes
-        for v in o.violations
-    ]
-    return CellScore(
-        workload=workload,
-        family=family,
-        policy=policy,
-        requests=requests,
-        mean=summary.mean,
-        p50=summary.p50,
-        p99=summary.p99,
-        maximum=summary.maximum,
-        slo_fraction=slo_violations / requests if requests else 0.0,
-        waste_fraction=wasted / issued if issued else 0.0,
-        violations=violations,
-    )
 
 
 def run_campaign(
@@ -1020,18 +970,18 @@ def run_campaign(
     primary run, and recording them would double every record in the
     trace.
     """
+    if scenarios_per_family < 1:
+        raise ValueError(f"scenarios_per_family must be >= 1, got {scenarios_per_family}")
     if policies is None:
         policies = list(POLICIES)
     oracle = InvariantOracle()
     outcomes: List[ScenarioOutcome] = []
-    cells: List[CellScore] = []
     for workload_name in workloads:
         workload = WORKLOADS[workload_name]
         if n_requests is not None:
             workload = replace(workload, n_requests=n_requests)
         for family in families:
             scenarios = generate_scenarios(workload, family, seed, scenarios_per_family)
-            by_policy: Dict[str, List[ScenarioOutcome]] = {p: [] for p in policies}
             for scenario in scenarios:
                 for policy_name in policies:
                     run = len(outcomes)
@@ -1053,17 +1003,10 @@ def run_campaign(
                             oracle.check_determinism(outcome, rerun)
                         )
                     outcomes.append(outcome)
-                    by_policy[policy_name].append(outcome)
-            for policy_name in policies:
-                cells.append(
-                    _score_cell(workload.name, family, policy_name,
-                                by_policy[policy_name])
-                )
     return CampaignResult(
         seed=seed,
         scenarios_per_family=scenarios_per_family,
         outcomes=outcomes,
-        cells=cells,
     )
 
 
@@ -1073,10 +1016,11 @@ def run_campaign(
 
 
 @dataclass
-class SoakWindow:
+class SoakWindow(Tally):
     """One soak window's scorecard: exact counters, exact statistics.
 
-    ``moments``/``p50``/``p99`` are the window's latency distribution,
+    The :class:`~repro.sim.metrics.Tally` fields are the window run's
+    counters; ``moments``/``p50``/``p99`` are its latency distribution,
     folded from every sample with numpy
     (:meth:`~repro.sim.metrics.StreamingMoments.of`,
     :class:`~repro.sim.metrics.ExactQuantile`); the ``rolling_*`` fields
@@ -1091,11 +1035,6 @@ class SoakWindow:
     start: float
     end: float
     injectors: int
-    requests: int
-    slo_violations: int
-    failed_requests: int
-    issued_work: float
-    wasted_work: float
     moments: StreamingMoments
     p50: ExactQuantile
     p99: ExactQuantile
@@ -1106,14 +1045,6 @@ class SoakWindow:
     rolling_p99: float
     violations: List[str] = field(default_factory=list)
     execution: Optional[Dict[str, object]] = None
-
-    @property
-    def slo_fraction(self) -> float:
-        return self.slo_violations / self.requests if self.requests else 0.0
-
-    @property
-    def waste_fraction(self) -> float:
-        return self.wasted_work / self.issued_work if self.issued_work > 0 else 0.0
 
     @property
     def rolling_slo_fraction(self) -> float:
@@ -1177,9 +1108,10 @@ class SoakWindow:
 
 
 @dataclass
-class SoakResult:
+class SoakResult(Tally):
     """A whole soak campaign, windows optionally dropped as they stream.
 
+    The :class:`~repro.sim.metrics.Tally` fields sum every window's.
     With ``retain_windows=False`` (the flat-memory production mode)
     only the merged whole-soak statistics and the final rolling
     aggregates survive in RAM -- per-window scorecards live in the
@@ -1194,11 +1126,6 @@ class SoakResult:
     n_windows: int
     window_span: float
     injectors: int
-    requests: int
-    slo_violations: int
-    failed_requests: int
-    issued_work: float
-    wasted_work: float
     moments: StreamingMoments
     final_rolling_mean: float
     final_rolling_p99: float
@@ -1213,10 +1140,6 @@ class SoakResult:
     def horizon(self) -> float:
         """Total virtual time driven, in seconds."""
         return self.n_windows * self.window_span
-
-    @property
-    def slo_fraction(self) -> float:
-        return self.slo_violations / self.requests if self.requests else 0.0
 
     def table(self) -> Table:
         """Per-window scorecard (needs ``retain_windows=True``)."""
@@ -1342,6 +1265,8 @@ def run_soak(
         raise ValueError(f"n_windows must be >= 1, got {n_windows}")
     if rolling < 1:
         raise ValueError(f"rolling must be >= 1, got {rolling}")
+    if injectors_per_window < 0:
+        raise ValueError(f"injectors_per_window must be >= 0, got {injectors_per_window}")
     base = WORKLOADS[workload] if isinstance(workload, str) else workload
     scaled = base if n_requests is None else replace(base, n_requests=n_requests)
     span = scaled.horizon
@@ -1358,9 +1283,8 @@ def run_soak(
     recent: deque = deque(maxlen=rolling)
     windows: List[SoakWindow] = []
     total_moments = StreamingMoments()
-    totals = {"requests": 0, "slo": 0, "failed": 0, "injectors": 0}
-    total_issued = 0.0
-    total_wasted = 0.0
+    total = Tally()
+    injectors = 0
     violations: List[str] = []
     rolling_mean = 0.0
     rolling_p99 = 0.0
@@ -1385,8 +1309,9 @@ def run_soak(
         moments = StreamingMoments.of(latencies)
         p50, p99 = ExactQuantile.of(latencies, (0.5, 0.99))
         window_violations = [f"window[{w}]: {v}" for v in outcome.violations]
-        recent.append((latencies, outcome.n_requests, outcome.slo_violations))
-        trailing = np.concatenate([lat for lat, __, __ in recent])
+        tally = Tally.of(outcome)
+        recent.append((latencies, tally))
+        trailing = np.concatenate([lat for lat, __ in recent])
         rolling_mean = rolling_p99 = 0.0
         if trailing.size:
             rolling_mean = float(np.mean(trailing))
@@ -1394,22 +1319,19 @@ def run_soak(
             # (after the order-sensitive mean) rather than copy it again.
             rolling_p99 = float(np.quantile(trailing, 0.99, overwrite_input=True))
         del trailing
+        trailing_tally = sum((t for __, t in recent), Tally())
         score = SoakWindow(
+            **asdict(tally),
             index=w,
             start=start,
             end=start + span,
             injectors=len(events),
-            requests=outcome.n_requests,
-            slo_violations=outcome.slo_violations,
-            failed_requests=outcome.failed_requests,
-            issued_work=outcome.issued_work,
-            wasted_work=outcome.wasted_work,
             moments=moments,
             p50=p50,
             p99=p99,
             rolling_windows=len(recent),
-            rolling_requests=sum(r for __, r, __ in recent),
-            rolling_slo_violations=sum(v for __, __, v in recent),
+            rolling_requests=trailing_tally.requests,
+            rolling_slo_violations=trailing_tally.slo_violations,
             rolling_mean=rolling_mean,
             rolling_p99=rolling_p99,
             violations=window_violations,
@@ -1418,12 +1340,8 @@ def run_soak(
         if sink is not None:
             sink.write_window(score.to_dict())
         total_moments.merge(moments)
-        totals["requests"] += outcome.n_requests
-        totals["slo"] += outcome.slo_violations
-        totals["failed"] += outcome.failed_requests
-        totals["injectors"] += len(events)
-        total_issued += outcome.issued_work
-        total_wasted += outcome.wasted_work
+        total += tally
+        injectors += len(events)
         violations.extend(window_violations)
         if retain_windows:
             windows.append(score)
@@ -1435,6 +1353,7 @@ def run_soak(
         del outcome, latencies, score, moments, p50, p99
         gc.collect()
     return SoakResult(
+        **asdict(total),
         seed=seed,
         workload=scaled.name,
         family=family,
@@ -1442,12 +1361,7 @@ def run_soak(
         engine=engine,
         n_windows=n_windows,
         window_span=span,
-        injectors=totals["injectors"],
-        requests=totals["requests"],
-        slo_violations=totals["slo"],
-        failed_requests=totals["failed"],
-        issued_work=total_issued,
-        wasted_work=total_wasted,
+        injectors=injectors,
         moments=total_moments,
         final_rolling_mean=rolling_mean,
         final_rolling_p99=rolling_p99,

@@ -86,7 +86,7 @@ class SweepResult:
     def table(self):
         """The rolled-up scorecard, one row per policy drawn."""
         from ..analysis.report import Table
-        from ..sim.metrics import LatencySummary
+        from ..sim.metrics import LatencySummary, Tally
 
         by_policy: Dict[str, List["ScenarioOutcome"]] = {}
         for __, outcome in self.runs:
@@ -109,22 +109,18 @@ class SweepResult:
         for policy in sorted(by_policy):
             runs = by_policy[policy]
             summary = LatencySummary.of(np.concatenate([r.latencies for r in runs]))
-            requests = sum(r.n_requests for r in runs)
-            issued = sum(r.issued_work for r in runs)
-            wasted = sum(r.wasted_work for r in runs)
+            tally = sum(map(Tally.of, runs), Tally())
             bad = sum(len(r.violations) for r in runs)
             table.add_row(
                 policy,
                 len(runs),
                 sum(1 for r in runs if r.engine == "hybrid"),
-                requests,
+                tally.requests,
                 summary.mean,
                 summary.p99,
-                100.0 * sum(r.slo_violations for r in runs) / requests
-                if requests else 0.0,
-                100.0 * wasted / issued if issued else 0.0,
-                100.0 * sum(r.failed_requests for r in runs) / requests
-                if requests else 0.0,
+                100.0 * tally.slo_fraction,
+                100.0 * tally.waste_fraction,
+                100.0 * tally.failed_fraction,
                 "ok" if not bad else f"VIOLATED({bad})",
             )
         return table

@@ -4,7 +4,8 @@ The paper's benefits argument (Section 3.3) is framed in terms of
 *availability* as defined by Gray & Reuter: "the fraction of the offered
 load that is processed with acceptable response times."
 :class:`AvailabilityMeter` implements exactly that definition;
-:class:`LatencySummary` is the latency view the experiments report.
+:class:`LatencySummary` is the latency view the experiments report, and
+:class:`Tally` the counts view: requests, SLO misses, failures and work.
 
 Exact statistics
 ----------------
@@ -30,6 +31,7 @@ import numpy as np
 __all__ = [
     "AvailabilityMeter",
     "LatencySummary",
+    "Tally",
     "StreamingMoments",
     "ExactQuantile",
 ]
@@ -233,6 +235,55 @@ class LatencySummary:
         p50, p99 = ExactQuantile.of(values, (0.5, 0.99))
         return cls(moments.count, moments.mean, moments.maximum,
                    p50.value(), p99.value())
+
+
+@dataclass(kw_only=True)
+class Tally:
+    """The counts a scorecard reports: requests, misses, failures, work.
+
+    :meth:`of` copies one run's counters, and ``+`` adds two tallies
+    field by field, so a left-to-right fold from ``Tally()`` sums the
+    work in run order.  Each fraction is 0.0 when its denominator is 0.
+    Soak windows, soak results and replayed runs are tallies too; the
+    fields are keyword-only so those subclasses can add their own.
+    """
+
+    requests: int = 0
+    slo_violations: int = 0
+    failed_requests: int = 0
+    issued_work: float = 0.0
+    wasted_work: float = 0.0
+
+    @classmethod
+    def of(cls, outcome) -> "Tally":
+        """One run's counters, read off a ``ScenarioOutcome``."""
+        return cls(requests=outcome.n_requests,
+                   slo_violations=outcome.slo_violations,
+                   failed_requests=outcome.failed_requests,
+                   issued_work=outcome.issued_work,
+                   wasted_work=outcome.wasted_work)
+
+    def __add__(self, other: "Tally") -> "Tally":
+        return Tally(requests=self.requests + other.requests,
+                     slo_violations=self.slo_violations + other.slo_violations,
+                     failed_requests=self.failed_requests + other.failed_requests,
+                     issued_work=self.issued_work + other.issued_work,
+                     wasted_work=self.wasted_work + other.wasted_work)
+
+    @property
+    def slo_fraction(self) -> float:
+        """Share of requests that missed the SLO."""
+        return self.slo_violations / self.requests if self.requests else 0.0
+
+    @property
+    def waste_fraction(self) -> float:
+        """Share of issued work that was duplicate (unclaimed) service."""
+        return self.wasted_work / self.issued_work if self.issued_work else 0.0
+
+    @property
+    def failed_fraction(self) -> float:
+        """Share of requests that failed."""
+        return self.failed_requests / self.requests if self.requests else 0.0
 
 
 class AvailabilityMeter:

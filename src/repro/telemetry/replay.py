@@ -40,7 +40,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
 from ..analysis.report import Table
-from ..sim.metrics import ExactQuantile, StreamingMoments
+from ..sim.metrics import ExactQuantile, StreamingMoments, Tally
 from ..sim.trace import COMPLETION, SPEC_VIOLATION, STATE_CHANGE
 from .reader import TraceSummary, iter_trace, line_records
 
@@ -48,8 +48,11 @@ __all__ = ["RunSummary", "TraceReplay", "replay_trace"]
 
 
 @dataclass
-class RunSummary:
-    """One recorded run, rebuilt from its run-start/run-end records."""
+class RunSummary(Tally):
+    """One recorded run, rebuilt from its run-start/run-end records.
+
+    Its tally is the run-end line's counters, zero until that line.
+    """
 
     run: int
     workload: str
@@ -58,12 +61,7 @@ class RunSummary:
     policy: str
     engine: str
     events: List[Dict[str, Any]]
-    requests: int = 0
     slo: float = 0.0
-    slo_violations: int = 0
-    failed_requests: int = 0
-    issued_work: float = 0.0
-    wasted_work: float = 0.0
     digest: str = ""
     moments: StreamingMoments = field(default_factory=StreamingMoments)
     p50: ExactQuantile = field(default_factory=lambda: ExactQuantile(0.5, 0.0))
@@ -76,14 +74,6 @@ class RunSummary:
     @property
     def mean(self) -> float:
         return self.moments.mean if self.moments.count else 0.0
-
-    @property
-    def slo_fraction(self) -> float:
-        return self.slo_violations / self.requests if self.requests else 0.0
-
-    @property
-    def waste_fraction(self) -> float:
-        return self.wasted_work / self.issued_work if self.issued_work > 0 else 0.0
 
 
 @dataclass

@@ -330,11 +330,19 @@ class TestCampaignSweep:
             n_requests=80,
         )
         # families x policies cells, one outcome per (scenario, policy).
-        assert len(result.cells) == 2 * len(POLICIES)
+        assert len(result.table()) == 2 * len(POLICIES)
         assert len(result.outcomes) == 2 * len(POLICIES)
         assert result.violations == []
         table = result.table()
         assert table.column("oracle") == ["ok"] * len(table)
+
+    def test_bad_sizes_rejected_by_name(self):
+        # Refused before anything runs: no family draw, no empty scorecard.
+        with pytest.raises(ValueError,
+                           match="scenarios_per_family must be >= 1, got 0"):
+            run_campaign(workloads=("raid10",), scenarios_per_family=0)
+        with pytest.raises(ValueError, match="n_requests must be >= 1, got 0"):
+            run_campaign(workloads=("raid10",), n_requests=0)
 
     def test_workload_roster(self):
         assert set(WORKLOADS) == {"raid10", "dht", "surge"}

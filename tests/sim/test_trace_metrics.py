@@ -1,9 +1,12 @@
 """Unit tests for telemetry records and metrics."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 from repro.sim import AvailabilityMeter, LatencySummary, TraceRecord
+from repro.sim.metrics import Tally
 
 
 class TestLatencySummary:
@@ -30,6 +33,40 @@ class TestLatencySummary:
         for batch in ([0.2, -0.1, 0.5], np.array([0.2, -0.1, 0.5])):
             with pytest.raises(ValueError, match=r"latency must be >= 0, got -0\.1"):
                 LatencySummary.of(batch)
+
+
+class TestTally:
+    def test_of_copies_the_five_counters(self):
+        outcome = SimpleNamespace(n_requests=40, slo_violations=3,
+                                  failed_requests=2, issued_work=21.5,
+                                  wasted_work=1.25)
+        assert Tally.of(outcome) == Tally(requests=40, slo_violations=3,
+                                          failed_requests=2, issued_work=21.5,
+                                          wasted_work=1.25)
+
+    def test_fold_adds_in_order(self):
+        # 0.1 + 0.2 + 0.3 rounds differently when grouped from the right,
+        # so the fold must add left to right, as a plain loop does.
+        parts = [Tally(requests=n, slo_violations=1, failed_requests=n % 2,
+                       issued_work=w, wasted_work=w / 4)
+                 for n, w in ((10, 0.1), (20, 0.2), (30, 0.3))]
+        folded = sum(parts, Tally())
+        assert folded == Tally(requests=60, slo_violations=3,
+                               failed_requests=0,
+                               issued_work=0.1 + 0.2 + 0.3,
+                               wasted_work=0.1 / 4 + 0.2 / 4 + 0.3 / 4)
+        assert folded.issued_work != 0.1 + (0.2 + 0.3)
+        assert folded.slo_fraction == 3 / 60
+        assert folded.waste_fraction == folded.wasted_work / folded.issued_work
+
+    def test_zero_denominators_read_zero(self):
+        empty = Tally()
+        assert (empty.slo_fraction, empty.waste_fraction,
+                empty.failed_fraction) == (0.0, 0.0, 0.0)
+        # Each fraction looks at its own denominator only.
+        no_work = Tally(requests=4, slo_violations=1, failed_requests=2)
+        assert no_work.waste_fraction == 0.0
+        assert (no_work.slo_fraction, no_work.failed_fraction) == (0.25, 0.5)
 
 
 class TestAvailabilityMeter:

@@ -9,13 +9,21 @@ run's digest, counters, and exact latency statistics, and
 discrete and the hybrid engine.
 """
 
+from dataclasses import fields
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.scenario.generate import generate_spec
-from repro.sim.metrics import StreamingMoments
-from repro.telemetry import record_spec_run, replay_trace, verify_trace
+from repro.sim.metrics import StreamingMoments, Tally
+from repro.telemetry import (
+    record_campaign,
+    record_soak,
+    record_spec_run,
+    replay_trace,
+    verify_trace,
+)
 
 #: Timer-free, so every generated spec is hybrid-bindable and the
 #: hybrid lane really exercises the fluid path instead of falling back.
@@ -88,3 +96,27 @@ def test_engines_agree_on_replayed_counters(tmp_path_factory, seed, index):
     assert discrete.failed_requests == hybrid.failed_requests
     assert abs(discrete.issued_work - hybrid.issued_work) <= 1e-9
     assert abs(discrete.wasted_work - hybrid.wasted_work) <= 1e-9
+
+
+def _counts(tally):
+    return {f.name: getattr(tally, f.name) for f in fields(Tally)}
+
+
+def test_replayed_runs_and_windows_carry_the_live_tallies(tmp_path):
+    """Every replayed run and window holds its live run's five counters."""
+    campaign = record_campaign(tmp_path / "campaign.jsonl", seed=7,
+                               workloads=("raid10",), families=("magnitude",),
+                               policies=("fixed-timeout", "hedged"),
+                               scenarios_per_family=2, n_requests=60)
+    runs = replay_trace(tmp_path / "campaign.jsonl").runs
+    assert [_counts(run) for run in runs] == [
+        _counts(Tally.of(outcome)) for outcome in campaign.outcomes
+    ]
+    soak = record_soak(tmp_path / "soak.jsonl", seed=7, n_windows=3,
+                       injectors_per_window=2, n_requests=60,
+                       retain_windows=True)
+    windows = replay_trace(tmp_path / "soak.jsonl").windows
+    assert [_counts(window) for window in windows] == [
+        _counts(window) for window in soak.windows
+    ]
+    assert _counts(sum(windows, Tally())) == _counts(soak)

@@ -9,6 +9,8 @@ flat-memory half of that is pinned with tracemalloc in
 ``tests/faults/test_outcome_columnar.py``.
 """
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -21,6 +23,7 @@ from repro.faults.campaign import (
     run_soak,
     WORKLOADS,
 )
+from repro.sim.metrics import Tally
 from repro.telemetry import read_trace, record_soak, replay_trace, verify_trace
 
 pytestmark = pytest.mark.soak
@@ -53,6 +56,13 @@ class TestWindowSemantics:
         assert soak.requests == sum(w.requests for w in soak.windows)
         assert soak.slo_violations == sum(w.slo_violations for w in soak.windows)
         assert soak.moments.count == sum(w.moments.count for w in soak.windows)
+
+    def test_tally_is_the_fold_of_the_window_tallies(self, soak):
+        # All five counters, work sums exact: the same left-to-right fold.
+        folded = sum(soak.windows, Tally())
+        assert {f.name: getattr(soak, f.name) for f in fields(Tally)} == {
+            f.name: getattr(folded, f.name) for f in fields(Tally)
+        }
 
     def test_rolling_columns_are_the_exact_lane_merge(self):
         """roll_* at window w == np.quantile over the trailing windows' samples."""
@@ -152,6 +162,17 @@ class TestEventMerging:
                           n_requests=N_REQUESTS, engine="discrete",
                           family="correlated", retain_windows=True)
         assert result.ok
+
+
+class TestSoakArguments:
+    def test_zero_requests_rejected_by_name(self):
+        with pytest.raises(ValueError, match="n_requests must be >= 1, got 0"):
+            run_soak(n_windows=1, n_requests=0)
+
+    def test_negative_injectors_rejected_by_name(self):
+        with pytest.raises(ValueError,
+                           match="injectors_per_window must be >= 0, got -1"):
+            run_soak(n_windows=1, injectors_per_window=-1, n_requests=20)
 
 
 class TestSoakTrace:

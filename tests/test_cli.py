@@ -220,3 +220,21 @@ class TestCli:
         assert len(lines) == 3
         assert all(line.startswith("  ") and line.endswith("]: planted")
                    for line in lines[1:])
+
+    def test_campaign_violations_name_their_run(self, capsys, monkeypatch):
+        from repro.faults.campaign import InvariantOracle
+
+        monkeypatch.setattr(InvariantOracle, "check",
+                            lambda self, outcome: ["planted"])
+        argv = ["campaign", "--scenarios", "2", "--workloads", "raid10",
+                "--families", "failstop", "--policies", "fixed-timeout",
+                "hedged", "--requests", "40", "--no-verify"]
+        assert main(argv) == 1
+        # In run order, each naming workload, family, index and policy.
+        assert capsys.readouterr().err.splitlines() == [
+            "4 oracle violations:",
+            "  raid10/failstop[0]/fixed-timeout: planted",
+            "  raid10/failstop[0]/hedged: planted",
+            "  raid10/failstop[1]/fixed-timeout: planted",
+            "  raid10/failstop[1]/hedged: planted",
+        ]
