@@ -115,32 +115,22 @@ def _cmd_campaign(args) -> int:
     engine = args.engine or ("hybrid" if args.soak else "discrete")
     if args.soak:
         return _cmd_soak(args, engine)
+    run_args = dict(
+        seed=args.seed,
+        workloads=tuple(args.workloads),
+        families=tuple(args.families),
+        policies=tuple(args.policies),
+        scenarios_per_family=args.scenarios,
+        n_requests=args.requests,
+        verify_determinism=not args.no_verify,
+        engine=engine,
+    )
     if args.trace:
         from .telemetry import record_campaign
 
-        result = record_campaign(
-            args.trace,
-            csv_path=args.trace_csv,
-            seed=args.seed,
-            workloads=tuple(args.workloads),
-            families=tuple(args.families),
-            policies=tuple(args.policies),
-            scenarios_per_family=args.scenarios,
-            n_requests=args.requests,
-            engine=engine,
-            verify_determinism=not args.no_verify,
-        )
+        result = record_campaign(args.trace, csv_path=args.trace_csv, **run_args)
     else:
-        result = run_campaign(
-            seed=args.seed,
-            workloads=tuple(args.workloads),
-            families=tuple(args.families),
-            policies=tuple(args.policies),
-            scenarios_per_family=args.scenarios,
-            n_requests=args.requests,
-            verify_determinism=not args.no_verify,
-            engine=engine,
-        )
+        result = run_campaign(**run_args)
     table = result.table()
     print(table.render())
     print()
@@ -161,21 +151,20 @@ def _cmd_soak(args, engine: str) -> int:
     workload = args.workloads[0] if len(args.workloads) == 1 else "raid10"
     family = args.families[0] if len(args.families) == 1 else "magnitude"
     policy = args.policies[0] if len(args.policies) == 1 else "stutter-aware"
+    run_args = dict(
+        seed=args.seed,
+        workload=workload,
+        family=family,
+        policy=policy,
+        n_windows=args.windows,
+        injectors_per_window=args.injectors,
+        n_requests=args.requests,
+        engine=engine,
+        rolling=args.rolling,
+    )
     if args.trace:
-        result = record_soak(
-            args.trace,
-            csv_path=args.trace_csv,
-            seed=args.seed,
-            workload=workload,
-            family=family,
-            policy=policy,
-            n_windows=args.windows,
-            injectors_per_window=args.injectors,
-            n_requests=args.requests,
-            engine=engine,
-            rolling=args.rolling,
-            retain_windows=False,
-        )
+        result = record_soak(args.trace, csv_path=args.trace_csv,
+                             retain_windows=False, **run_args)
         hours = result.horizon / 3600.0
         print(
             f"soak: {result.workload} x {result.family} x {result.policy} "
@@ -192,18 +181,7 @@ def _cmd_soak(args, engine: str) -> int:
         print(f"  per-window scorecards streamed to {args.trace} "
               f"(replay with: python -m repro replay {args.trace})")
     else:
-        result = run_soak(
-            seed=args.seed,
-            workload=workload,
-            family=family,
-            policy=policy,
-            n_windows=args.windows,
-            injectors_per_window=args.injectors,
-            n_requests=args.requests,
-            engine=engine,
-            rolling=args.rolling,
-            retain_windows=True,
-        )
+        result = run_soak(retain_windows=True, **run_args)
         print(result.table().render())
     return _report_violations(result.violations)
 

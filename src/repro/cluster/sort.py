@@ -175,27 +175,17 @@ def run_sort(
                 chunks_per_node=shares,
             )
         if mode == "pull":
-            result = yield PullScheduler().run(sim, chunks, len(nodes), execute)
-            return SortResult(
-                mode=mode,
-                total_mb=config.total_mb,
-                started_at=start,
-                finished_at=sim.now,
-                chunks_per_node=result.tasks_per_worker(len(nodes)),
-            )
-        # hedged
-        scheduler = HedgingScheduler(hedge_after=hedge_after)
+            scheduler = PullScheduler()
+        else:
+            scheduler = HedgingScheduler(hedge_after=hedge_after)
         result = yield scheduler.run(sim, chunks, len(nodes), execute)
-        counts = [0] * len(nodes)
-        for worker in result.winners.values():
-            counts[worker] += 1
         return SortResult(
             mode=mode,
             total_mb=config.total_mb,
             started_at=start,
             finished_at=result.finished_at,
-            chunks_per_node=counts,
-            duplicates=result.duplicates_launched,
+            chunks_per_node=result.tasks_per_worker(len(nodes)),
+            duplicates=result.duplicates_launched if mode == "hedged" else 0,
         )
 
     return sim.process(go())

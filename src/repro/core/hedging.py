@@ -16,34 +16,27 @@ speculative execution, hedged RPCs) made standard practice.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from statistics import median
-from typing import Any, Callable, Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Optional
 
 from ..faults.model import ComponentStopped
-from ..sim.engine import Process, Simulator
 from ..sim.resources import Store
+from .pull import PullScheduler, ScheduleResult
 
 __all__ = ["HedgeResult", "HedgingScheduler"]
 
 
 @dataclass
-class HedgeResult:
-    """Outcome of a hedged schedule."""
+class HedgeResult(ScheduleResult):
+    """Outcome of a hedged schedule.
 
-    n_tasks: int
-    started_at: float
-    finished_at: float
-    #: task index -> worker index whose copy finished first.
-    winners: Dict[int, int] = field(default_factory=dict)
+    ``assignments`` maps each task to the worker whose copy finished
+    first, and ``finished_at`` is the last first-completion.
+    """
+
     duplicates_launched: int = 0
     wasted_completions: int = 0
-    requeues: int = 0
-
-    @property
-    def duration(self) -> float:
-        """Virtual seconds from start to last first-completion."""
-        return self.finished_at - self.started_at
 
 
 @dataclass
@@ -53,8 +46,11 @@ class _Outstanding:
     copies: int = 1
 
 
-class HedgingScheduler:
+class HedgingScheduler(PullScheduler):
     """Pull scheduling plus speculative duplicates on the tail.
+
+    :meth:`run` and ``execute`` are :class:`PullScheduler`'s; the process
+    returns a :class:`HedgeResult`.  A worker whose copy fails is retired.
 
     Parameters
     ----------
@@ -72,23 +68,9 @@ class HedgingScheduler:
             raise ValueError(f"hedge_after must be > 0, got {hedge_after}")
         if max_copies < 2:
             raise ValueError(f"max_copies must be >= 2, got {max_copies}")
+        super().__init__()
         self.hedge_after = hedge_after
         self.max_copies = max_copies
-
-    def run(
-        self,
-        sim: Simulator,
-        tasks: Sequence[Any],
-        n_workers: int,
-        execute: Callable[[int, Any], Any],
-    ) -> Process:
-        """Schedule ``tasks`` over ``n_workers`` with hedging; the process
-        returns a :class:`HedgeResult`."""
-        if not tasks:
-            raise ValueError("no tasks to schedule")
-        if n_workers < 1:
-            raise ValueError(f"n_workers must be >= 1, got {n_workers}")
-        return sim.process(self._go(sim, list(tasks), n_workers, execute))
 
     def _go(self, sim, tasks, n_workers, execute):
         start = sim.now
@@ -108,13 +90,13 @@ class HedgingScheduler:
             return 2.5 * median(completed_durations)
 
         def record_completion(index: int, worker_index: int, started: float) -> None:
-            if index in result.winners:
+            if index in result.assignments:
                 result.wasted_completions += 1
                 return
-            result.winners[index] = worker_index
+            result.assignments[index] = worker_index
             completed_durations.append(sim.now - started)
             outstanding.pop(index, None)
-            if len(result.winners) == len(tasks) and not all_done.triggered:
+            if len(result.assignments) == len(tasks) and not all_done.triggered:
                 result.finished_at = sim.now
                 all_done.succeed(None)
 
@@ -134,12 +116,13 @@ class HedgingScheduler:
                     best_index, best_wait = index, wait
             return best_index, best_wait
 
-        def run_copy(worker_index: int, index: int, info: _Outstanding):
+        def launch_copy(worker_index: int, index: int, info: _Outstanding):
             try:
                 yield execute(worker_index, info.task)
             except (ComponentStopped, TimeoutError):
+                result.retired_workers += 1
                 info.copies -= 1
-                if info.copies <= 0 and index not in result.winners:
+                if info.copies <= 0 and index not in result.assignments:
                     outstanding.pop(index, None)
                     queue.put((index, info.task))
                     result.requeues += 1
@@ -152,11 +135,11 @@ class HedgingScheduler:
                 if len(queue) > 0:
                     item = yield queue.get()
                     index, task = item
-                    if index in result.winners:
+                    if index in result.assignments:
                         continue  # stale requeue
                     info = _Outstanding(task=task, started=sim.now)
                     outstanding[index] = info
-                    status = yield sim.process(run_copy(worker_index, index, info))
+                    status = yield sim.process(launch_copy(worker_index, index, info))
                     if status == "failed":
                         return  # retire the failing worker
                     continue
@@ -166,7 +149,7 @@ class HedgingScheduler:
                     info = outstanding[index]
                     info.copies += 1
                     result.duplicates_launched += 1
-                    status = yield sim.process(run_copy(worker_index, index, info))
+                    status = yield sim.process(launch_copy(worker_index, index, info))
                     if status == "failed":
                         return
                     continue
@@ -186,9 +169,9 @@ class HedgingScheduler:
         # stalled component (the very fault hedging exists for) must not
         # hold the schedule hostage once every task has a winner.
         yield sim.any_of([all_done, sim.all_of(workers)])
-        if len(result.winners) < len(tasks):
+        if len(result.assignments) < len(tasks):
             raise RuntimeError(
-                f"only {len(result.winners)}/{len(tasks)} tasks completed: "
+                f"only {len(result.assignments)}/{len(tasks)} tasks completed: "
                 "all workers failed or stalled with work remaining"
             )
         return result

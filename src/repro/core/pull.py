@@ -7,9 +7,12 @@ rate they can actually sustain, so no gauge or spec is needed at all:
 fast components simply come back for more, and a stalled component
 strands at most its in-flight tasks.
 
-:class:`PullScheduler` is the generic engine; the adaptive striping
-policy in :mod:`repro.storage.striping` and the adaptive parallel sort in
-:mod:`repro.cluster.sort` are instances of this pattern.
+:class:`PullScheduler` is the one pull loop.  The adaptive striping
+policy in :mod:`repro.storage.striping` and the ``pull`` mode of the
+parallel sort in :mod:`repro.cluster.sort` run on it, and
+:class:`~repro.core.hedging.HedgingScheduler` extends it with duplicates
+(its :class:`~repro.core.hedging.HedgeResult` is a
+:class:`ScheduleResult`).
 """
 
 from __future__ import annotations

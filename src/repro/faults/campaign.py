@@ -61,12 +61,14 @@ __all__ = [
     "InvariantOracle",
     "run_scenario",
     "run_campaign",
+    "campaign_workloads",
     "CampaignResult",
     "SoakWindow",
     "SoakResult",
     "soak_table",
     "merge_soak_events",
     "run_soak",
+    "soak_plan",
 ]
 
 #: Work-accounting comparisons use this absolute slack for float sums.
@@ -511,12 +513,11 @@ class CampaignEngine:
         so its eventual latency, accounting, and policy observation are
         exactly what an end-to-end discrete run would have produced.
 
-        When the head job is mid-service (``remaining < work``), the
-        component's own completion telemetry would report the residue and
-        a partial service time; the report callback is replaced with one
-        publishing the full work and the true in-service duration from
-        ``service_started``, keeping stutter detectors blind to the
-        handoff.
+        When the head job is mid-service (``remaining < work``), its stats
+        are set to the full work and ``service_started``, so the
+        component's completion telemetry reports the whole request and
+        its true in-service duration, keeping stutter detectors blind to
+        the handoff.
         """
         work = self.workload.work
         request = Request(
@@ -537,19 +538,8 @@ class CampaignEngine:
         event = component.submit(remaining, (request, name, submitted_at))
         partial = remaining != work
         if partial and service_started is not None:
-            bus = self.system.telemetry
-            try:
-                event.callbacks.remove(component._report_completion)
-            except ValueError:
-                pass  # telemetry inactive: nothing to correct
-            else:
-                started = service_started
-
-                def _publish(ev, name=name, started=started):
-                    if ev._ok:
-                        bus.completion(name, work, self.sim.now - started)
-
-                event.callbacks.append(_publish)
+            event.stats.size = work
+            event.stats.started_at = service_started
         if partial:
             bonus = work - remaining
 
@@ -941,6 +931,22 @@ class CampaignResult:
         return table
 
 
+def campaign_workloads(workloads: Sequence[str], scenarios_per_family: int,
+                       n_requests: Optional[int]) -> List[CampaignWorkload]:
+    """:func:`run_campaign`'s argument checks; the workloads it runs.
+
+    Each named stock workload comes back with ``n_requests`` applied.  A
+    bad argument raises before anything runs, so a recorder calls this
+    before it opens its trace.
+    """
+    if scenarios_per_family < 1:
+        raise ValueError(f"scenarios_per_family must be >= 1, got {scenarios_per_family}")
+    chosen = [WORKLOADS[name] for name in workloads]
+    if n_requests is None:
+        return chosen
+    return [replace(workload, n_requests=n_requests) for workload in chosen]
+
+
 def run_campaign(
     seed: int = 7,
     workloads: Sequence[str] = ("raid10", "dht"),
@@ -970,16 +976,12 @@ def run_campaign(
     primary run, and recording them would double every record in the
     trace.
     """
-    if scenarios_per_family < 1:
-        raise ValueError(f"scenarios_per_family must be >= 1, got {scenarios_per_family}")
+    scaled = campaign_workloads(workloads, scenarios_per_family, n_requests)
     if policies is None:
         policies = list(POLICIES)
     oracle = InvariantOracle()
     outcomes: List[ScenarioOutcome] = []
-    for workload_name in workloads:
-        workload = WORKLOADS[workload_name]
-        if n_requests is not None:
-            workload = replace(workload, n_requests=n_requests)
+    for workload in scaled:
         for family in families:
             scenarios = generate_scenarios(workload, family, seed, scenarios_per_family)
             for scenario in scenarios:
@@ -1218,6 +1220,39 @@ def merge_soak_events(draws: Sequence[Scenario],
     return tuple(kept)
 
 
+def soak_plan(
+    workload: Union[str, CampaignWorkload],
+    n_windows: int,
+    injectors_per_window: int,
+    n_requests: Optional[int],
+    rolling: int,
+    extra_events: Sequence[Tuple[int, FaultEvent]],
+) -> Tuple[CampaignWorkload, Dict[int, List[FaultEvent]]]:
+    """:func:`run_soak`'s argument checks; the workload and extra events.
+
+    Returns the workload each window runs, with ``n_requests`` applied,
+    and the extra events by window index.  A bad argument raises before
+    anything runs, so a recorder calls this before it opens its trace.
+    """
+    if n_windows < 1:
+        raise ValueError(f"n_windows must be >= 1, got {n_windows}")
+    if rolling < 1:
+        raise ValueError(f"rolling must be >= 1, got {rolling}")
+    if injectors_per_window < 0:
+        raise ValueError(f"injectors_per_window must be >= 0, got {injectors_per_window}")
+    base = WORKLOADS[workload] if isinstance(workload, str) else workload
+    scaled = base if n_requests is None else replace(base, n_requests=n_requests)
+    extras: Dict[int, List[FaultEvent]] = {}
+    for window_index, event in extra_events:
+        if not 0 <= window_index < n_windows:
+            raise ValueError(
+                f"extra event pinned to window {window_index}, but the soak "
+                f"has windows 0..{n_windows - 1}"
+            )
+        extras.setdefault(window_index, []).append(event)
+    return scaled, extras
+
+
 def run_soak(
     seed: int = 7,
     workload: Union[str, CampaignWorkload] = "raid10",
@@ -1261,24 +1296,9 @@ def run_soak(
     object) and dropped, so memory stays flat as the virtual horizon
     grows (``tests/faults/test_outcome_columnar.py`` pins it).
     """
-    if n_windows < 1:
-        raise ValueError(f"n_windows must be >= 1, got {n_windows}")
-    if rolling < 1:
-        raise ValueError(f"rolling must be >= 1, got {rolling}")
-    if injectors_per_window < 0:
-        raise ValueError(f"injectors_per_window must be >= 0, got {injectors_per_window}")
-    base = WORKLOADS[workload] if isinstance(workload, str) else workload
-    scaled = base if n_requests is None else replace(base, n_requests=n_requests)
+    scaled, extras = soak_plan(workload, n_windows, injectors_per_window,
+                               n_requests, rolling, extra_events)
     span = scaled.horizon
-    extras: Dict[int, List[FaultEvent]] = {}
-    for window_index, event in extra_events:
-        if not 0 <= window_index < n_windows:
-            raise ValueError(
-                f"extra event pinned to window {window_index}, but the soak "
-                f"has windows 0..{n_windows - 1}"
-            )
-        extras.setdefault(window_index, []).append(event)
-
     policy_name = policy if isinstance(policy, str) else _fresh_policy(policy).name
     recent: deque = deque(maxlen=rolling)
     windows: List[SoakWindow] = []

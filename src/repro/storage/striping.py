@@ -25,9 +25,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
-from ..faults.model import ComponentStopped
+from ..core.allocation import apportion
+from ..core.pull import PullScheduler
 from ..sim.engine import Process, Simulator
-from ..sim.resources import Store
 from .raid import Raid1Pair
 
 __all__ = [
@@ -98,29 +98,31 @@ class StripingPolicy:
     def _block_size_mb(pairs: Sequence[Raid1Pair]) -> float:
         return pairs[0].primary.params.block_size_mb
 
-    @staticmethod
-    def _write_share(sim, pair: Raid1Pair, count: int, value) -> Process:
-        """Sequentially write ``count`` blocks to one pair at lba 0.."""
-
-        def go():
-            for lba in range(count):
-                yield pair.write(lba, 1, value=value)
-
-        return sim.process(go())
-
 
 class UniformStriping(StripingPolicy):
-    """Scenario 1: fail-stop assumptions, equal shares for every pair."""
+    """Scenario 1: fail-stop assumptions, equal shares for every pair.
+
+    This is the fixed-share writer: pair *i* writes its
+    :func:`~repro.core.allocation.apportion` share of the blocks by
+    :meth:`_weights`, sequentially from lba 0.  Equal weights give the
+    first pairs the extra blocks.
+    """
 
     name = "uniform"
 
+    def _weights(self, pairs: Sequence[Raid1Pair]) -> List[float]:
+        return [1.0] * len(pairs)
+
     def _go(self, sim, pairs, n_blocks, block_value):
         start = sim.now
-        n = len(pairs)
-        base, extra = divmod(n_blocks, n)
-        shares = [base + (1 if i < extra else 0) for i in range(n)]
+        shares = apportion(n_blocks, self._weights(pairs))
+
+        def write_share(pair: Raid1Pair, count: int):
+            for lba in range(count):
+                yield pair.write(lba, 1, value=block_value)
+
         writers = [
-            self._write_share(sim, pair, count, block_value)
+            sim.process(write_share(pair, count))
             for pair, count in zip(pairs, shares)
             if count > 0
         ]
@@ -135,13 +137,14 @@ class UniformStriping(StripingPolicy):
         )
 
 
-class ProportionalStriping(StripingPolicy):
+class ProportionalStriping(UniformStriping):
     """Scenario 2: gauge once at installation, stripe by the ratios.
 
-    ``gauge_rates`` may be passed explicitly (e.g. from a probe run); by
-    default the policy reads each pair's *current* effective streaming
-    rate, which models gauging at installation time -- before any
-    post-installation rate change.
+    The fixed-share writer of :class:`UniformStriping`, weighted by the
+    gauged rates.  ``gauge_rates`` may be passed explicitly (e.g. from a
+    probe run); by default the policy reads each pair's *current*
+    effective streaming rate, which models gauging at installation time
+    -- before any post-installation rate change.
     """
 
     name = "proportional"
@@ -157,52 +160,23 @@ class ProportionalStriping(StripingPolicy):
             return 0.0
         return min(d.sequential_bandwidth() * d.effective_rate for d in live)
 
-    @staticmethod
-    def partition(n_blocks: int, rates: Sequence[float]) -> List[int]:
-        """Largest-remainder apportionment of blocks to rates."""
-        total = sum(rates)
-        if total <= 0:
-            raise ValueError("no pair has positive rate")
-        ideal = [n_blocks * r / total for r in rates]
-        shares = [int(x) for x in ideal]
-        remainders = sorted(
-            range(len(rates)), key=lambda i: ideal[i] - shares[i], reverse=True
-        )
-        for i in remainders[: n_blocks - sum(shares)]:
-            shares[i] += 1
-        return shares
-
-    def _go(self, sim, pairs, n_blocks, block_value):
-        start = sim.now
+    def _weights(self, pairs: Sequence[Raid1Pair]) -> List[float]:
         rates = self.gauge_rates or [self.gauge(p) for p in pairs]
         if len(rates) != len(pairs):
             raise ValueError(f"got {len(rates)} gauge rates for {len(pairs)} pairs")
-        shares = self.partition(n_blocks, rates)
-        writers = [
-            self._write_share(sim, pair, count, block_value)
-            for pair, count in zip(pairs, shares)
-            if count > 0
-        ]
-        yield sim.all_of(writers)
-        return StripingResult(
-            policy=self.name,
-            n_blocks=n_blocks,
-            block_size_mb=self._block_size_mb(pairs),
-            started_at=start,
-            finished_at=sim.now,
-            blocks_per_pair=shares,
-        )
+        return rates
 
 
 class AdaptiveStriping(StripingPolicy):
     """Scenario 3: pull-based assignment tracks *current* rates.
 
-    Every pair runs a worker that pulls the next unwritten block from a
-    shared queue; fast pairs naturally absorb more blocks, and a pair
-    that stalls mid-run simply stops pulling.  The price is the per-block
-    location map the controller must maintain.
+    :class:`~repro.core.pull.PullScheduler` runs the pairs as workers
+    that pull the next unwritten block as they go idle; fast pairs
+    naturally absorb more blocks, and a pair that stalls mid-run simply
+    stops pulling.  A block goes to its pair's next lba.  The price is
+    the per-block location map the controller must maintain.
 
-    ``inflight_per_pair`` controls how many blocks a worker claims ahead
+    ``inflight_per_pair`` controls how many blocks a pair claims ahead
     of completion; 1 is maximally adaptive (at most one block stranded on
     a stalling pair).
     """
@@ -216,53 +190,25 @@ class AdaptiveStriping(StripingPolicy):
 
     def _go(self, sim, pairs, n_blocks, block_value):
         start = sim.now
-        queue = Store(sim)
-        for block in range(n_blocks):
-            queue.put(block)
-        block_map: Dict[int, tuple] = {}
-        counts = [0] * len(pairs)
-        next_lba = [0] * len(pairs)  # shared across a pair's workers
-        n_workers = len(pairs) * self.inflight_per_pair
+        next_lba = [0] * len(pairs)  # shared across a pair's in-flight slots
+        lba_of: Dict[int, int] = {}  # block -> lba of its latest attempt
 
-        def finish_check():
-            # Once every block is placed, release the workers still waiting
-            # on the queue with one sentinel each.
-            if len(block_map) == n_blocks:
-                for __ in range(n_workers):
-                    queue.put(None)
+        def execute(index: int, block: int):
+            lba = lba_of[block] = next_lba[index]
+            next_lba[index] += 1
+            return pairs[index].write(lba, 1, value=block_value)
 
-        def worker(index: int, pair: Raid1Pair):
-            while True:
-                block = yield queue.get()
-                if block is None:
-                    return
-                lba = next_lba[index]
-                next_lba[index] += 1
-                try:
-                    yield pair.write(lba, 1, value=block_value)
-                except ComponentStopped:
-                    # Pair lost both members mid-write: hand the block back
-                    # for a surviving pair and retire this worker.
-                    queue.put(block)
-                    return
-                block_map[block] = (index, lba)
-                counts[index] += 1
-                finish_check()
-
-        workers = [
-            sim.process(worker(i, pair))
-            for i, pair in enumerate(pairs)
-            for __ in range(self.inflight_per_pair)
-        ]
-        yield sim.all_of(workers)
-        if len(block_map) < n_blocks:
-            raise ComponentStopped("raid10")  # every pair failed with work left
+        scheduler = PullScheduler(self.inflight_per_pair)
+        result = yield scheduler.run(sim, range(n_blocks), len(pairs), execute)
         return StripingResult(
             policy=self.name,
             n_blocks=n_blocks,
             block_size_mb=self._block_size_mb(pairs),
             started_at=start,
-            finished_at=sim.now,
-            blocks_per_pair=counts,
-            block_map=block_map,
+            finished_at=result.finished_at,
+            blocks_per_pair=result.tasks_per_worker(len(pairs)),
+            block_map={
+                block: (index, lba_of[block])
+                for block, index in result.assignments.items()
+            },
         )

@@ -14,13 +14,15 @@ window whose ``execution`` envelope (its engine mix) changed.
 
 Policies must be roster *names* here (not instances): an instance
 cannot be serialized into ``meta``, so it cannot be regenerated, so
-the trace could never verify.
+the trace could never verify.  The campaign and soak recorders run
+their run's argument checks before they open ``path``, so a refused
+call leaves a file already there untouched.
 """
 
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -102,11 +104,13 @@ def record_campaign(
     (reruns exist to check the primary run and are never recorded), so
     :func:`verify_trace` always regenerates with it off.
     """
-    from ..faults.campaign import POLICIES, run_campaign
+    from ..faults.campaign import POLICIES, campaign_workloads, run_campaign
 
     if policies is None:
         policies = list(POLICIES)
     _require_policy_names(policies)
+    specs = stock_spec_digests(list(workloads) + list(families))
+    campaign_workloads(workloads, scenarios_per_family, n_requests)
     meta = {
         "seed": seed,
         "workloads": list(workloads),
@@ -117,11 +121,7 @@ def record_campaign(
         "engine": engine,
     }
     with StreamingTraceSink(path, csv_path=csv_path) as sink:
-        sink.write_header(
-            mode="campaign",
-            meta=meta,
-            specs=stock_spec_digests(list(workloads) + list(families)),
-        )
+        sink.write_header(mode="campaign", meta=meta, specs=specs)
         result = run_campaign(
             seed=seed,
             workloads=workloads,
@@ -159,19 +159,12 @@ def record_soak(
     per-window scorecards can live on disk instead of in RAM; replay
     the trace (or pass True) to get them back.
     """
-    from ..faults.campaign import FaultEvent, run_soak
+    from ..faults.campaign import run_soak, soak_plan
 
     _require_policy_names([policy])
-    extra_meta = [
-        [w, {
-            "component": e.component,
-            "kind": e.kind,
-            "onset": e.onset,
-            "duration": e.duration,
-            "factor": e.factor,
-        }]
-        for w, e in extra_events
-    ]
+    specs = stock_spec_digests([workload, family])
+    soak_plan(workload, n_windows, injectors_per_window, n_requests, rolling,
+              extra_events)
     meta = {
         "seed": seed,
         "workload": workload,
@@ -182,15 +175,11 @@ def record_soak(
         "n_requests": n_requests,
         "engine": engine,
         "rolling": rolling,
-        "extra_events": extra_meta,
+        "extra_events": [[w, asdict(e)] for w, e in extra_events],
         "check": check,
     }
     with StreamingTraceSink(path, csv_path=csv_path) as sink:
-        sink.write_header(
-            mode="soak",
-            meta=meta,
-            specs=stock_spec_digests([workload, family]),
-        )
+        sink.write_header(mode="soak", meta=meta, specs=specs)
         result = run_soak(
             seed=seed,
             workload=workload,
@@ -201,7 +190,7 @@ def record_soak(
             n_requests=n_requests,
             engine=engine,
             rolling=rolling,
-            extra_events=[(w, FaultEvent(**dict(d))) for w, d in extra_meta],
+            extra_events=extra_events,
             sink=sink,
             check=check,
             retain_windows=retain_windows,
@@ -286,8 +275,9 @@ def _regenerator(mode, meta) -> Tuple[Optional[Callable[[Path], Any]], List[str]
     """The call that re-records a trace of ``mode`` from ``meta``, or why not.
 
     ``meta`` must hold exactly the keys the mode's recorder writes
-    (:data:`_META_KEYS`), and a spec run's ``spec`` must parse.  Each
-    problem is one reason naming the mode and the key.
+    (:data:`_META_KEYS`), a spec run's ``spec`` must parse, and so must
+    a soak's ``extra_events``.  Each problem is one reason naming the
+    mode and the key.
     """
     keys = _META_KEYS.get(mode)
     if keys is None:
@@ -301,7 +291,13 @@ def _regenerator(mode, meta) -> Tuple[Optional[Callable[[Path], Any]], List[str]
     if mode == "campaign":
         return lambda regen: record_campaign(regen, **meta), []
     if mode == "soak":
-        return lambda regen: record_soak(regen, **meta), []
+        from ..faults.campaign import FaultEvent
+
+        try:
+            extra = [(w, FaultEvent(**event)) for w, event in meta["extra_events"]]
+        except (TypeError, ValueError) as exc:
+            return None, [f"soak meta key 'extra_events' does not parse: {exc}"]
+        return lambda regen: record_soak(regen, **dict(meta, extra_events=extra)), []
     kwargs = dict(meta)
     payload = kwargs.pop("spec")
     try:

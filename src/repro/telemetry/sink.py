@@ -56,6 +56,7 @@ from __future__ import annotations
 
 import json
 import os
+from dataclasses import asdict
 from typing import Any, Dict, List, Optional, TextIO, Tuple
 
 from ..sim.metrics import ExactQuantile, StreamingMoments
@@ -273,16 +274,7 @@ class StreamingTraceSink:
             "seed": seed,
             "policy": policy,
             "engine": engine,
-            "events": [
-                {
-                    "component": e.component,
-                    "kind": e.kind,
-                    "onset": e.onset,
-                    "duration": e.duration,
-                    "factor": e.factor,
-                }
-                for e in events
-            ],
+            "events": [asdict(e) for e in events],
         }
         if start is not None:
             payload["start"] = start

@@ -13,6 +13,7 @@ class TestApportion:
 
     def test_largest_remainder(self):
         assert apportion(10, [1.0, 1.0, 2.0]) in ([2, 3, 5], [3, 2, 5])
+        assert apportion(400, [5.5, 5.5, 5.5, 2.75]) == [115, 114, 114, 57]
 
     def test_zero_total(self):
         assert apportion(0, [1.0, 2.0]) == [0, 0]

@@ -27,7 +27,7 @@ class TestHedgingBasics:
                 sim, [1.0] * 16, 4, executor(servers)
             )
         )
-        assert len(result.winners) == 16
+        assert len(result.assignments) == 16
         assert result.duplicates_launched == 0
         assert result.wasted_completions == 0
         assert result.duration == pytest.approx(4.0)
@@ -41,7 +41,7 @@ class TestHedgingBasics:
                 sim, [1.0] * 12, 4, executor(servers)
             )
         )
-        assert sorted(result.winners.keys()) == list(range(12))
+        assert sorted(result.assignments.keys()) == list(range(12))
 
     def test_straggler_task_gets_duplicated_and_rescued(self):
         """One stalled worker holds a task; a hedge copy rescues it."""
@@ -54,11 +54,11 @@ class TestHedgingBasics:
                 sim, [1.0] * 8, 4, executor(servers)
             )
         )
-        assert len(result.winners) == 8
+        assert len(result.assignments) == 8
         assert result.duplicates_launched >= 1
         # The stalled worker won nothing after its stall.
-        winners_by_worker = set(result.winners.values())
-        assert winners_by_worker <= {0, 1, 2, 3}
+        first_by_worker = set(result.assignments.values())
+        assert first_by_worker <= {0, 1, 2, 3}
         # Without hedging this would never finish; with it, bounded.
         assert result.duration < 2.0 + 2.0 + 8.0
 
@@ -102,7 +102,7 @@ class TestAdaptiveThreshold:
                 sim, [1.0] * 12, 4, executor(servers)
             )
         )
-        assert len(result.winners) == 12
+        assert len(result.assignments) == 12
         assert result.duplicates_launched >= 1
 
     def test_no_hedging_before_three_completions(self):
@@ -126,8 +126,9 @@ class TestWorkerFailure:
                 sim, [1.0] * 12, 4, executor(servers)
             )
         )
-        assert len(result.winners) == 12
+        assert len(result.assignments) == 12
         assert result.requeues >= 1
+        assert result.retired_workers == 1
 
     def test_a_task_bug_is_not_a_requeue(self):
         # Only a fail-stop or a watchdog timeout fails a copy; any other
@@ -155,7 +156,7 @@ class TestWorkerFailure:
                 sim, [1.0] * 8, 4, executor(servers)
             )
         )
-        assert len(result.winners) == 8
+        assert len(result.assignments) == 8
 
 
 class TestValidation:

@@ -119,8 +119,9 @@ class TestSchedulerInvariants:
                 sim, [1.0] * n_tasks, n_workers, lambda w, t: servers[w].submit(t)
             )
         )
-        assert sorted(result.winners.keys()) == list(range(n_tasks))
-        # Reconciliation: winners + waste == total completions implied.
+        assert sorted(result.assignments.keys()) == list(range(n_tasks))
+        assert sum(result.tasks_per_worker(n_workers)) == n_tasks
+        # Reconciliation: first completions + waste == total completions implied.
         assert result.wasted_completions >= 0
 
 

@@ -56,6 +56,10 @@ class TestUniformStriping:
         assert sorted(result.blocks_per_pair) == [100, 100, 101, 101]
         assert sum(result.blocks_per_pair) == 402
 
+    def test_first_pairs_take_the_extra_blocks(self):
+        __, __, result = run_policy(UniformStriping(), n_blocks=10)
+        assert result.blocks_per_pair == [3, 3, 2, 2]
+
     def test_tracks_single_slow_pair(self):
         """Scenario 1: throughput collapses to N * b."""
         __, __, result = run_policy(UniformStriping(), slow_factor=0.5)
@@ -81,23 +85,6 @@ class TestUniformStriping:
 
 
 class TestProportionalStriping:
-    def test_partition_largest_remainder(self):
-        shares = ProportionalStriping.partition(10, [1.0, 1.0, 2.0])
-        assert shares == [2, 3, 5] or shares == [3, 2, 5]
-        assert sum(shares) == 10
-
-    def test_partition_exact_ratios(self):
-        assert ProportionalStriping.partition(400, [5.5, 5.5, 5.5, 2.75]) == [
-            115,
-            114,
-            114,
-            57,
-        ]
-
-    def test_partition_rejects_all_zero(self):
-        with pytest.raises(ValueError):
-            ProportionalStriping.partition(10, [0.0, 0.0])
-
     def test_static_skew_recovers_bandwidth(self):
         """Scenario 2: throughput ~= (N-1) * B + b under a static fault."""
         __, __, result = run_policy(ProportionalStriping(), slow_factor=0.5)
@@ -199,6 +186,16 @@ class TestAdaptiveStriping:
         # The dead pair holds few blocks; survivors carry the rest.
         assert result.blocks_per_pair[2] < 15
         assert sum(result.blocks_per_pair) == 120
+
+    def test_every_pair_failing_leaves_blocks_unwritten(self):
+        sim = Simulator()
+        pairs = make_pairs(sim, 2)
+        for pair in pairs:
+            sim.schedule(0.5, pair.primary.stop)
+            sim.schedule(0.5, pair.secondary.stop)
+        proc = AdaptiveStriping().run(sim, pairs, 120, block_value=1)
+        with pytest.raises(RuntimeError, match=r"only \d+/120 tasks completed"):
+            sim.run(until=proc)
 
     def test_stalled_pair_strands_at_most_inflight_blocks(self):
         """A long stall strands only the in-flight block on that pair.

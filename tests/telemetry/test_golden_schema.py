@@ -311,6 +311,20 @@ class TestVerifyChecksTheHeaderMeta:
         assert reason.startswith("spec meta key 'spec' does not parse: ")
         self._verify_fails(path, capsys, reason)
 
+    def test_soak_extra_events_that_do_not_parse(self, tmp_path, capsys):
+        meta = {"seed": 7, "workload": "raid10", "family": "magnitude",
+                "policy": "stutter-aware", "n_windows": 2,
+                "injectors_per_window": 1, "n_requests": 40,
+                "engine": "hybrid", "rolling": 4, "check": True,
+                "extra_events": [[0, {"component": "d0", "kind": "melt",
+                                      "onset": 1.0}]]}
+        path = _with_header(tmp_path, "soak.jsonl", mode="soak", meta=meta)
+        result = verify_trace(path)
+        (reason,) = result.reasons
+        assert reason.startswith(
+            "soak meta key 'extra_events' does not parse: ")
+        self._verify_fails(path, capsys, reason)
+
     def test_meta_that_is_not_an_object(self, tmp_path, capsys):
         """The reader refuses it before verify can run."""
         from repro.__main__ import main

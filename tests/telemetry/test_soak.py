@@ -191,6 +191,14 @@ class TestSoakTrace:
         assert "soak trace" in replay.scorecard().title
         assert verify_trace(path).ok
 
+    def test_a_soak_with_extra_events_verifies(self, tmp_path):
+        path = tmp_path / "soak.jsonl"
+        stutter = FaultEvent("d0", "stutter", onset=1.0, duration=2.0,
+                             factor=0.5)
+        record_soak(path, seed=11, n_windows=2, injectors_per_window=1,
+                    n_requests=N_REQUESTS, extra_events=[(1, stutter)])
+        assert verify_trace(path).ok
+
     def test_trace_time_axis_is_global(self, tmp_path):
         path = tmp_path / "soak.jsonl"
         record_soak(path, seed=11, n_windows=3, injectors_per_window=2,

@@ -463,3 +463,26 @@ class TestVerifyKeepsTheOriginal:
         assert "VERIFY FAILED" in out and "is the trace itself" in out
         assert "VERIFIED" not in out.replace("VERIFY FAILED", "")
         assert path.read_bytes() == blob
+
+
+class TestRecordersRefuseBeforeWriting:
+    """A refused argument leaves an existing file at ``path`` untouched."""
+
+    @pytest.mark.parametrize("record, kwargs, error, match", [
+        (record_soak, dict(n_windows=1, injectors_per_window=-1, n_requests=20),
+         ValueError, "injectors_per_window must be >= 0, got -1"),
+        (record_soak, dict(n_windows=1, n_requests=0),
+         ValueError, "n_requests must be >= 1, got 0"),
+        (record_campaign, dict(scenarios_per_family=0, n_requests=20),
+         ValueError, "scenarios_per_family must be >= 1, got 0"),
+        (record_campaign, dict(workloads=("nope",), n_requests=20),
+         KeyError, "no bundled spec"),
+    ], ids=["soak-injectors", "soak-requests", "campaign-scenarios",
+            "campaign-workload"])
+    def test_existing_file_keeps_its_bytes(self, tmp_path, record, kwargs,
+                                           error, match):
+        path = tmp_path / "kept.jsonl"
+        path.write_bytes(b"untouched")
+        with pytest.raises(error, match=match):
+            record(path, **kwargs)
+        assert path.read_bytes() == b"untouched"
