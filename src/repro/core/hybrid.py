@@ -417,11 +417,8 @@ class HybridRunner:
         horizon = self.workload.horizon
         raw = []
         for event in self.scenario.events:
-            edges = (
-                (event.onset, event.onset + event.duration)
-                if event.kind == "stutter"
-                else (event.onset,)
-            )
+            edges = ((event.onset, event.end) if event.kind == "stutter"
+                     else (event.onset,))
             raw.extend((max(0.0, edge - lead), edge) for edge in edges
                        if edge <= horizon)
         raw.sort()

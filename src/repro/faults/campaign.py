@@ -45,6 +45,7 @@ from ..policy import POLICIES, MitigationPolicy, make_policy
 from ..sim.engine import PRIORITY_NORMAL
 from ..sim.metrics import ExactQuantile, LatencySummary, StreamingMoments, Tally
 from .component import DegradableServer
+from .model import FaultEvent
 from .spec import PerformanceSpec
 
 __all__ = [
@@ -59,6 +60,7 @@ __all__ = [
     "Request",
     "ScenarioOutcome",
     "InvariantOracle",
+    "check_engine",
     "run_scenario",
     "run_campaign",
     "campaign_workloads",
@@ -87,30 +89,6 @@ OUTCOME_DIGEST_VERSION = 2
 # ---------------------------------------------------------------------------
 # Scenarios
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class FaultEvent:
-    """One scheduled fault in a scenario.
-
-    ``kind`` is ``"stutter"`` (slow to ``factor`` of nominal between
-    ``onset`` and ``onset + duration``) or ``"fail-stop"`` (halt at
-    ``onset``; ``duration``/``factor`` unused).
-    """
-
-    component: str
-    kind: str
-    onset: float
-    duration: float = 0.0
-    factor: float = 1.0
-
-    def __post_init__(self):
-        if self.kind not in ("stutter", "fail-stop"):
-            raise ValueError(f"kind must be 'stutter' or 'fail-stop', got {self.kind!r}")
-        if self.onset < 0:
-            raise ValueError(f"onset must be >= 0, got {self.onset}")
-        if self.kind == "stutter" and not (self.duration > 0 and 0 < self.factor < 1):
-            raise ValueError("stutter needs duration > 0 and factor in (0, 1)")
 
 
 @dataclass(frozen=True)
@@ -207,8 +185,7 @@ class CampaignWorkload:
 # the literals used to build -- byte-identical scenarios and scorecards,
 # pinned by ``tests/scenario/test_bundle_migration.py``.  The import is
 # safe mid-module: the bundle loader only needs ``CampaignWorkload``
-# (defined above) at load time and defers ``FaultEvent`` lookups to
-# generation time.
+# (defined above) at load time.
 from ..scenario import bundle as _bundle  # noqa: E402  (needs CampaignWorkload)
 
 #: The stock workloads the e26 experiment and the CLI campaign sweep.
@@ -626,11 +603,9 @@ class CampaignEngine:
         self.sim.call_at(event.onset, self._announce, event.component,
                          source, "onset", event.kind)
         self.sim.call_at(event.onset, component.set_slowdown, source, event.factor)
-        self.sim.call_at(event.onset + event.duration, self._announce,
-                         event.component, source, "restore", event.kind)
-        self.sim.call_at(
-            event.onset + event.duration, component.clear_slowdown, source
-        )
+        self.sim.call_at(event.end, self._announce, event.component, source,
+                         "restore", event.kind)
+        self.sim.call_at(event.end, component.clear_slowdown, source)
 
     def run(self, scenario: Scenario) -> ScenarioOutcome:
         """Drive the workload under ``scenario`` to the drain horizon."""
@@ -817,6 +792,12 @@ def _fresh_policy(policy: PolicyLike) -> MitigationPolicy:
     return policy()
 
 
+def check_engine(engine: str) -> None:
+    """Refuse any engine but the two :func:`run_scenario` can run."""
+    if engine not in ("discrete", "hybrid"):
+        raise ValueError(f"engine must be 'discrete' or 'hybrid', got {engine!r}")
+
+
 def run_scenario(workload: CampaignWorkload, scenario: Scenario,
                  policy: PolicyLike, check: bool = True,
                  engine: str = "discrete", sink=None) -> ScenarioOutcome:
@@ -846,8 +827,7 @@ def run_scenario(workload: CampaignWorkload, scenario: Scenario,
     under way comes after the sink is subscribed, so any records the
     abandoned run emitted stay in the trace.
     """
-    if engine not in ("discrete", "hybrid"):
-        raise ValueError(f"engine must be 'discrete' or 'hybrid', got {engine!r}")
+    check_engine(engine)
     fallback = None
     if engine == "hybrid":
         from ..core.hybrid import HybridInfeasible, run_scenario_hybrid
@@ -931,8 +911,9 @@ class CampaignResult:
         return table
 
 
-def campaign_workloads(workloads: Sequence[str], scenarios_per_family: int,
-                       n_requests: Optional[int]) -> List[CampaignWorkload]:
+def campaign_workloads(workloads: Sequence[str], policies: Sequence[PolicyLike],
+                       scenarios_per_family: int, n_requests: Optional[int],
+                       engine: str) -> List[CampaignWorkload]:
     """:func:`run_campaign`'s argument checks; the workloads it runs.
 
     Each named stock workload comes back with ``n_requests`` applied.  A
@@ -941,6 +922,9 @@ def campaign_workloads(workloads: Sequence[str], scenarios_per_family: int,
     """
     if scenarios_per_family < 1:
         raise ValueError(f"scenarios_per_family must be >= 1, got {scenarios_per_family}")
+    check_engine(engine)
+    for policy in policies:
+        _fresh_policy(policy)  # an unknown name raises KeyError
     chosen = [WORKLOADS[name] for name in workloads]
     if n_requests is None:
         return chosen
@@ -976,9 +960,10 @@ def run_campaign(
     primary run, and recording them would double every record in the
     trace.
     """
-    scaled = campaign_workloads(workloads, scenarios_per_family, n_requests)
     if policies is None:
         policies = list(POLICIES)
+    scaled = campaign_workloads(workloads, policies, scenarios_per_family,
+                                n_requests, engine)
     oracle = InvariantOracle()
     outcomes: List[ScenarioOutcome] = []
     for workload in scaled:
@@ -1222,9 +1207,11 @@ def merge_soak_events(draws: Sequence[Scenario],
 
 def soak_plan(
     workload: Union[str, CampaignWorkload],
+    policy: PolicyLike,
     n_windows: int,
     injectors_per_window: int,
     n_requests: Optional[int],
+    engine: str,
     rolling: int,
     extra_events: Sequence[Tuple[int, FaultEvent]],
 ) -> Tuple[CampaignWorkload, Dict[int, List[FaultEvent]]]:
@@ -1240,6 +1227,8 @@ def soak_plan(
         raise ValueError(f"rolling must be >= 1, got {rolling}")
     if injectors_per_window < 0:
         raise ValueError(f"injectors_per_window must be >= 0, got {injectors_per_window}")
+    check_engine(engine)
+    _fresh_policy(policy)  # an unknown name raises KeyError
     base = WORKLOADS[workload] if isinstance(workload, str) else workload
     scaled = base if n_requests is None else replace(base, n_requests=n_requests)
     extras: Dict[int, List[FaultEvent]] = {}
@@ -1296,8 +1285,8 @@ def run_soak(
     object) and dropped, so memory stays flat as the virtual horizon
     grows (``tests/faults/test_outcome_columnar.py`` pins it).
     """
-    scaled, extras = soak_plan(workload, n_windows, injectors_per_window,
-                               n_requests, rolling, extra_events)
+    scaled, extras = soak_plan(workload, policy, n_windows, injectors_per_window,
+                               n_requests, engine, rolling, extra_events)
     span = scaled.horizon
     policy_name = policy if isinstance(policy, str) else _fresh_policy(policy).name
     recent: deque = deque(maxlen=rolling)

@@ -16,7 +16,8 @@ rate is ``nominal * product(factors)``; a factor of 0 models a stall, and
 :meth:`DegradableMixin.stop` is the absolute, permanent fail-stop
 transition.  Fault injectors (:mod:`repro.faults.library`) act only
 through this interface, so every substrate component (disk, link, CPU)
-tolerates composed faults for free.
+tolerates composed faults for free.  :class:`FaultEvent` schedules one
+fault of either kind: a stutter or a fail-stop.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ __all__ = [
     "CorrectnessFault",
     "ComponentStopped",
     "DegradableMixin",
+    "FaultEvent",
     "register_component",
 ]
 
@@ -108,6 +110,37 @@ class CorrectnessFault:
     component: str
     time: float
     cause: str = "fail-stop"
+
+
+@dataclass(frozen=True)
+class FaultEvent:
+    """One scheduled fault: a performance fault or a correctness fault.
+
+    ``kind`` is ``"stutter"`` (slow to ``factor`` of nominal from
+    ``onset`` to :attr:`end`) or ``"fail-stop"`` (halt at ``onset``;
+    ``duration``/``factor`` stay at their defaults).
+    """
+
+    component: str
+    kind: str
+    onset: float
+    duration: float = 0.0
+    factor: float = 1.0
+
+    def __post_init__(self):
+        if self.kind not in ("stutter", "fail-stop"):
+            raise ValueError(f"kind must be 'stutter' or 'fail-stop', got {self.kind!r}")
+        if not self.onset >= 0:  # also rejects NaN
+            raise ValueError(f"onset must be >= 0, got {self.onset}")
+        if self.kind == "stutter" and not (self.duration > 0 and 0 < self.factor < 1):
+            raise ValueError("stutter needs duration > 0 and factor in (0, 1)")
+        if self.kind == "fail-stop" and (self.duration, self.factor) != (0.0, 1.0):
+            raise ValueError("a fail-stop takes no duration or factor")
+
+    @property
+    def end(self) -> float:
+        """When a stutter restores; a fail-stop's onset."""
+        return self.onset + self.duration
 
 
 class ComponentStopped(Exception):

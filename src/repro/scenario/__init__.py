@@ -34,7 +34,6 @@ from .spec import (
     ArrivalSchedule,
     Draw,
     FamilySpec,
-    FaultEventSpec,
     GroupTopology,
     ScenarioSpec,
     SpecError,
@@ -48,7 +47,6 @@ __all__ = [
     "CompiledScenario",
     "Draw",
     "FamilySpec",
-    "FaultEventSpec",
     "GroupTopology",
     "ScenarioSpec",
     "SpecError",

@@ -26,7 +26,8 @@ byte-identically (pinned by ``tests/scenario/test_bundle_migration.py``).
 All imports of :mod:`repro.faults.campaign` are deferred into function
 bodies: campaign's own module bottom loads the stock registries from
 :mod:`repro.scenario.bundle`, and this module must be importable at
-that moment.
+that moment.  ``FaultEvent`` comes from :mod:`repro.faults.model`,
+which never imports this package, so it is imported at the top.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 
+from ..faults.model import FaultEvent
 from .spec import FamilySpec, ScenarioSpec
 
 if TYPE_CHECKING:  # pragma: no cover - types only
@@ -52,9 +54,7 @@ def compile_family(spec: FamilySpec) -> Callable:
     registries loaded from bundled files remain introspectable.
     """
 
-    def generator(rng, groups, span) -> List["FaultEvent"]:
-        from ..faults.campaign import FaultEvent
-
+    def generator(rng, groups, span) -> List[FaultEvent]:
         if spec.target == "member":
             pair = groups[rng.randrange(len(groups))]
             members = (pair[rng.randrange(len(pair))],)
@@ -117,21 +117,9 @@ class CompiledScenario:
         """
         from ..faults import campaign
 
-        if self.spec.events:
-            events = tuple(
-                campaign.FaultEvent(
-                    component=e.component, kind=e.fault, onset=e.onset,
-                    duration=e.duration, factor=e.factor,
-                ) if e.fault == "stutter" else campaign.FaultEvent(
-                    component=e.component, kind=e.fault, onset=e.onset,
-                )
-                for e in self.spec.events
-            )
-            return campaign.Scenario(family=self.spec.name, index=index,
-                                     seed=seed, events=events)
         if self.spec.family is None:
             return campaign.Scenario(family=self.spec.name, index=index,
-                                     seed=seed, events=())
+                                     seed=seed, events=self.spec.events)
         return campaign.generate_scenario(self.workload, self.spec.family,
                                           seed, index)
 

@@ -24,12 +24,8 @@ from dataclasses import dataclass
 from random import Random
 from typing import List, Optional, Tuple
 
-from .spec import (
-    ArrivalSchedule,
-    FaultEventSpec,
-    GroupTopology,
-    ScenarioSpec,
-)
+from ..faults.model import FaultEvent
+from .spec import ArrivalSchedule, GroupTopology, ScenarioSpec
 
 __all__ = ["SweepBounds", "generate_spec", "generate_specs"]
 
@@ -117,22 +113,16 @@ def generate_spec(seed: int, index: int,
     n_events = rng.randint(*bounds.events)
     members = groups.member_names()
     components = rng.sample(members, min(n_events, len(members)))
-    events: List[FaultEventSpec] = []
+    events: List[FaultEvent] = []
     for component in components:
         if rng.random() < bounds.failstop_prob:
-            events.append(FaultEventSpec(
-                component=component,
-                fault="fail-stop",
-                onset=rng.uniform(*bounds.onset_frac) * span,
-            ))
+            events.append(FaultEvent(component, "fail-stop",
+                                     onset=rng.uniform(*bounds.onset_frac) * span))
         else:
-            events.append(FaultEventSpec(
-                component=component,
-                fault="stutter",
-                onset=rng.uniform(*bounds.onset_frac) * span,
-                duration=rng.uniform(*bounds.duration_frac) * span,
-                factor=rng.uniform(*bounds.factor),
-            ))
+            events.append(FaultEvent(component, "stutter",
+                                     onset=rng.uniform(*bounds.onset_frac) * span,
+                                     duration=rng.uniform(*bounds.duration_frac) * span,
+                                     factor=rng.uniform(*bounds.factor)))
     policy = bounds.policies[rng.randrange(len(bounds.policies))]
     return ScenarioSpec(
         name=f"gen-{seed}-{index}",

@@ -10,7 +10,8 @@ Two document kinds share the loader (dispatched on the top-level
     SLO/horizon factors -- plus an optional fault binding (either a
     ``family`` reference resolved against the family registry at
     scenario-draw time, or an explicit ``events`` schedule in absolute
-    seconds) and an optional mitigation-``policy`` binding.
+    seconds, parsed to :class:`~repro.faults.model.FaultEvent`) and an
+    optional mitigation-``policy`` binding.
 
 ``kind = "family"`` -> :class:`FamilySpec`
     A seeded fault-scenario *generator* as data: a draw grammar
@@ -23,7 +24,7 @@ Two document kinds share the loader (dispatched on the top-level
     specs byte-identical to the hand-wired closures they replaced.
 
 Validation is strict and *names the offending field*: unknown keys,
-wrong types, unit-incoherent values (negative rates, slowdown factors
+wrong types, NaN, unit-incoherent values (negative rates, slowdown factors
 outside ``(0, 1)``, span-scaled dimensionless fields) and overlapping
 stutter windows on one component are all rejected with the JSON path of
 the problem (``groups.rate``, ``faults.events[2].factor``, ...).
@@ -38,11 +39,13 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple, Union
 
 from ..core.component import SUBSTRATES
+from ..faults.model import FaultEvent
 
 __all__ = [
     "SpecError",
@@ -50,7 +53,6 @@ __all__ = [
     "FamilySpec",
     "GroupTopology",
     "ArrivalSchedule",
-    "FaultEventSpec",
     "ScenarioSpec",
     "parse_spec",
     "load_spec",
@@ -88,6 +90,8 @@ def _number(payload: Dict[str, Any], path: str, key: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise _fail(f"{path}.{key}" if path else key,
                     f"expected a number, got {type(value).__name__}")
+    if math.isnan(value):  # JSON and TOML both read NaN
+        raise _fail(f"{path}.{key}" if path else key, "expected a number, got NaN")
     return float(value)
 
 
@@ -105,6 +109,18 @@ def _string(payload: Dict[str, Any], path: str, key: str) -> str:
         raise _fail(f"{path}.{key}" if path else key,
                     f"expected a string, got {type(value).__name__}")
     return value
+
+
+def _check_fault_keys(payload: Dict[str, Any], path: str, fault: str,
+                      what: str) -> None:
+    """A stutter needs ``duration`` and ``factor``; a fail-stop takes neither."""
+    for key in ("duration", "factor"):
+        field = f"{path}.{key}" if path else key
+        if fault == "stutter" and key not in payload:
+            raise _fail(field, f"required for stutter {what}")
+        if fault == "fail-stop" and key in payload:
+            raise _fail(field, "fail-stop events halt permanently; "
+                               f"'{key}' does not apply")
 
 
 def _digest(payload: Dict[str, Any]) -> str:
@@ -259,11 +275,9 @@ class FamilySpec:
                         "onsets are shared across a group, not per-member")
         if onset.lo < 0:
             raise _fail("onset", f"must be >= 0, got lower bound {onset.lo:g}")
+        _check_fault_keys(payload, "", fault, "families")
         duration = factor = None
         if fault == "stutter":
-            for key in ("duration", "factor"):
-                if key not in payload:
-                    raise _fail(key, "required for stutter families")
             duration = Draw.parse(payload["duration"], "duration")
             if duration.per_member:
                 raise _fail("duration.per_member",
@@ -287,11 +301,6 @@ class FamilySpec:
             if factor.per_member and target != "group":
                 raise _fail("factor.per_member",
                             "per-member draws need target = 'group'")
-        else:
-            for key in ("duration", "factor"):
-                if key in payload:
-                    raise _fail(key, "fail-stop events halt permanently; "
-                                     f"'{key}' does not apply")
         return cls(name=name, target=target, fault=fault, onset=onset,
                    duration=duration, factor=factor)
 
@@ -396,63 +405,39 @@ class ArrivalSchedule:
         return cls(work=work, gap=gap, requests=requests)
 
 
-@dataclass(frozen=True)
-class FaultEventSpec:
-    """One explicitly scheduled fault (absolute seconds)."""
+def _parse_event(payload: Any, path: str) -> FaultEvent:
+    """One explicitly scheduled fault (absolute seconds), checked by path."""
+    payload = _mapping(payload, path)
+    _check_keys(payload, path, ("component", "fault", "onset"),
+                ("duration", "factor"))
+    component = _string(payload, path, "component")
+    fault = _string(payload, path, "fault")
+    if fault not in FAULT_KINDS:
+        raise _fail(f"{path}.fault",
+                    f"expected one of {', '.join(FAULT_KINDS)}, got {fault!r}")
+    onset = _number(payload, path, "onset")
+    if onset < 0:
+        raise _fail(f"{path}.onset", f"must be >= 0 seconds, got {onset:g}")
+    _check_fault_keys(payload, path, fault, "events")
+    if fault == "fail-stop":
+        return FaultEvent(component, fault, onset)
+    duration = _number(payload, path, "duration")
+    if not duration > 0:
+        raise _fail(f"{path}.duration", f"must be > 0 seconds, got {duration:g}")
+    factor = _number(payload, path, "factor")
+    if not 0 < factor < 1:
+        raise _fail(f"{path}.factor",
+                    f"a slowdown factor must lie in (0, 1), got {factor:g}")
+    return FaultEvent(component, fault, onset, duration, factor)
 
-    component: str
-    fault: str  # "stutter" | "fail-stop"
-    onset: float
-    duration: float = 0.0
-    factor: float = 1.0
 
-    def window(self) -> Tuple[float, float]:
-        return (self.onset, self.onset + self.duration)
-
-    def to_dict(self) -> Dict[str, Any]:
-        payload: Dict[str, Any] = {
-            "component": self.component,
-            "fault": self.fault,
-            "onset": self.onset,
-        }
-        if self.fault == "stutter":
-            payload["duration"] = self.duration
-            payload["factor"] = self.factor
-        return payload
-
-    @classmethod
-    def parse(cls, payload: Any, path: str) -> "FaultEventSpec":
-        payload = _mapping(payload, path)
-        _check_keys(payload, path, ("component", "fault", "onset"),
-                    ("duration", "factor"))
-        component = _string(payload, path, "component")
-        fault = _string(payload, path, "fault")
-        if fault not in FAULT_KINDS:
-            raise _fail(f"{path}.fault",
-                        f"expected one of {', '.join(FAULT_KINDS)}, got {fault!r}")
-        onset = _number(payload, path, "onset")
-        if onset < 0:
-            raise _fail(f"{path}.onset", f"must be >= 0 seconds, got {onset:g}")
-        if fault == "stutter":
-            for key in ("duration", "factor"):
-                if key not in payload:
-                    raise _fail(f"{path}.{key}", "required for stutter events")
-            duration = _number(payload, path, "duration")
-            if not duration > 0:
-                raise _fail(f"{path}.duration",
-                            f"must be > 0 seconds, got {duration:g}")
-            factor = _number(payload, path, "factor")
-            if not 0 < factor < 1:
-                raise _fail(f"{path}.factor",
-                            f"a slowdown factor must lie in (0, 1), got {factor:g}")
-            return cls(component=component, fault=fault, onset=onset,
-                       duration=duration, factor=factor)
-        for key in ("duration", "factor"):
-            if key in payload:
-                raise _fail(f"{path}.{key}",
-                            "fail-stop events halt permanently; "
-                            f"'{key}' does not apply")
-        return cls(component=component, fault=fault, onset=onset)
+def _event_to_dict(event: FaultEvent) -> Dict[str, Any]:
+    """An event's spec-file form: kind under ``fault``, a fail-stop bare."""
+    payload = {"component": event.component, "fault": event.kind,
+               "onset": event.onset}
+    if event.kind == "stutter":
+        payload.update(duration=event.duration, factor=event.factor)
+    return payload
 
 
 @dataclass(frozen=True)
@@ -472,7 +457,7 @@ class ScenarioSpec:
     slo_factor: float = 12.0
     horizon_factor: float = 6.0
     family: Optional[str] = None
-    events: Tuple[FaultEventSpec, ...] = ()
+    events: Tuple[FaultEvent, ...] = ()
     policy: Optional[str] = None
 
     def to_dict(self) -> Dict[str, Any]:
@@ -487,7 +472,7 @@ class ScenarioSpec:
         if self.family is not None:
             payload["faults"] = {"family": self.family}
         elif self.events:
-            payload["faults"] = {"events": [e.to_dict() for e in self.events]}
+            payload["faults"] = {"events": [_event_to_dict(e) for e in self.events]}
         if self.policy is not None:
             payload["policy"] = self.policy
         return payload
@@ -523,7 +508,7 @@ class ScenarioSpec:
                         f"the drain horizon must exceed the submission span "
                         f"(> 1), got {horizon_factor:g}")
         family: Optional[str] = None
-        events: Tuple[FaultEventSpec, ...] = ()
+        events: Tuple[FaultEvent, ...] = ()
         if "faults" in payload:
             faults = _mapping(payload["faults"], "faults")
             _check_keys(faults, "faults", (), ("family", "events"))
@@ -539,7 +524,7 @@ class ScenarioSpec:
                 if not isinstance(raw, (list, tuple)):
                     raise _fail("faults.events", "expected a list of events")
                 events = tuple(
-                    FaultEventSpec.parse(item, f"faults.events[{i}]")
+                    _parse_event(item, f"faults.events[{i}]")
                     for i, item in enumerate(raw)
                 )
         policy: Optional[str] = None
@@ -560,7 +545,7 @@ class ScenarioSpec:
     def _validate_events(self) -> None:
         """Cross-field checks an event list must satisfy."""
         members = set(self.groups.member_names())
-        windows: Dict[str, List[Tuple[int, float, float]]] = {}
+        stutters: Dict[str, List[int]] = {}
         stopped: Dict[str, int] = {}
         for i, event in enumerate(self.events):
             path = f"faults.events[{i}]"
@@ -571,27 +556,27 @@ class ScenarioSpec:
                 raise _fail(f"{path}.component",
                             f"{event.component!r} is not a member of the "
                             f"topology ({lo}..{hi})")
-            if event.fault == "fail-stop":
+            if event.kind == "fail-stop":
                 if event.component in stopped:
                     raise _fail(path,
                                 f"{event.component!r} already fail-stops in "
                                 f"faults.events[{stopped[event.component]}]")
                 stopped[event.component] = i
                 continue
-            start, end = event.window()
-            for j, other_start, other_end in windows.get(event.component, ()):
-                if start < other_end and other_start < end:
+            for j in stutters.get(event.component, ()):
+                other = self.events[j]
+                if event.onset < other.end and other.onset < event.end:
                     raise _fail(
                         path,
-                        f"stutter window [{start:g}, {end:g}] on "
+                        f"stutter window [{event.onset:g}, {event.end:g}] on "
                         f"{event.component!r} overlaps faults.events[{j}]'s "
-                        f"[{other_start:g}, {other_end:g}]",
+                        f"[{other.onset:g}, {other.end:g}]",
                     )
-            windows.setdefault(event.component, []).append((i, start, end))
+            stutters.setdefault(event.component, []).append(i)
         for component, i in stopped.items():
             onset = self.events[i].onset
-            for j, start, end in windows.get(component, ()):
-                if end > onset:
+            for j in stutters.get(component, ()):
+                if self.events[j].end > onset:
                     raise _fail(
                         f"faults.events[{j}]",
                         f"stutter on {component!r} runs past its fail-stop "

@@ -141,12 +141,9 @@ def run_sweep(
     unstable fallback decision would surface as a determinism
     violation, not vanish.
     """
-    if engine not in ("discrete", "hybrid"):
-        raise ValueError(
-            f"engine must be 'discrete' or 'hybrid', got {engine!r}"
-        )
-    from ..faults.campaign import InvariantOracle, run_scenario
+    from ..faults.campaign import InvariantOracle, check_engine, run_scenario
 
+    check_engine(engine)
     oracle = InvariantOracle()
     runs: List[Tuple[str, "ScenarioOutcome"]] = []
     for index in range(count):

@@ -26,6 +26,7 @@ from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
+from ..faults.model import FaultEvent
 from ..scenario.bundle import spec_paths
 from ..scenario.spec import ScenarioSpec, SpecError, load_spec
 from .reader import TraceSummary, iter_trace
@@ -110,7 +111,8 @@ def record_campaign(
         policies = list(POLICIES)
     _require_policy_names(policies)
     specs = stock_spec_digests(list(workloads) + list(families))
-    campaign_workloads(workloads, scenarios_per_family, n_requests)
+    campaign_workloads(workloads, policies, scenarios_per_family, n_requests,
+                       engine)
     meta = {
         "seed": seed,
         "workloads": list(workloads),
@@ -163,8 +165,8 @@ def record_soak(
 
     _require_policy_names([policy])
     specs = stock_spec_digests([workload, family])
-    soak_plan(workload, n_windows, injectors_per_window, n_requests, rolling,
-              extra_events)
+    soak_plan(workload, policy, n_windows, injectors_per_window, n_requests,
+              engine, rolling, extra_events)
     meta = {
         "seed": seed,
         "workload": workload,
@@ -291,8 +293,6 @@ def _regenerator(mode, meta) -> Tuple[Optional[Callable[[Path], Any]], List[str]
     if mode == "campaign":
         return lambda regen: record_campaign(regen, **meta), []
     if mode == "soak":
-        from ..faults.campaign import FaultEvent
-
         try:
             extra = [(w, FaultEvent(**event)) for w, event in meta["extra_events"]]
         except (TypeError, ValueError) as exc:

@@ -14,10 +14,11 @@ traces -- no simulator, no scenario registry, just the file:
 * an **execution line**: how many runs ran hybrid, how many fell back,
   and what share of the requests ran discrete, from each ``run-end``
   or ``window`` line's ``execution`` envelope (schema 4);
-* an **integrity report**: truncation point, clean-close flag, and a
+* an **integrity report**: truncation point, clean-close flag, a
   cross-check of the streamed per-record counts against the footer's
   per-subject ``kinds`` counts (a trace whose footer disagrees with its
-  own body is flagged, never silently trusted).
+  own body is flagged, never silently trusted), and each scorecard line
+  that lacks a key or holds an unreadable value, named.
 
 Replay folds each line as the reader parses it and keeps none, so its
 memory is O(subjects + runs + windows + timeline entries) plus one
@@ -92,7 +93,7 @@ class TraceReplay:
     #: subject -> streamed completion-record count.
     completions: Dict[str, int] = field(default_factory=dict)
     records: int = 0
-    #: Footer-vs-body disagreements (and truncation notes).
+    #: Footer-vs-body disagreements and unreadable scorecard lines.
     integrity: List[str] = field(default_factory=list)
 
     @property
@@ -215,6 +216,43 @@ class TraceReplay:
         return "\n".join(lines)
 
 
+def _fold_scorecard(replay: TraceReplay, by_run: Dict[int, RunSummary],
+                    line: Dict[str, Any]) -> None:
+    """Fold a run-end or window line.  A run-end line is read as strictly
+    as :meth:`SoakWindow.from_dict` reads a window: every key but
+    ``execution`` (schema-3 lines lack it) is required, and all are read
+    before any is kept."""
+    if line["k"] == "window":
+        from ..faults.campaign import SoakWindow
+
+        replay.windows.append(SoakWindow.from_dict(line))
+        return
+    score = {
+        "run": int(line["run"]),
+        "requests": int(line["requests"]),
+        "slo": float(line["slo"]),
+        "slo_violations": int(line["slo_violations"]),
+        "failed_requests": int(line["failed_requests"]),
+        "issued_work": float(line["issued_work"]),
+        "wasted_work": float(line["wasted_work"]),
+        "digest": str(line["digest"]),
+        "moments": StreamingMoments.from_dict(line["moments"]),
+        "p50": ExactQuantile.from_dict(line["p50"]),
+        "p99": ExactQuantile.from_dict(line["p99"]),
+        "oracle_violations": list(line["oracle_violations"]),
+        "execution": line.get("execution"),
+        "complete": True,
+    }
+    run = by_run.get(score["run"])
+    if run is None:  # run-start lost to truncation upstream? keep it
+        run = RunSummary(run=score["run"], workload=line.get("workload", "?"),
+                         family=line.get("family", "?"), index=line.get("index", -1),
+                         policy=line.get("policy", "?"), engine="?", events=[])
+        replay.runs.append(run)
+    for name, value in score.items():
+        setattr(run, name, value)
+
+
 def replay_trace(path) -> TraceReplay:
     """Reconstruct timelines + scorecard from a trace file alone.
 
@@ -260,40 +298,14 @@ def replay_trace(path) -> TraceReplay:
                 )
                 by_run[run.run] = run
                 replay.runs.append(run)
-            elif k == "run-end":
-                run = by_run.get(line.get("run", -1))
-                if run is None:  # run-start lost to truncation upstream? keep it
-                    run = RunSummary(
-                        run=line.get("run", -1),
-                        workload=line.get("workload", "?"),
-                        family=line.get("family", "?"),
-                        index=line.get("index", -1),
-                        policy=line.get("policy", "?"),
-                        engine="?",
-                        events=[],
-                    )
-                    replay.runs.append(run)
-                run.requests = line.get("requests", 0)
-                run.slo = line.get("slo", 0.0)
-                run.slo_violations = line.get("slo_violations", 0)
-                run.failed_requests = line.get("failed_requests", 0)
-                run.issued_work = line.get("issued_work", 0.0)
-                run.wasted_work = line.get("wasted_work", 0.0)
-                run.digest = line.get("digest", "")
-                if "moments" in line:
-                    run.moments = StreamingMoments.from_dict(line["moments"])
-                if "p50" in line:
-                    run.p50 = ExactQuantile.from_dict(line["p50"])
-                if "p99" in line:
-                    run.p99 = ExactQuantile.from_dict(line["p99"])
-                run.oracle_violations = list(line.get("oracle_violations", []))
-                run.execution = line.get("execution")
-                run.complete = True
-            elif k == "window":
-                from ..faults.campaign import SoakWindow
-
-                payload = {key: value for key, value in line.items() if key != "k"}
-                replay.windows.append(SoakWindow.from_dict(payload))
+            elif k == "run-end" or k == "window":
+                try:
+                    _fold_scorecard(replay, by_run, line)
+                except (KeyError, TypeError, ValueError) as exc:
+                    why = (f"missing key {exc}" if isinstance(exc, KeyError)
+                           else f"unreadable value ({exc})")
+                    name = line.get("index" if k == "window" else "run", "?")
+                    replay.integrity.append(f"{k} {name}: {why}")
             elif k == "end":
                 if line.get("records") != replay.records:
                     replay.integrity.append(

@@ -435,3 +435,18 @@ class TestParkedDegradedEras:
                                 duration=duration, factor=0.3),
         ))
         _run_against_discrete(_ClosesLogged(workload, scenario, policy))
+
+    def test_a_failstop_plans_one_window_edge_and_a_stutter_two(self):
+        # Each edge gets the window [edge - 2 * E[service], edge]: a
+        # fail-stop's onset, a stutter's onset and its end.
+        workload = campaign.WORKLOADS["raid10"]
+        lead = 2.0 * workload.expected_service
+        scenario = campaign.Scenario(family="hand", index=0, seed=7, events=(
+            campaign.FaultEvent("d0", "fail-stop", onset=10.0),
+            campaign.FaultEvent("d2", "stutter", onset=20.0, duration=10.0,
+                                factor=0.3),
+        ))
+        runner = HybridRunner(workload, scenario, "stutter-aware")
+        assert runner._plan_windows() == [
+            (edge - lead, edge) for edge in (10.0, 20.0, 30.0)
+        ]

@@ -10,6 +10,7 @@ from repro.faults import (
     FaultModel,
     PerformanceFault,
 )
+from repro.faults.model import FaultEvent
 from repro.sim import SimulationError, Simulator
 
 
@@ -25,6 +26,28 @@ class TestFaultModel:
     def test_none_handles_nothing(self):
         assert not FaultModel.NONE.handles_performance_faults
         assert not FaultModel.NONE.handles_correctness_faults
+
+
+class TestFaultEvent:
+    def test_a_stutter_ends_at_its_restore(self):
+        event = FaultEvent("d0", "stutter", onset=1.5, duration=2.0, factor=0.3)
+        assert event.end == 3.5
+
+    def test_a_failstop_ends_at_its_onset(self):
+        assert FaultEvent("d0", "fail-stop", onset=1.5).end == 1.5
+
+    def test_a_failstop_takes_no_duration(self):
+        with pytest.raises(ValueError, match="no duration or factor"):
+            FaultEvent("d0", "fail-stop", onset=1.5, duration=2.0)
+
+    def test_a_nan_onset_is_refused(self):
+        with pytest.raises(ValueError, match="onset must be >= 0, got nan"):
+            FaultEvent("d0", "fail-stop", onset=float("nan"))
+
+    def test_the_campaign_module_re_exports_it(self):
+        from repro.faults import campaign
+
+        assert campaign.FaultEvent is FaultEvent
 
 
 class TestDegradableRates:

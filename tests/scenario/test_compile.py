@@ -80,6 +80,12 @@ class TestScenarioFactory:
         assert scenario.family == "t"
         assert (scenario.seed, scenario.index) == (3, 5)
 
+    def test_explicit_events_are_the_specs_own_tuple(self):
+        spec = _spec(faults={"events": [
+            {"component": "d1", "fault": "fail-stop", "onset": 0.5},
+        ]})
+        assert compile_spec(spec).scenario().events is spec.events
+
     def test_family_reference_defers_to_generate_scenario(self):
         compiled = compile_spec(_spec(faults={"family": "magnitude"}))
         assert compiled.scenario(seed=11, index=2) == (

@@ -62,7 +62,7 @@ class TestGenerateSpec:
             # windows, so the grammar's overlap rule can never trip.
             assert len(targets) == len(set(targets))
             for event in spec.events:
-                if event.fault == "stutter":
+                if event.kind == "stutter":
                     lo, hi = bounds.factor
                     assert lo <= event.factor <= hi
             assert spec.policy in bounds.policies

@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.faults.model import FaultEvent
 from repro.scenario import (
     Draw,
     FamilySpec,
@@ -292,6 +293,46 @@ class TestRejectionsNameTheField:
         with pytest.raises(SpecError) as err:
             parse_spec(payload)
         assert "faults.events[0].duration" in str(err.value)
+
+
+class TestExplicitEvents:
+    def test_events_parse_to_fault_events_and_round_trip(self):
+        payload = _valid_scenario()
+        payload["faults"]["events"].append(
+            {"component": "d1", "fault": "fail-stop", "onset": 4.0})
+        spec = parse_spec(payload)
+        assert spec.events == (
+            FaultEvent("d0", "stutter", onset=1.0, duration=2.0, factor=0.3),
+            FaultEvent("d1", "fail-stop", onset=4.0),
+        )
+        assert parse_spec(spec.to_dict()) == spec
+        # The spec form: the kind under ``fault``, a fail-stop bare.
+        assert spec.to_dict()["faults"]["events"] == payload["faults"]["events"]
+
+
+class TestNaNIsRefused:
+    def test_a_nan_onset_names_the_event(self):
+        payload = _mutate(_valid_scenario(), ["faults", "events", 0, "onset"],
+                          float("nan"))
+        with pytest.raises(SpecError) as err:
+            parse_spec(payload)
+        assert "faults.events[0].onset: expected a number, got NaN" in str(err.value)
+
+    def test_a_nan_fixed_duration_names_the_duration(self, tmp_path):
+        path = tmp_path / "nan_duration.json"
+        path.write_text(
+            '{"kind": "family", "name": "nan_duration", "target": "member", '
+            '"fault": "stutter", "onset": {"fixed": 0.15, "of": "span"}, '
+            '"duration": {"fixed": NaN, "of": "span"}, '
+            '"factor": {"uniform": [0.05, 0.5]}}')
+        with pytest.raises(SpecError) as err:
+            load_spec(path)
+        assert "duration.fixed: expected a number, got NaN" in str(err.value)
+
+    def test_an_infinite_stutter_never_restores(self):
+        payload = _mutate(_valid_scenario(), ["faults", "events", 0, "duration"],
+                          float("inf"))
+        assert parse_spec(payload).events[0].end == float("inf")
 
 
 class TestLoader:

@@ -260,6 +260,58 @@ class TestVersionGate:
         assert "Traceback" not in err
 
 
+def _edited(tmp_path, golden, kind, nth, drop=(), **values):
+    """``golden`` with its ``nth`` line of ``kind`` edited by hand:
+    the ``drop`` keys deleted and ``values`` set."""
+    lines = golden.read_text().splitlines(keepends=True)
+    at = [i for i, line in enumerate(lines) if json.loads(line)["k"] == kind][nth]
+    line = json.loads(lines[at])
+    for key in drop:
+        del line[key]
+    line.update(values)
+    lines[at] = json.dumps(line) + "\n"
+    path = tmp_path / "edited.jsonl"
+    path.write_text("".join(lines))
+    return path
+
+
+class TestMalformedScorecardLines:
+    """A ``run-end`` or ``window`` line that lacks a key is named, never
+    read as zeros and never a traceback."""
+
+    def test_a_window_without_its_rolling_scorecard(self, tmp_path, capsys):
+        from repro.__main__ import main
+
+        path = _edited(tmp_path, DATA / "golden_soak_v4.jsonl", "window", 1,
+                       drop=("rolling",))
+        replay = replay_trace(path)
+        assert replay.integrity == ["window 1: missing key 'rolling'"]
+        assert [window.index for window in replay.windows] == [0]
+        assert main(["replay", str(path)]) == 1
+        out = capsys.readouterr().out
+        assert "INCONSISTENT: window 1: missing key 'rolling'" in out
+
+    def test_a_run_end_without_its_counts(self, tmp_path, capsys):
+        from repro.__main__ import main
+
+        path = _edited(tmp_path, GOLDEN, "run-end", 0,
+                       drop=("requests", "moments"))
+        replay = replay_trace(path)
+        assert replay.integrity == ["run-end 0: missing key 'requests'"]
+        (run,) = replay.runs
+        assert not run.complete and run.requests == 0
+        assert replay.scorecard().rows[0][-1] == "(partial)"
+        assert main(["replay", str(path)]) == 1
+        out = capsys.readouterr().out
+        assert "INCONSISTENT: run-end 0: missing key 'requests'" in out
+
+    def test_an_unreadable_value_is_named(self, tmp_path):
+        path = _edited(tmp_path, GOLDEN, "run-end", 0, requests="four")
+        assert replay_trace(path).integrity == [
+            "run-end 0: unreadable value (invalid literal for int() with "
+            "base 10: 'four')"]
+
+
 class TestVerifyChecksTheHeaderMeta:
     """``meta`` comes from the file, so a bad one fails verify by name."""
 

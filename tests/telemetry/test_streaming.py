@@ -486,3 +486,31 @@ class TestRecordersRefuseBeforeWriting:
         with pytest.raises(error, match=match):
             record(path, **kwargs)
         assert path.read_bytes() == b"untouched"
+
+    @pytest.mark.parametrize("record, kwargs, error, match", [
+        (record_campaign, dict(policies=("nope",)), KeyError, "no policy 'nope'"),
+        (record_campaign, dict(engine="turbo"), ValueError,
+         "engine must be 'discrete' or 'hybrid', got 'turbo'"),
+        (record_soak, dict(policy="nope", n_windows=1), KeyError,
+         "no policy 'nope'"),
+        (record_soak, dict(engine="turbo", n_windows=1), ValueError,
+         "engine must be 'discrete' or 'hybrid', got 'turbo'"),
+    ], ids=["campaign-policy", "campaign-engine", "soak-policy", "soak-engine"])
+    def test_an_unknown_policy_or_engine_keeps_the_file(self, tmp_path, record,
+                                                        kwargs, error, match):
+        path = tmp_path / "kept.jsonl"
+        path.write_bytes(b"untouched")
+        with pytest.raises(error, match=match):
+            record(path, n_requests=20, **kwargs)
+        assert path.read_bytes() == b"untouched"
+
+    def test_a_campaign_refuses_an_unknown_policy_before_any_run(self,
+                                                               monkeypatch):
+        from repro.faults import campaign
+
+        runs = []
+        monkeypatch.setattr(campaign, "run_scenario",
+                            lambda *args, **kwargs: runs.append(args))
+        with pytest.raises(KeyError, match="no policy 'nope'"):
+            campaign.run_campaign(policies=("hedged", "nope"), n_requests=20)
+        assert runs == []
